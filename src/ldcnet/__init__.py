@@ -1,7 +1,7 @@
 """Local detour centrality toolkit for fluency-derived semantic networks.
 
 Builds weighted directed graphs from timestamped word-fluency transcripts,
-computes the local detour score alongside five baseline centrality measures,
+computes the local detour score alongside six baseline centrality measures,
 and runs the correlation sweep and permutation significance analyses over a
 window-size x minimum-subjects parameter grid.
 """

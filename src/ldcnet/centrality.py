@@ -1,4 +1,4 @@
-"""Local detour centrality and the five baseline centrality measures.
+"""Local detour centrality and the six baseline centrality measures.
 
 Every measure is a pure function of an immutable :class:`WeightedDigraph`.
 Per-vertex detour contexts are independent work units, so the detour score
@@ -13,23 +13,30 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import EmptyGraph, NoConvergence
 from .graph import WeightedDigraph, _dijkstra, _inflated_adjacency
+from .textio import PathOrFile, open_text
 
 _INF = math.inf
 
+#: The one list of measures: tag -> scorer(graph, pagerank params, jobs), in
+#: canonical output order. Each scorer looks its function up by module-level
+#: name when called, so rebinding that name (for instance to wrap it) reaches
+#: every caller.
+SCORERS: dict[str, Callable[..., CentralityVector]] = {
+    "ldc": lambda graph, params, jobs: ldc_vector(graph, jobs=jobs),
+    "in_degree": lambda graph, params, jobs: degree(graph, "in"),
+    "out_degree": lambda graph, params, jobs: degree(graph, "out"),
+    "closeness": lambda graph, params, jobs: closeness(graph),
+    "triangles": lambda graph, params, jobs: triangles(graph),
+    "pagerank": lambda graph, params, jobs: pagerank(graph, params),
+    "betweenness": lambda graph, params, jobs: betweenness(graph),
+}
+
 #: Measure tags in canonical output order.
-MEASURES = (
-    "ldc",
-    "in_degree",
-    "out_degree",
-    "closeness",
-    "triangles",
-    "pagerank",
-    "betweenness",
-)
+MEASURES = tuple(SCORERS)
 
 
 @dataclass(frozen=True)
@@ -330,56 +337,41 @@ def compute_all(
     graph: WeightedDigraph,
     pagerank_params: Optional[PageRankParams] = None,
     jobs: int = 1,
+    measures: Sequence[str] = MEASURES,
 ) -> dict[str, CentralityVector]:
-    """All seven measures in one pass, sharing the cached all-pairs table.
+    """The named measures (all seven by default), keyed in the order given.
 
-    Identical to calling each measure alone; errors from individual measures
-    propagate.
+    The measures share the graph's cached all-pairs table; each vector is
+    identical to calling its measure alone, and errors from individual
+    measures propagate.
     """
-    if graph.vertex_count == 0:
-        raise EmptyGraph("graph has no vertices")
-    r = graph.mean_pairwise_distance()
-    table = {
-        "ldc": ldc_vector(graph, r, jobs=jobs),
-        "in_degree": degree(graph, "in"),
-        "out_degree": degree(graph, "out"),
-        "closeness": closeness(graph),
-        "triangles": triangles(graph),
-        "pagerank": pagerank(graph, pagerank_params),
-        "betweenness": betweenness(graph),
-    }
-    return table
+    return {m: SCORERS[m](graph, pagerank_params, jobs) for m in measures}
 
 
-def write_centrality_csv(table: Mapping[str, CentralityVector], dest, layout: str = "wide") -> None:
+def write_centrality_csv(
+    table: Mapping[str, CentralityVector], dest: PathOrFile, layout: str = "wide"
+) -> None:
     """Export centrality vectors as CSV, rows in vertex-index order.
 
     ``layout`` is "wide" (one column per measure) or "long"
     (word,measure,value rows).
     """
+    if layout not in ("wide", "long"):
+        raise ValueError(f"layout must be 'wide' or 'long', got {layout!r}")
     present = [m for m in MEASURES if m in table]
     if not present:
         raise ValueError("no measures to write")
     words = sorted(table[present[0]].scores)
-    if hasattr(dest, "write"):
-        _write_centrality(table, dest, layout, present, words)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_centrality(table, fh, layout, present, words)
-
-
-def _write_centrality(table, fh, layout, present, words) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    if layout == "wide":
-        writer.writerow(["word"] + present)
-        for word in words:
-            writer.writerow(
-                [word] + [format(table[m].scores[word], ".12g") for m in present]
-            )
-    elif layout == "long":
-        writer.writerow(("word", "measure", "value"))
-        for word in words:
-            for m in present:
-                writer.writerow((word, m, format(table[m].scores[word], ".12g")))
-    else:
-        raise ValueError(f"layout must be 'wide' or 'long', got {layout!r}")
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if layout == "wide":
+            writer.writerow(["word"] + present)
+            for word in words:
+                writer.writerow(
+                    [word] + [format(table[m].scores[word], ".12g") for m in present]
+                )
+        else:
+            writer.writerow(("word", "measure", "value"))
+            for word in words:
+                for m in present:
+                    writer.writerow((word, m, format(table[m].scores[word], ".12g")))

@@ -1,31 +1,27 @@
 """Command-line front end for reproducible batch runs.
 
 Exit codes: 0 success, 1 usage, 2 input error, 3 empty result, 4 undefined
-statistic. Every command is a pure function of (inputs, flags, seed) and
-writes a manifest with content digests of everything it emitted.
+statistic (including a pagerank that does not converge). Every command is a
+pure function of (inputs, flags, seed) and writes a manifest with content
+digests of everything it emitted.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import __version__
 from .centrality import (
     MEASURES,
     PageRankParams,
-    betweenness,
-    closeness,
     compute_all,
-    degree,
     ldc_vector,
-    pagerank,
     pagerank_with_raw,
-    triangles,
     write_centrality_csv,
 )
 from .corpus import DistanceFunctionParams, build_graph, load_corpus
@@ -34,6 +30,7 @@ from .errors import (
     InsufficientData,
     LdcnetError,
     MalformedLine,
+    NoConvergence,
     NonMonotoneTimestamp,
     NoRecords,
     UndefinedActualCorrelation,
@@ -49,9 +46,9 @@ from .stats import (
     cell_dir_name,
     evaluate_cells,
     permutation_test,
-    summary_columns,
     summary_row,
     write_distance_csv,
+    write_grid_summary,
     write_spearman_csv,
 )
 
@@ -68,6 +65,16 @@ _INPUT_ERRORS = (MalformedLine, NonMonotoneTimestamp, FileNotFoundError, IsADire
 
 class _UsageError(Exception):
     """Command-level usage problem mapped to exit code 1."""
+
+
+#: Exit code for an exception escaping a command; the first matching row wins.
+_EXIT_CODES = (
+    (_UsageError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+    *((error, EXIT_INPUT) for error in _INPUT_ERRORS),
+    (NoConvergence, EXIT_UNDEFINED),
+    (LdcnetError, EXIT_INPUT),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,28 +157,12 @@ def _parse_measures(raw: str) -> list[str]:
     if raw == "all":
         return list(MEASURES)
     requested = [m.strip() for m in raw.split(",") if m.strip()]
+    if not requested:
+        raise ValueError("no measures selected")
     unknown = [m for m in requested if m not in MEASURES]
     if unknown:
         raise ValueError(f"unknown measure(s): {', '.join(unknown)}")
     return requested
-
-
-def _single_measure(graph: WeightedDigraph, measure: str, params: PageRankParams):
-    if measure == "ldc":
-        return ldc_vector(graph)
-    if measure == "in_degree":
-        return degree(graph, "in")
-    if measure == "out_degree":
-        return degree(graph, "out")
-    if measure == "closeness":
-        return closeness(graph)
-    if measure == "triangles":
-        return triangles(graph)
-    if measure == "pagerank":
-        return pagerank(graph, params)
-    if measure == "betweenness":
-        return betweenness(graph)
-    raise ValueError(f"unknown measure {measure!r}")
 
 
 # -- commands ----------------------------------------------------------------
@@ -214,13 +205,9 @@ def _cmd_centrality(args: argparse.Namespace) -> int:
         return _fail(EXIT_INPUT, f"cannot read graph: {exc}")
     params = PageRankParams(alpha=args.alpha)
     try:
-        if set(measures) == set(MEASURES):
-            table = compute_all(graph, params, jobs=args.jobs)
-        else:
-            table = {m: _single_measure(graph, m, params) for m in measures}
+        table = compute_all(graph, params, jobs=args.jobs, measures=measures)
     except EmptyGraph as exc:
         return _fail(EXIT_EMPTY, str(exc))
-    table = {m: table[m] for m in measures}
     manifest = _new_manifest(
         "centrality",
         {"measures": measures, "alpha": args.alpha, "layout": args.layout,
@@ -294,9 +281,7 @@ def _write_cell(cell, out_dir: str) -> dict:
         "files": files,
         "notes": notes,
     }
-    with open(os.path.join(cell_dir, "cell.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta, os.path.join(cell_dir, "cell.json"))
     return meta
 
 
@@ -338,7 +323,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(meta["row"])
         statuses.append(meta["status"])
     summary_path = os.path.join(args.out, "grid_summary.csv")
-    _write_summary_rows(rows, summary_path)
+    write_grid_summary(rows, summary_path)
 
     manifest = _new_manifest(
         "sweep",
@@ -371,14 +356,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_summary_rows(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=summary_columns(), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     if (args.ws is None) != (args.ms is None):
@@ -409,16 +386,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {}
         for word in sorted(stats):
-            s = stats[word]
-            entry = {
-                "frequency": s.frequency,
-                "log_frequency": s.log_frequency,
-                "avg_location": s.avg_location,
-                "dt_to": s.dt_to,
-                "dt_from": s.dt_from,
-                "n_to": s.n_to,
-                "n_from": s.n_from,
-            }
+            entry = asdict(stats[word])
+            del entry["word"]
             if ldc_scores is not None:
                 entry["ldc"] = ldc_scores.get(word)
             payload[word] = entry
@@ -550,16 +519,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"ldcnet {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"ldcnet {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _INPUT_ERRORS as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except LdcnetError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    except tuple(error for error, _ in _EXIT_CODES) as exc:
+        code = next(code for error, code in _EXIT_CODES if isinstance(exc, error))
+        if code == EXIT_USAGE:
+            print(f"ldcnet {args.command}: error: {exc}", file=sys.stderr)
+            return code
+        return _fail(code, str(exc))
 
 
 def entrypoint() -> None:

@@ -17,11 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import random
 import statistics
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from typing import IO, Sequence
 
 from .errors import (
     EmptyRecord,
@@ -30,8 +29,7 @@ from .errors import (
     NoRecords,
 )
 from .graph import WeightedDigraph
-
-PathOrFile = Union[str, os.PathLike, IO[str]]
+from .textio import PathOrFile, open_text
 
 CORPUS_CSV_HEADER = ("subject", "word", "onset_seconds")
 
@@ -91,9 +89,7 @@ def parse_corpus(source: PathOrFile) -> list[FluencyRecord]:
     Raises MalformedLine for format violations and NonMonotoneTimestamp when
     a subject's onsets fail to increase strictly.
     """
-    if hasattr(source, "read"):
-        return _parse_csv(source)  # type: ignore[arg-type]
-    with open(source, "r", encoding="utf-8", newline="") as fh:
+    with open_text(source, "r") as fh:
         return _parse_csv(fh)
 
 
@@ -147,28 +143,18 @@ def _parse_csv(fh: IO[str]) -> list[FluencyRecord]:
 
 def emit_corpus(records: Sequence[FluencyRecord], dest: PathOrFile) -> None:
     """Write records back to transcript CSV; onsets keep full precision."""
-    if hasattr(dest, "write"):
-        _write_csv(records, dest)  # type: ignore[arg-type]
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(records, fh)
-
-
-def _write_csv(records: Sequence[FluencyRecord], fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CORPUS_CSV_HEADER)
-    for record in records:
-        for word, onset in record.entries:
-            writer.writerow((record.subject_id, word, repr(onset)))
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CORPUS_CSV_HEADER)
+        for record in records:
+            for word, onset in record.entries:
+                writer.writerow((record.subject_id, word, repr(onset)))
 
 
 def parse_corpus_osf(source: PathOrFile) -> list[FluencyRecord]:
     """Load the released-data layout: {subject: {"words": [...], "timestamps": [...]}}."""
-    if hasattr(source, "read"):
-        data = json.load(source)  # type: ignore[arg-type]
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    with open_text(source, "r") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise MalformedLine(0, "expected a JSON object keyed by subject id")
     records = []

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import sys
 from heapq import heappop, heappush
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyGraph, MalformedLine, UnknownVertex
+from .textio import PathOrFile, open_text
 
 Arc = tuple[str, str, float]
-PathOrFile = Union[str, os.PathLike, IO[str]]
 
 GRAPH_CSV_HEADER = ("source", "target", "weight")
 
@@ -246,52 +245,40 @@ class WeightedDigraph:
         Weights are emitted with ``repr`` so that parse/emit round-trips are
         bit-exact.
         """
-        if hasattr(dest, "write"):
-            self._write_csv(dest)  # type: ignore[arg-type]
-        else:
-            with open(dest, "w", encoding="utf-8", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh: IO[str]) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GRAPH_CSV_HEADER)
-        for u, v, w in self.arcs():
-            writer.writerow((u, v, repr(w)))
+        with open_text(dest, "w") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(GRAPH_CSV_HEADER)
+            for u, v, w in self.arcs():
+                writer.writerow((u, v, repr(w)))
 
     @classmethod
     def from_csv(cls, source: PathOrFile) -> "WeightedDigraph":
         """Parse a graph from its CSV form; raises MalformedLine on bad rows."""
-        if hasattr(source, "read"):
-            return cls._read_csv(source)  # type: ignore[arg-type]
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return cls._read_csv(fh)
-
-    @classmethod
-    def _read_csv(cls, fh: IO[str]) -> "WeightedDigraph":
-        reader = csv.reader(fh)
-        arcs: list[Arc] = []
-        seen: set[tuple[str, str]] = set()
-        header = next(reader, None)
-        if header is None or tuple(header) != GRAPH_CSV_HEADER:
-            raise MalformedLine(1, f"expected header {','.join(GRAPH_CSV_HEADER)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedLine(line_no, f"expected 3 fields, got {len(row)}")
-            u, v, raw_w = row[0], row[1], row[2]
-            if not u or not v:
-                raise MalformedLine(line_no, "empty vertex label")
-            if u == v:
-                raise MalformedLine(line_no, f"self-arc on {u!r}")
-            if (u, v) in seen:
-                raise MalformedLine(line_no, f"duplicate arc {u!r} -> {v!r}")
-            try:
-                w = float(raw_w)
-            except ValueError:
-                raise MalformedLine(line_no, f"bad weight {raw_w!r}") from None
-            if not math.isfinite(w) or w < 0.0:
-                raise MalformedLine(line_no, f"weight must be finite and >= 0, got {raw_w!r}")
-            seen.add((u, v))
-            arcs.append((u, v, w))
+        with open_text(source, "r") as fh:
+            reader = csv.reader(fh)
+            arcs: list[Arc] = []
+            seen: set[tuple[str, str]] = set()
+            header = next(reader, None)
+            if header is None or tuple(header) != GRAPH_CSV_HEADER:
+                raise MalformedLine(1, f"expected header {','.join(GRAPH_CSV_HEADER)!r}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise MalformedLine(line_no, f"expected 3 fields, got {len(row)}")
+                u, v, raw_w = row[0], row[1], row[2]
+                if not u or not v:
+                    raise MalformedLine(line_no, "empty vertex label")
+                if u == v:
+                    raise MalformedLine(line_no, f"self-arc on {u!r}")
+                if (u, v) in seen:
+                    raise MalformedLine(line_no, f"duplicate arc {u!r} -> {v!r}")
+                try:
+                    w = float(raw_w)
+                except ValueError:
+                    raise MalformedLine(line_no, f"bad weight {raw_w!r}") from None
+                if not math.isfinite(w) or w < 0.0:
+                    raise MalformedLine(line_no, f"weight must be finite and >= 0, got {raw_w!r}")
+                seen.add((u, v))
+                arcs.append((u, v, w))
         return cls(arcs)

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
-from typing import IO, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .corpus import FluencyRecord, collapse_first_occurrence
 from .errors import NoEligibleOccurrence, NoRecords
-
-PathOrFile = Union[str, os.PathLike, IO[str]]
+from .textio import PathOrFile, open_text
 
 STATS_CSV_HEADER = (
     "word",
@@ -49,20 +47,13 @@ class RetrievalStats:
     n_from: int
 
 
-def _collapsed(records: Sequence[FluencyRecord]) -> list[FluencyRecord]:
-    return [collapse_first_occurrence(r) for r in records if len(r) > 0]
-
-
 def dt_to(records: Sequence[FluencyRecord], word: str) -> float:
     """Mean raw time into ``word``: onset(word) - onset(previous word).
 
     Occurrences where the word opens a record are skipped and do not count
     toward the divisor.
     """
-    total, count = _gap_sum(records, word, into=True)
-    if count == 0:
-        raise NoEligibleOccurrence(f"{word!r} never has a predecessor")
-    return total / count
+    return _retrieval_time(records, word, "dt_to", "predecessor")
 
 
 def dt_from(records: Sequence[FluencyRecord], word: str) -> float:
@@ -71,31 +62,18 @@ def dt_from(records: Sequence[FluencyRecord], word: str) -> float:
     Reported as a positive duration; occurrences where the word closes a
     record are skipped.
     """
-    total, count = _gap_sum(records, word, into=False)
-    if count == 0:
-        raise NoEligibleOccurrence(f"{word!r} never has a successor")
-    return total / count
+    return _retrieval_time(records, word, "dt_from", "successor")
 
 
-def _gap_sum(
-    records: Sequence[FluencyRecord], word: str, into: bool
-) -> tuple[float, int]:
-    total = 0.0
-    count = 0
-    for record in _collapsed(records):
-        onsets = record.onsets
-        for position, candidate in enumerate(record.words):
-            if candidate != word:
-                continue
-            if into:
-                if position >= 1:
-                    total += onsets[position] - onsets[position - 1]
-                    count += 1
-            else:
-                if position < len(onsets) - 1:
-                    total += onsets[position + 1] - onsets[position]
-                    count += 1
-    return total, count
+def _retrieval_time(
+    records: Sequence[FluencyRecord], word: str, statistic: str, neighbour: str
+) -> float:
+    """One word's ``statistic`` as :func:`covariates` computes it."""
+    stat = covariates(records).get(word)
+    value = None if stat is None else getattr(stat, statistic)
+    if value is None:
+        raise NoEligibleOccurrence(f"{word!r} never has a {neighbour}")
+    return value
 
 
 def covariates(records: Sequence[FluencyRecord]) -> dict[str, RetrievalStats]:
@@ -106,14 +84,13 @@ def covariates(records: Sequence[FluencyRecord]) -> dict[str, RetrievalStats]:
     """
     if not records:
         raise NoRecords("cannot compute covariates from zero records")
-    collapsed = _collapsed(records)
     frequency: dict[str, int] = {}
     position_sum: dict[str, int] = {}
     to_sum: dict[str, float] = {}
     to_count: dict[str, int] = {}
     from_sum: dict[str, float] = {}
     from_count: dict[str, int] = {}
-    for record in collapsed:
+    for record in map(collapse_first_occurrence, records):
         onsets = record.onsets
         words = record.words
         last = len(words) - 1
@@ -155,34 +132,23 @@ def write_stats_csv(
     When ``ldc_scores`` is given an ``ldc`` column is appended, producing
     the joined table the downstream regressions consume.
     """
-    if hasattr(dest, "write"):
-        _write_stats(stats, dest, ldc_scores)  # type: ignore[arg-type]
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_stats(stats, fh, ldc_scores)
-
-
-def _write_stats(
-    stats: Mapping[str, RetrievalStats],
-    fh: IO[str],
-    ldc_scores: Optional[Mapping[str, float]],
-) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
     header = STATS_CSV_HEADER if ldc_scores is None else STATS_CSV_HEADER + ("ldc",)
-    writer.writerow(header)
-    for word in sorted(stats):
-        s = stats[word]
-        row = [
-            s.word,
-            str(s.frequency),
-            format(s.log_frequency, ".12g"),
-            format(s.avg_location, ".12g"),
-            "" if s.dt_to is None else format(s.dt_to, ".12g"),
-            "" if s.dt_from is None else format(s.dt_from, ".12g"),
-            str(s.n_to),
-            str(s.n_from),
-        ]
-        if ldc_scores is not None:
-            value = ldc_scores.get(word)
-            row.append("" if value is None else format(value, ".12g"))
-        writer.writerow(row)
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for word in sorted(stats):
+            s = stats[word]
+            row = [
+                s.word,
+                str(s.frequency),
+                format(s.log_frequency, ".12g"),
+                format(s.avg_location, ".12g"),
+                "" if s.dt_to is None else format(s.dt_to, ".12g"),
+                "" if s.dt_from is None else format(s.dt_from, ".12g"),
+                str(s.n_to),
+                str(s.n_from),
+            ]
+            if ldc_scores is not None:
+                value = ldc_scores.get(word)
+                row.append("" if value is None else format(value, ".12g"))
+            writer.writerow(row)

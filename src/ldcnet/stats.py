@@ -11,11 +11,10 @@ import csv
 import hashlib
 import itertools
 import math
-import os
 import statistics as pystats
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
@@ -32,8 +31,7 @@ from .errors import (
 )
 from .graph import WeightedDigraph
 from .metrics import covariates
-
-PathOrFile = Union[str, os.PathLike, IO[str]]
+from .textio import PathOrFile, open_text
 
 #: Correlated variables per grid cell: the seven measures plus covariates.
 VARIABLES = MEASURES + ("log_frequency", "avg_location")
@@ -296,26 +294,17 @@ def summary_row(cell: GridResult) -> dict[str, str]:
     return row
 
 
-def write_grid_summary(cells: Sequence[GridResult], dest: PathOrFile) -> None:
-    """Top-level grid summary: one row per cell in sweep order."""
-    if hasattr(dest, "write"):
-        _write_summary(cells, dest)  # type: ignore[arg-type]
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_summary(cells, fh)
-
-
-def _write_summary(cells: Sequence[GridResult], fh: IO[str]) -> None:
-    columns = summary_columns()
-    writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for cell in cells:
-        writer.writerow(summary_row(cell))
+def write_grid_summary(rows: Iterable[Mapping[str, str]], dest: PathOrFile) -> None:
+    """Top-level grid summary: one :func:`summary_row` per cell in sweep order."""
+    with open_text(dest, "w") as fh:
+        writer = csv.DictWriter(fh, fieldnames=summary_columns(), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_spearman_csv(cell: GridResult, dest: PathOrFile) -> None:
     """Square correlation matrix over all nine variables; blanks where undefined."""
-    with _opened(dest) as fh:
+    with open_text(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("variable",) + VARIABLES)
         for a in VARIABLES:
@@ -332,30 +321,11 @@ def write_spearman_csv(cell: GridResult, dest: PathOrFile) -> None:
 def write_distance_csv(cell: GridResult, dest: PathOrFile) -> None:
     """Square 1 - |rho| matrix over the seven measures."""
     labels, rows = correlation_distance_matrix(cell)
-    with _opened(dest) as fh:
+    with open_text(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("measure",) + labels)
         for label, row in zip(labels, rows):
             writer.writerow([label] + [format(v, ".12g") for v in row])
-
-
-class _opened:
-    """Context manager accepting either a path or an open text file."""
-
-    def __init__(self, dest: PathOrFile):
-        self._dest = dest
-        self._own = not hasattr(dest, "write")
-        self._fh: Optional[IO[str]] = None
-
-    def __enter__(self) -> IO[str]:
-        if self._own:
-            self._fh = open(self._dest, "w", encoding="utf-8", newline="")
-            return self._fh
-        return self._dest  # type: ignore[return-value]
-
-    def __exit__(self, *exc) -> None:
-        if self._own and self._fh is not None:
-            self._fh.close()
 
 
 # -- permutation test --------------------------------------------------------

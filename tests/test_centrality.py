@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ldcnet import (
+    MEASURES,
     PageRankParams,
     WeightedDigraph,
     betweenness,
@@ -16,6 +17,7 @@ from ldcnet import (
     pagerank,
     triangles,
 )
+from ldcnet.centrality import write_centrality_csv
 from ldcnet.errors import EmptyGraph, NoConvergence, UnknownVertex
 
 import oracles
@@ -331,3 +333,27 @@ class TestComputeAll:
         assert table["triangles"].scores == triangles(g).scores
         assert table["pagerank"].scores == pagerank(g).scores
         assert table["betweenness"].scores == betweenness(g).scores
+
+    def test_measure_subset_keeps_requested_order(self):
+        rng = random.Random(97)
+        g = random_graph(rng, 7, p=0.5)
+        table = compute_all(g, measures=("pagerank", "ldc"))
+        assert list(table) == ["pagerank", "ldc"]
+        full = compute_all(g)
+        assert list(full) == list(MEASURES)
+        assert table["ldc"].scores == full["ldc"].scores
+        assert table["pagerank"].scores == full["pagerank"].scores
+
+    def test_subset_without_ldc_accepts_empty_graph(self):
+        table = compute_all(WeightedDigraph(), measures=("in_degree",))
+        assert table["in_degree"].scores == {}
+
+
+class TestWriteCentralityCsv:
+    def test_bad_layout_leaves_destination_untouched(self, tmp_path):
+        dest = tmp_path / "c.csv"
+        dest.write_text("keep\n")
+        table = compute_all(WeightedDigraph([("a", "b", 1.0)]), measures=("in_degree",))
+        with pytest.raises(ValueError, match="layout"):
+            write_centrality_csv(table, dest, layout="diagonal")
+        assert dest.read_text() == "keep\n"

@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
+import ldcnet.centrality
+import ldcnet.cli
 from ldcnet.cli import main
+from ldcnet.errors import (
+    EmptyGraph,
+    MalformedLine,
+    NoConvergence,
+    NonMonotoneTimestamp,
+)
 from ldcnet.manifest import load_manifest
 
 from corpora import boundary_records, random_records, write_corpus_csv
@@ -116,6 +124,36 @@ class TestCentrality:
         bad = tmp_path / "bad.csv"
         bad.write_text("source,target,weight\nx,x,1.0\n")
         assert main(["centrality", str(bad), "-o", str(tmp_path / "c.csv")]) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_measure_selection_exits_1_before_reading(self, fmt, tmp_path, capsys):
+        out = tmp_path / "c.out"
+        code = main(["centrality", str(tmp_path / "absent.csv"), "--measure", "",
+                     "--format", fmt, "-o", str(out)])
+        assert code == 1
+        assert "no measures" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_subset_passes_jobs_to_ldc(self, chain_graph_csv, tmp_path, monkeypatch):
+        seen = []
+        original = ldcnet.centrality.ldc_vector
+
+        def spy(graph, r=None, jobs=1):
+            seen.append(jobs)
+            return original(graph, r, jobs=jobs)
+
+        monkeypatch.setattr(ldcnet.centrality, "ldc_vector", spy)
+        assert main(["centrality", chain_graph_csv, "--measure", "ldc", "--jobs", "2",
+                     "-o", str(tmp_path / "c.csv")]) == 0
+        assert seen == [2]
+
+    def test_pagerank_without_convergence_exits_4(self, tmp_path, capsys):
+        graph = tmp_path / "cycle.csv"
+        graph.write_text("source,target,weight\na,b,1.0\nb,c,1.0\nc,a,1.0\nd,a,1.0\n")
+        code = main(["centrality", str(graph), "--measure", "pagerank", "--alpha", "0.99999",
+                     "-o", str(tmp_path / "c.csv")])
+        assert code == 4
+        assert "did not converge" in capsys.readouterr().err
 
     def test_verbose_prints_raw_pagerank_update(self, chain_graph_csv, tmp_path, capsys):
         main(["centrality", chain_graph_csv, "--measure", "pagerank", "--verbose",
@@ -256,6 +294,30 @@ class TestPermtest:
         assert main(["permtest", rich_corpus, "--ws", "2", "--ms", "3", "--n", "10",
                      "--seed", "42", "-o", str(out_flag)]) == 0
         assert read(out_env) == read(out_flag)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ldcnet.cli._UsageError("bad flag"), 1),
+        (ValueError("bad value"), 1),
+        (MalformedLine(3, "bad row"), 2),
+        (NonMonotoneTimestamp("s1"), 2),
+        (FileNotFoundError("absent.csv"), 2),
+        (IsADirectoryError("dir"), 2),
+        (NoConvergence("pagerank did not converge"), 4),
+        (EmptyGraph("no vertices"), 2),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_exit_code_table(exc, code, tmp_path, monkeypatch, capsys):
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(ldcnet.cli, "_cmd_build", raising)
+    assert main(["build", "corpus.csv", "--ws", "1", "--ms", "1",
+                 "-o", str(tmp_path / "g.csv")]) == code
+    assert str(exc) in capsys.readouterr().err
 
 
 class TestEntrypoint:

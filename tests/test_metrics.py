@@ -15,6 +15,19 @@ class TestDtTo:
         records = [make_record("s1", ["cat", "dog"], [1.0, 3.5])]
         assert dt_to(records, "dog") == pytest.approx(2.5)
 
+    def test_absent_word_raises(self):
+        records = [make_record("s1", ["cat", "dog"], [1.0, 2.0])]
+        with pytest.raises(NoEligibleOccurrence):
+            dt_to(records, "owl")
+        with pytest.raises(NoEligibleOccurrence):
+            dt_from(records, "owl")
+
+    def test_no_records_raises(self):
+        with pytest.raises(NoRecords):
+            dt_to([], "cat")
+        with pytest.raises(NoRecords):
+            dt_from([], "cat")
+
     def test_word_always_first_raises(self):
         records = [
             make_record("s1", ["dog", "cat"], [1.0, 2.0]),

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 
@@ -23,9 +24,11 @@ from ldcnet.stats import (
     evaluate_cell,
     ldc_dt_correlation,
     spearman_pvalue,
+    summary_columns,
     summary_row,
     table_entry,
     variable_pairs,
+    write_grid_summary,
     _permutation_rep,
 )
 
@@ -177,6 +180,17 @@ class TestGridSweep:
         assert cell.status == "ok"
         for a, b in variable_pairs():
             assert table_entry(cell, a, b) is table_entry(cell, b, a)
+
+
+    def test_grid_summary_writes_one_row_per_cell(self):
+        rng = random.Random(29)
+        records = random_records(rng, n_subjects=20, list_len=8, vocab_size=8)
+        cells = grid_sweep(records, (1, 2), (3,))
+        buf = io.StringIO()
+        write_grid_summary([summary_row(c) for c in cells], buf)
+        header, *rows = buf.getvalue().splitlines()
+        assert header.split(",") == summary_columns()
+        assert [row.split(",")[:2] for row in rows] == [["1", "3"], ["2", "3"]]
 
 
 class TestCorrelationDistance:
