@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import EmptyGraph, NoConvergence
-from .graph import WeightedDigraph, _dijkstra, _inflated_adjacency
+from .graph import WeightedDigraph
 from .textio import PathOrFile, open_text
 
 _INF = math.inf
@@ -73,7 +75,9 @@ class NeighborhoodContext:
     allowed at original cost. ``without_matrix`` holds the same lengths on
     the reweighted graph in which every arc touching the center costs the
     graph's maximum arc weight. Entries are None when the target is
-    unreachable.
+    unreachable. Both matrices come from the graph's one shortest-path
+    kernel (csgraph Dijkstra), whose lengths are exact minima of left-to-right
+    float sums, so they do not depend on how the kernel breaks ties.
     """
 
     center: str
@@ -84,6 +88,10 @@ class NeighborhoodContext:
     max_weight: float
 
 
+def _rows_or_none(rows: list[list[float]]) -> tuple[tuple[Optional[float], ...], ...]:
+    return tuple([tuple([None if d == _INF else d for d in row]) for row in rows])
+
+
 def build_context(graph: WeightedDigraph, vertex: str, r: float) -> NeighborhoodContext:
     """Assemble the neighborhood matrices used by the detour score.
 
@@ -91,30 +99,27 @@ def build_context(graph: WeightedDigraph, vertex: str, r: float) -> Neighborhood
     ``vertex`` in either direction. Both matrices are computed over full
     graph paths (not paths confined to the neighborhood); the second one
     runs on the reweighted graph where arcs into or out of ``vertex`` are
-    inflated to the maximum arc weight.
+    inflated to the maximum arc weight, in one kernel call for all members.
     """
     center = graph._vertex_index(vertex)
     members = sorted(graph._vertex_index(u) for u in graph.local_neighborhood(vertex, r))
     names = graph.vertices
 
     apsp = graph._apsp_raw()
-    with_rows = tuple(
-        tuple((None if apsp[i][j] == _INF else apsp[i][j]) for j in members) for i in members
-    )
+    with_rows = _rows_or_none([[apsp[i][j] for j in members] for i in members])
 
-    inflated = _inflated_adjacency(graph._adj, center, graph.max_arc_weight)
-    n = graph.vertex_count
-    without_rows = []
-    for i in members:
-        dist = _dijkstra(inflated, n, i)
-        without_rows.append(tuple((None if dist[j] == _INF else dist[j]) for j in members))
+    arcs = graph._arcs_csr()
+    touches = arcs.indices == center
+    touches[arcs.indptr[center] : arcs.indptr[center + 1]] = True
+    inflated = np.where(touches, graph.max_arc_weight, arcs.data)
+    without_rows = _rows_or_none(graph._distances(members, inflated)[:, members].tolist())
 
     return NeighborhoodContext(
         center=vertex,
         r=r,
         members=tuple(names[i] for i in members),
         with_matrix=with_rows,
-        without_matrix=tuple(without_rows),
+        without_matrix=without_rows,
         max_weight=graph.max_arc_weight,
     )
 
@@ -124,16 +129,12 @@ def ldc_from_context(ctx: NeighborhoodContext) -> float:
 
     Sums, over all ordered neighbor pairs, the excess of the center-inflated
     distance over the unrestricted distance, divided by the neighborhood
-    size. Pairs unreachable in both matrices contribute 0; a pair finite in
-    the unrestricted matrix but unreachable under inflation contributes the
-    capped surrogate ``max_weight * |members| - with_distance`` (inflation
-    never deletes arcs, so this branch is defensive).
+    size. Pairs unreachable in the unrestricted matrix contribute 0.
     """
     k = len(ctx.members)
     if k == 0:
         return 0.0
     total = 0.0
-    cap = ctx.max_weight * k
     for i in range(k):
         with_row = ctx.with_matrix[i]
         without_row = ctx.without_matrix[i]
@@ -141,13 +142,8 @@ def ldc_from_context(ctx: NeighborhoodContext) -> float:
             if i == j:
                 continue
             w_dist = with_row[j]
-            wo_dist = without_row[j]
-            if w_dist is None:
-                continue
-            if wo_dist is None:
-                total += cap - w_dist
-            else:
-                total += wo_dist - w_dist
+            if w_dist is not None:
+                total += without_row[j] - w_dist
     return total / k
 
 

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 from . import __version__
 from .centrality import (
     MEASURES,
+    SCORERS,
     PageRankParams,
-    compute_all,
     ldc_vector,
     pagerank_with_raw,
     write_centrality_csv,
@@ -204,8 +204,15 @@ def _cmd_centrality(args: argparse.Namespace) -> int:
     except _INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT, f"cannot read graph: {exc}")
     params = PageRankParams(alpha=args.alpha)
+    # compute_all's loop, except that --verbose keeps pagerank's raw update
+    # from the one iteration that also gives the scores
+    table = {}
     try:
-        table = compute_all(graph, params, jobs=args.jobs, measures=measures)
+        for m in measures:
+            if m == "pagerank" and args.verbose:
+                table[m], raw, iterations = pagerank_with_raw(graph, params)
+            else:
+                table[m] = SCORERS[m](graph, params, args.jobs)
     except EmptyGraph as exc:
         return _fail(EXIT_EMPTY, str(exc))
     manifest = _new_manifest(
@@ -226,7 +233,6 @@ def _cmd_centrality(args: argparse.Namespace) -> int:
     manifest.add_output(args.out)
     manifest.write(f"{args.out}.manifest.json")
     if args.verbose and "pagerank" in measures:
-        _, raw, iterations = pagerank_with_raw(graph, params)
         print(f"pagerank converged in {iterations} iterations; raw update per vertex:")
         for word in sorted(raw):
             print(f"  {word}\t{raw[word]:.12g}")

@@ -4,18 +4,28 @@ The graph is immutable after construction: every operation below is a pure
 read, so a single instance can be shared freely across worker processes.
 Vertex labels are interned strings; each vertex receives a stable integer
 index (its lexicographic rank at construction time) and all internal tables
-are indexed by that integer. Ties in the shortest-path priority queue break
-on the vertex index, which makes every result independent of arc insertion
-order.
+are indexed by that integer.
+
+Every shortest-path length comes from one kernel, :meth:`WeightedDigraph._distances`,
+which runs ``scipy.sparse.csgraph.dijkstra`` over the arcs in CSR form. A
+Dijkstra distance is the minimum, over paths, of the left-to-right float sum
+of the arc weights: rounding is monotone, so extending the shortest prefix
+never loses to extending a longer one. That minimum does not depend on the
+order in which the priority queue settles ties, so every result is exact,
+reproducible and independent of arc insertion order.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import sys
-from heapq import heappop, heappush
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import EmptyGraph, MalformedLine, UnknownVertex
 from .textio import PathOrFile, open_text
@@ -25,42 +35,6 @@ Arc = tuple[str, str, float]
 GRAPH_CSV_HEADER = ("source", "target", "weight")
 
 _INF = math.inf
-
-
-def _dijkstra(adj: list[tuple[tuple[int, float], ...]], n: int, src: int) -> list[float]:
-    """Single-source shortest paths over an integer adjacency list.
-
-    Returns a dense distance list with ``math.inf`` for unreachable targets.
-    Heap entries are (distance, vertex index), so equal distances settle in
-    index order.
-    """
-    dist = [_INF] * n
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    pop, push = heappop, heappush
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue  # stale entry
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                push(heap, (nd, v))
-    return dist
-
-
-def _inflated_adjacency(
-    adj: list[tuple[tuple[int, float], ...]], center: int, weight: float
-) -> list[tuple[tuple[int, float], ...]]:
-    """Copy of ``adj`` where every arc into or out of ``center`` costs ``weight``."""
-    out = []
-    for i, row in enumerate(adj):
-        if i == center:
-            out.append(tuple((j, weight) for j, _ in row))
-        else:
-            out.append(tuple((j, weight if j == center else w) for j, w in row))
-    return out
 
 
 class DistanceMatrix:
@@ -130,6 +104,7 @@ class WeightedDigraph:
         self._radj: list[tuple[tuple[int, float], ...]] = [tuple(sorted(row)) for row in rin]
         self._max_weight: float = max(weights.values()) if weights else 0.0
         self._apsp_rows: Optional[list[list[float]]] = None
+        self._csr: Optional[csr_matrix] = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -186,10 +161,11 @@ class WeightedDigraph:
         """Exact shortest-path length from ``source`` to every vertex.
 
         Unreachable targets are reported as None, never as a numeric
-        sentinel.
+        sentinel. The lengths come from :meth:`_distances`, so they are the
+        same floats as the row of :meth:`apsp`.
         """
         src = self._vertex_index(source)
-        dist = _dijkstra(self._adj, self.vertex_count, src)
+        dist = self._distances([src])[0].tolist()
         return {
             name: (None if dist[i] == _INF else dist[i]) for i, name in enumerate(self._names)
         }
@@ -199,10 +175,43 @@ class WeightedDigraph:
         return DistanceMatrix(self._names, self._apsp_raw())
 
     def _apsp_raw(self) -> list[list[float]]:
+        """Dense all-pairs rows (``math.inf`` when unreachable), one kernel call, cached."""
         if self._apsp_rows is None:
-            n = self.vertex_count
-            self._apsp_rows = [_dijkstra(self._adj, n, s) for s in range(n)]
+            self._apsp_rows = self._distances(range(self.vertex_count)).tolist()
         return self._apsp_rows
+
+    def _arcs_csr(self) -> csr_matrix:
+        """The arcs as a CSR matrix, row = source index; built once and cached.
+
+        Arcs are stored in vertex-index order, so the out-arcs of vertex ``i``
+        are ``data[indptr[i]:indptr[i + 1]]``. Zero-weight arcs are explicit
+        entries, which csgraph keeps as arcs.
+        """
+        if self._csr is None:
+            n = self.vertex_count
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum([len(row) for row in self._adj], out=indptr[1:])
+            indices = np.array([j for row in self._adj for j, _ in row], dtype=np.int32)
+            data = np.array([w for row in self._adj for _, w in row], dtype=np.float64)
+            self._csr = csr_matrix((data, indices, indptr), shape=(n, n))
+        return self._csr
+
+    def _distances(
+        self, sources: Sequence[int], weights: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The shortest-path kernel: one row of lengths per source index.
+
+        ``weights``, when given, replaces the arc weights (in the order of
+        :meth:`_arcs_csr`'s ``data``) for this call only. Unreachable targets
+        are ``inf``.
+        """
+        arcs = self._arcs_csr()
+        if weights is not None:
+            # a shallow copy shares the cached index arrays and skips the
+            # constructor's format checks, a fixed cost that small graphs feel
+            arcs = copy.copy(arcs)
+            arcs.data = weights
+        return dijkstra(arcs, directed=True, indices=sources)
 
     def mean_pairwise_distance(self) -> float:
         """Sum of all finite ordered-pair distances divided by the vertex count.

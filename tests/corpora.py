@@ -24,6 +24,28 @@ def random_graph(rng, n, p=0.4, weights="uniform", max_weight=5.0):
     return WeightedDigraph(arcs, vertices=names)
 
 
+def kernel_edge_graphs(rng):
+    """Random uniform-weight digraphs plus the shapes a shortest-path kernel can get wrong.
+
+    The extra graphs hold a zero-weight arc, only zero-weight arcs (so the
+    maximum arc weight is 0), an isolated vertex, and a pair reachable one
+    way only.
+    """
+    graphs = [random_graph(rng, rng.randint(4, 10), p=rng.uniform(0.15, 0.5)) for _ in range(12)]
+    base = random_graph(rng, 8, p=0.35)
+    zero = (base.vertices[0], base.vertices[1], 0.0)
+    arcs = [a for a in base.arcs() if a[:2] != zero[:2]] + [zero]
+    graphs.append(WeightedDigraph(arcs, vertices=base.vertices))
+    graphs.append(WeightedDigraph(
+        [("a", "b", 0.0), ("b", "c", 0.0), ("c", "a", 0.0), ("c", "d", 0.0)], vertices=["e"]
+    ))
+    graphs.append(WeightedDigraph(random_graph(rng, 6, p=0.5).arcs(), vertices=["lone"]))
+    graphs.append(WeightedDigraph(
+        [("a", "b", 1.5), ("b", "c", 0.25), ("c", "d", 2.0), ("a", "d", 4.0), ("d", "b", 3.0)]
+    ))
+    return graphs
+
+
 def complete_graph(n, weight=1.0):
     names = [f"w{i:02d}" for i in range(n)]
     return WeightedDigraph(

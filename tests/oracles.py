@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to check the library's algorithms.
 
 Everything here deliberately avoids the library's shortest-path machinery:
-distances come from Floyd-Warshall over a dense matrix, path counts from
-exhaustive simple-path enumeration, and ranks from an O(n^2) scan.
+distances come from Floyd-Warshall over a dense matrix or from a pure-Python
+heap Dijkstra, path counts from exhaustive simple-path enumeration, and
+ranks from an O(n^2) scan.
 """
 
 import math
+from heapq import heappop, heappush
 
 INF = math.inf
 
@@ -45,6 +47,57 @@ def fw_distances_from_arcs(vertices, arcs):
                 if alt < dist[(i, j)]:
                     dist[(i, j)] = alt
     return dist
+
+
+def heap_dijkstra(vertices, arcs, source):
+    """Reference single-source shortest paths: a pure-Python binary-heap Dijkstra.
+
+    Each distance is the left-to-right float sum along a shortest path, so
+    it equals the library's to the last bit. Returns a dict keyed by vertex,
+    ``INF`` for unreachable targets.
+    """
+    adj = {u: [] for u in vertices}
+    for u, v, w in arcs:
+        adj[u].append((v, w))
+    dist = {u: INF for u in vertices}
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue  # stale entry
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return dist
+
+
+def inflated_arcs(graph, center):
+    """The arcs of ``graph`` with every arc into or out of ``center`` at the maximum weight."""
+    arcs = list(graph.arcs())
+    max_w = max((w for _, _, w in arcs), default=0.0)
+    return [(u, v, max_w if center in (u, v) else w) for u, v, w in arcs]
+
+
+def reference_context(graph, center, r):
+    """(members, with_matrix, without_matrix) of the detour context, by heap Dijkstra.
+
+    The neighbourhood is taken from the same heap-Dijkstra distances, so a
+    member at distance exactly ``r`` is decided on the same floats.
+    """
+    names = graph.vertices
+    arcs = list(graph.arcs())
+    plain = {u: heap_dijkstra(names, arcs, u) for u in names}
+    members = [u for u in names if u != center and min(plain[center][u], plain[u][center]) <= r]
+    inflated = inflated_arcs(graph, center)
+    with_rows, without_rows = [], []
+    for i in members:
+        detour = heap_dijkstra(names, inflated, i)
+        with_rows.append(tuple(None if plain[i][j] == INF else plain[i][j] for j in members))
+        without_rows.append(tuple(None if detour[j] == INF else detour[j] for j in members))
+    return tuple(members), tuple(with_rows), tuple(without_rows)
 
 
 def brute_threshold(graph):

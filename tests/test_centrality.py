@@ -21,7 +21,7 @@ from ldcnet.centrality import write_centrality_csv
 from ldcnet.errors import EmptyGraph, NoConvergence, UnknownVertex
 
 import oracles
-from corpora import complete_graph, random_graph, scale_weights
+from corpora import complete_graph, kernel_edge_graphs, random_graph, scale_weights
 
 
 def detour_toy(detour_cost):
@@ -90,6 +90,23 @@ class TestBuildContext:
                             assert got is None
                         else:
                             assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_matrices_equal_heap_dijkstra_reference_exactly(self):
+        # exact ==: the csgraph kernel must reproduce the heap Dijkstra's floats
+        rng = random.Random(43)
+        graphs = kernel_edge_graphs(rng)
+        assert any(g.arc_count and g.max_arc_weight == 0.0 for g in graphs)
+        for g in graphs:
+            thresholds = [rng.uniform(0.5, 4.0), math.inf]
+            if g.vertex_count >= 2:
+                thresholds.append(g.mean_pairwise_distance())
+            for r in thresholds:
+                for v in g.vertices:
+                    ctx = build_context(g, v, r)
+                    members, with_rows, without_rows = oracles.reference_context(g, v, r)
+                    assert ctx.members == members
+                    assert ctx.with_matrix == with_rows
+                    assert ctx.without_matrix == without_rows
 
     def test_with_never_exceeds_without(self):
         rng = random.Random(23)

@@ -162,6 +162,21 @@ class TestCentrality:
         assert "raw update" in out
         assert "iterations" in out
 
+    @pytest.mark.parametrize("measure", ["pagerank", "all", "closeness,pagerank"])
+    def test_verbose_iterates_pagerank_once(self, chain_graph_csv, tmp_path, monkeypatch,
+                                           measure):
+        original = ldcnet.centrality._pagerank_iterate
+        calls = []
+
+        def spy(graph, params):
+            calls.append(params)
+            return original(graph, params)
+
+        monkeypatch.setattr(ldcnet.centrality, "_pagerank_iterate", spy)
+        assert main(["centrality", chain_graph_csv, "--measure", measure, "--verbose",
+                     "-o", str(tmp_path / "c.csv")]) == 0
+        assert len(calls) == 1
+
 
 class TestSweep:
     def test_paper_grid_emits_90_rows(self, boundary_corpus, tmp_path):

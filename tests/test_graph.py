@@ -8,7 +8,7 @@ from ldcnet import WeightedDigraph
 from ldcnet.errors import EmptyGraph, MalformedLine, UnknownVertex
 
 import oracles
-from corpora import random_graph
+from corpora import kernel_edge_graphs, random_graph
 
 
 def chain_graph():
@@ -65,6 +65,17 @@ class TestSssp:
                         assert row[v] is None
                     else:
                         assert row[v] == pytest.approx(expected, abs=1e-12)
+
+    def test_equals_heap_dijkstra_bit_for_bit(self):
+        # exact ==: the kernel's floats are the reference's, not merely close
+        for g in kernel_edge_graphs(random.Random(41)):
+            arcs = list(g.arcs())
+            apsp = g.apsp()
+            for u in g.vertices:
+                ref = oracles.heap_dijkstra(g.vertices, arcs, u)
+                expected = {v: (None if d == math.inf else d) for v, d in ref.items()}
+                assert g.sssp(u) == expected
+                assert apsp.row(u) == expected
 
     def test_insertion_order_does_not_matter(self):
         arcs = [("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 5.0), ("c", "d", 0.5)]
