@@ -25,10 +25,12 @@ from .centrality import (
 )
 from .corpus import (
     DistanceFunctionParams,
+    EncodedCorpus,
     FluencyRecord,
     build_graph,
     collapse_first_occurrence,
     emit_corpus,
+    encode,
     load_corpus,
     normalize_record,
     parse_corpus,
@@ -60,6 +62,7 @@ __all__ = [
     "CentralityVector",
     "DistanceFunctionParams",
     "DistanceMatrix",
+    "EncodedCorpus",
     "FluencyRecord",
     "GridResult",
     "LdcnetError",
@@ -81,6 +84,7 @@ __all__ = [
     "dt_from",
     "dt_to",
     "emit_corpus",
+    "encode",
     "exclude_outliers",
     "grid_sweep",
     "ldc",

@@ -24,7 +24,7 @@ from .centrality import (
     pagerank_with_raw,
     write_centrality_csv,
 )
-from .corpus import DistanceFunctionParams, build_graph, load_corpus
+from .corpus import DistanceFunctionParams, build_graph, encode, load_corpus
 from .errors import (
     EmptyGraph,
     InsufficientData,
@@ -239,6 +239,30 @@ def _cmd_centrality(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Top-level file of a sweep directory naming what its cells were computed
+#: from. It is not digested into the manifest, so it never changes ``outputs``.
+RESUME_KEY_FILE = "resume_key.json"
+
+
+def _trusted_cells(out_dir: str, key: dict) -> set[str]:
+    """Cell directories the key file records as computed under ``key``."""
+    try:
+        state = load_manifest(os.path.join(out_dir, RESUME_KEY_FILE))
+    except (OSError, json.JSONDecodeError):
+        return set()
+    if not isinstance(state, dict) or state.get("key") != key:
+        return set()
+    cells = state.get("cells")
+    return set(cells) if isinstance(cells, list) else set()
+
+
+def _write_resume_key(out_dir: str, key: dict, cells: set[str]) -> None:
+    # plain json.dump: _write_json rounds floats, which could merge two alphas
+    with open(os.path.join(out_dir, RESUME_KEY_FILE), "w", encoding="utf-8") as fh:
+        json.dump({"key": key, "cells": sorted(cells)}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _cell_is_complete(cell_dir: str) -> Optional[dict]:
     """Return the cached cell metadata when its files verify, else None."""
     meta_path = os.path.join(cell_dir, "cell.json")
@@ -298,38 +322,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(f"bad --grid value: {exc}") from None
     try:
-        records = load_corpus(args.corpus, args.input_format)
+        # every cell reads the encoding, so the record list is not kept
+        corpus = encode(load_corpus(args.corpus, args.input_format))
     except _INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT, f"cannot read corpus: {exc}")
-    if not records:
+    if not corpus:
         return _fail(EXIT_EMPTY, "corpus has no records")
-
-    os.makedirs(args.out, exist_ok=True)
-    grid = [(ws, ms) for ws in ws_values for ms in ms_values]
-    cached: dict[tuple[int, int], dict] = {}
-    pending: list[tuple[int, int]] = []
-    for ws, ms in grid:
-        cell_dir = os.path.join(args.out, cell_dir_name(ws, ms))
-        meta = _cell_is_complete(cell_dir) if args.resume else None
-        if meta is not None:
-            cached[(ws, ms)] = meta
-        else:
-            pending.append((ws, ms))
-
-    params = PageRankParams(alpha=args.alpha)
-    computed: dict[tuple[int, int], dict] = {}
-    if pending:
-        for cell in evaluate_cells(records, pending, params, jobs=args.jobs):
-            computed[(cell.ws, cell.ms)] = _write_cell(cell, args.out)
-
-    rows = []
-    statuses = []
-    for key in grid:
-        meta = cached.get(key) or computed[key]
-        rows.append(meta["row"])
-        statuses.append(meta["status"])
-    summary_path = os.path.join(args.out, "grid_summary.csv")
-    write_grid_summary(rows, summary_path)
 
     manifest = _new_manifest(
         "sweep",
@@ -344,7 +342,45 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         },
         seed,
     )
-    manifest.add_input(args.corpus)
+    # a cell is reused only when the key file lists it under everything the
+    # cell depends on; a different key distrusts every cell in the directory
+    resume_key = {
+        "corpus_sha256": manifest.add_input(args.corpus),
+        "input_format": args.input_format,
+        "alpha": args.alpha,
+        "version": __version__,
+    }
+    os.makedirs(args.out, exist_ok=True)
+    trusted = _trusted_cells(args.out, resume_key)
+    grid = [(ws, ms) for ws in ws_values for ms in ms_values]
+    cached: dict[tuple[int, int], dict] = {}
+    pending: list[tuple[int, int]] = []
+    for ws, ms in grid:
+        name = cell_dir_name(ws, ms)
+        resumable = args.resume and name in trusted
+        meta = _cell_is_complete(os.path.join(args.out, name)) if resumable else None
+        if meta is not None:
+            cached[(ws, ms)] = meta
+        else:
+            pending.append((ws, ms))
+    _write_resume_key(args.out, resume_key, trusted)
+
+    params = PageRankParams(alpha=args.alpha)
+    computed: dict[tuple[int, int], dict] = {}
+    if pending:
+        for cell in evaluate_cells(corpus, pending, params, jobs=args.jobs):
+            computed[(cell.ws, cell.ms)] = _write_cell(cell, args.out)
+        _write_resume_key(args.out, resume_key, trusted | {cell_dir_name(*c) for c in pending})
+
+    rows = []
+    statuses = []
+    for key in grid:
+        meta = cached.get(key) or computed[key]
+        rows.append(meta["row"])
+        statuses.append(meta["status"])
+    summary_path = os.path.join(args.out, "grid_summary.csv")
+    write_grid_summary(rows, summary_path)
+
     # digest only files this run owns, so stray content in a reused output
     # directory cannot change the manifest
     for ws, ms in grid:
@@ -367,17 +403,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if (args.ws is None) != (args.ms is None):
         raise _UsageError("--ws and --ms must be given together")
     try:
-        records = load_corpus(args.corpus, args.input_format)
+        corpus = encode(load_corpus(args.corpus, args.input_format))
     except _INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT, f"cannot read corpus: {exc}")
     try:
-        stats = covariates(records)
+        stats = covariates(corpus)
     except NoRecords:
         return _fail(EXIT_EMPTY, "corpus has no records")
 
     ldc_scores = None
     if args.ws is not None:
-        graph = build_graph(records, DistanceFunctionParams(args.ws, args.ms))
+        graph = build_graph(corpus, DistanceFunctionParams(args.ws, args.ms))
         if graph.vertex_count == 0:
             return _fail(EXIT_EMPTY, f"empty graph at ws={args.ws} ms={args.ms}")
         ldc_scores = dict(ldc_vector(graph, jobs=args.jobs).scores)

@@ -20,7 +20,8 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import IO, Sequence
+from operator import itemgetter
+from typing import IO, Optional, Sequence, Union
 
 from .errors import (
     EmptyRecord,
@@ -212,9 +213,90 @@ def collapse_first_occurrence(record: FluencyRecord) -> FluencyRecord:
     return FluencyRecord(record.subject_id, tuple(kept))
 
 
-def build_graph(
-    records: Sequence[FluencyRecord], params: DistanceFunctionParams
-) -> WeightedDigraph:
+class EncodedCorpus:
+    """A record list with its words interned to ids and each record collapsed once.
+
+    Every graph and covariates table built from it shares that one pass:
+    :func:`build_graph` and :func:`ldcnet.metrics.covariates` take it in place
+    of the records and give the same results. ``words[i]`` is the word with id
+    ``i``. For each non-empty record, in record order, ``ids[k]`` holds the ids
+    of its first occurrences, ``onsets[k]`` their raw onsets and
+    ``normalized[k]`` those onsets divided by the record's raw word count.
+    ``len()`` counts every record given, empty ones included.
+
+    The corpus memoises what depends only on it: ``covariates_table``, which
+    :func:`ldcnet.metrics.covariates` fills on first use, and the pair
+    medians of the last window size asked for. Pickling drops both, so
+    a corpus sent to a worker carries only the encoding.
+    """
+
+    def __init__(self, records: Sequence[FluencyRecord]):
+        index: dict[str, int] = {}
+        self.ids: list[tuple[int, ...]] = []
+        self.onsets: list[tuple[float, ...]] = []
+        self.normalized: list[tuple[float, ...]] = []
+        self._size = len(records)
+        for record in records:
+            count = len(record)
+            if count == 0:
+                continue
+            first: dict[str, float] = {}
+            for word, onset in record.entries:
+                first.setdefault(word, onset)
+            self.ids.append(tuple(index.setdefault(word, len(index)) for word in first))
+            onsets = tuple(first.values())
+            self.onsets.append(onsets)
+            self.normalized.append(tuple(t / count for t in onsets))
+        self.words: tuple[str, ...] = tuple(index)
+        self.covariates_table: Optional[dict] = None
+        self._window: Optional[tuple[int, tuple[tuple[int, int, int, float], ...]]] = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "covariates_table": None, "_window": None}
+
+    def pair_medians(self, ws: int) -> tuple[tuple[int, int, int, float], ...]:
+        """``(count, u, v, median)`` for every id pair at most ``ws`` positions apart.
+
+        ``count`` is the number of records holding the ordered pair (after
+        collapsing, a record holds a pair at most once) and ``median`` the
+        median of their normalized onset differences, which does not depend
+        on ``ms``. Entries run from the highest count down, so the arcs of
+        any ``ms`` are a prefix. Pairs held by one record are left out, since
+        an arc needs more than ``ms >= 1`` of them. Only the last window's
+        list is kept, and it is freed before the next one is built, so a
+        sweep over several windows holds one at a time.
+        """
+        if self._window is None or self._window[0] != ws:
+            self._window = None
+            traversals: dict[tuple[int, int], list[float]] = {}
+            for ids, onsets in zip(self.ids, self.normalized):
+                for gap in range(1, ws + 1):
+                    for u, v, start, end in zip(ids, ids[gap:], onsets, onsets[gap:]):
+                        traversals.setdefault((u, v), []).append(end - start)
+            ranked = [
+                (len(times), u, v, statistics.median(times))
+                for (u, v), times in traversals.items()
+                if len(times) > 1
+            ]
+            ranked.sort(key=itemgetter(0), reverse=True)
+            self._window = (ws, tuple(ranked))
+        return self._window[1]
+
+
+Corpus = Union[Sequence[FluencyRecord], EncodedCorpus]
+
+
+def encode(records: Corpus) -> EncodedCorpus:
+    """The :class:`EncodedCorpus` of ``records``; an encoded corpus is returned as is."""
+    if isinstance(records, EncodedCorpus):
+        return records
+    return EncodedCorpus(records)
+
+
+def build_graph(records: Corpus, params: DistanceFunctionParams) -> WeightedDigraph:
     """Construct the semantic graph from fluency records.
 
     Each record is normalized by its own word count, then collapsed to first
@@ -223,28 +305,20 @@ def build_graph(
     the arc exists iff the pair collected strictly more than ``ms``
     contributions, weighted by their median. Vertices with no incident arcs
     are dropped.
+
+    ``records`` may be an :class:`EncodedCorpus`. Graphs built from one
+    encoded corpus reuse its single collapse, and successive graphs at the
+    same ``ws`` reuse one table of pair medians.
     """
-    if not records:
+    corpus = encode(records)
+    if not corpus:
         raise NoRecords("cannot build a graph from zero records")
-    ws, ms = params.ws, params.ms
-    traversals: dict[tuple[str, str], list[float]] = {}
-    for record in records:
-        if len(record) == 0:
-            continue
-        collapsed = collapse_first_occurrence(normalize_record(record))
-        words = collapsed.words
-        onsets = collapsed.onsets
-        length = len(words)
-        # After collapsing, each ordered pair occurs at most once per record,
-        # so every contribution is automatically the subject's first.
-        for i in range(length):
-            for j in range(i + 1, min(i + ws, length - 1) + 1):
-                traversals.setdefault((words[i], words[j]), []).append(onsets[j] - onsets[i])
-    arcs = [
-        (u, v, statistics.median(times))
-        for (u, v), times in traversals.items()
-        if len(times) > ms
-    ]
+    words = corpus.words
+    arcs = []
+    for count, u, v, median in corpus.pair_medians(params.ws):
+        if count <= params.ms:
+            break
+        arcs.append((words[u], words[v], median))
     return WeightedDigraph(arcs)
 
 

@@ -41,8 +41,10 @@ class RunManifest:
     finished_at: str = ""
     outputs: dict[str, str] = field(default_factory=dict)
 
-    def add_input(self, path: str | os.PathLike) -> None:
-        self.inputs[str(path)] = file_digest(path)
+    def add_input(self, path: str | os.PathLike) -> str:
+        """Record an input file's digest and return it."""
+        digest = self.inputs[str(path)] = file_digest(path)
+        return digest
 
     def add_output(self, path: str | os.PathLike, root: Optional[str] = None) -> None:
         key = os.path.relpath(path, root) if root else str(path)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .corpus import FluencyRecord, collapse_first_occurrence
+from .corpus import Corpus, EncodedCorpus, encode
 from .errors import NoEligibleOccurrence, NoRecords
 from .textio import PathOrFile, open_text
 
@@ -47,7 +47,7 @@ class RetrievalStats:
     n_from: int
 
 
-def dt_to(records: Sequence[FluencyRecord], word: str) -> float:
+def dt_to(records: Corpus, word: str) -> float:
     """Mean raw time into ``word``: onset(word) - onset(previous word).
 
     Occurrences where the word opens a record are skipped and do not count
@@ -56,7 +56,7 @@ def dt_to(records: Sequence[FluencyRecord], word: str) -> float:
     return _retrieval_time(records, word, "dt_to", "predecessor")
 
 
-def dt_from(records: Sequence[FluencyRecord], word: str) -> float:
+def dt_from(records: Corpus, word: str) -> float:
     """Mean raw time out of ``word``: onset(next word) - onset(word).
 
     Reported as a positive duration; occurrences where the word closes a
@@ -66,7 +66,7 @@ def dt_from(records: Sequence[FluencyRecord], word: str) -> float:
 
 
 def _retrieval_time(
-    records: Sequence[FluencyRecord], word: str, statistic: str, neighbour: str
+    records: Corpus, word: str, statistic: str, neighbour: str
 ) -> float:
     """One word's ``statistic`` as :func:`covariates` computes it."""
     stat = covariates(records).get(word)
@@ -76,46 +76,59 @@ def _retrieval_time(
     return value
 
 
-def covariates(records: Sequence[FluencyRecord]) -> dict[str, RetrievalStats]:
+def covariates(records: Corpus) -> dict[str, RetrievalStats]:
     """Frequency, log-frequency, mean 1-based position, and retrieval times.
 
     Returns a dict keyed by word, in sorted word order. Words lacking an
     eligible occurrence for a retrieval statistic carry None there.
+
+    ``records`` may be an :class:`~ldcnet.corpus.EncodedCorpus`: the table is
+    then computed from its single collapse once and kept with it, and every
+    later call returns a fresh dict over the same entries.
     """
-    if not records:
+    corpus = encode(records)
+    if not corpus:
         raise NoRecords("cannot compute covariates from zero records")
-    frequency: dict[str, int] = {}
-    position_sum: dict[str, int] = {}
-    to_sum: dict[str, float] = {}
-    to_count: dict[str, int] = {}
-    from_sum: dict[str, float] = {}
-    from_count: dict[str, int] = {}
-    for record in map(collapse_first_occurrence, records):
-        onsets = record.onsets
-        words = record.words
-        last = len(words) - 1
-        for position, word in enumerate(words):
-            frequency[word] = frequency.get(word, 0) + 1
-            position_sum[word] = position_sum.get(word, 0) + position + 1
+    if corpus.covariates_table is None:
+        corpus.covariates_table = _tabulate(corpus)
+    return dict(corpus.covariates_table)
+
+
+def _tabulate(corpus: EncodedCorpus) -> dict[str, RetrievalStats]:
+    size = len(corpus.words)
+    frequency = [0] * size
+    position_sum = [0] * size
+    to_sum = [0.0] * size
+    to_count = [0] * size
+    from_sum = [0.0] * size
+    from_count = [0] * size
+    for ids, onsets in zip(corpus.ids, corpus.onsets):
+        last = len(ids) - 1
+        for position, word in enumerate(ids):
+            frequency[word] += 1
+            position_sum[word] += position + 1
+            # (sum + later) - earlier, left to right: ``sum += later - earlier``
+            # rounds differently and would change the published tables
             if position >= 1:
-                to_sum[word] = to_sum.get(word, 0.0) + onsets[position] - onsets[position - 1]
-                to_count[word] = to_count.get(word, 0) + 1
+                to_sum[word] = to_sum[word] + onsets[position] - onsets[position - 1]
+                to_count[word] += 1
             if position < last:
-                from_sum[word] = from_sum.get(word, 0.0) + onsets[position + 1] - onsets[position]
-                from_count[word] = from_count.get(word, 0) + 1
+                from_sum[word] = from_sum[word] + onsets[position + 1] - onsets[position]
+                from_count[word] += 1
 
     stats: dict[str, RetrievalStats] = {}
-    for word in sorted(frequency):
-        freq = frequency[word]
-        n_to = to_count.get(word, 0)
-        n_from = from_count.get(word, 0)
+    for word_id in sorted(range(size), key=corpus.words.__getitem__):
+        word = corpus.words[word_id]
+        freq = frequency[word_id]
+        n_to = to_count[word_id]
+        n_from = from_count[word_id]
         stats[word] = RetrievalStats(
             word=word,
             frequency=freq,
             log_frequency=math.log(freq),
-            avg_location=position_sum[word] / freq,
-            dt_to=(to_sum[word] / n_to) if n_to else None,
-            dt_from=(from_sum[word] / n_from) if n_from else None,
+            avg_location=position_sum[word_id] / freq,
+            dt_to=(to_sum[word_id] / n_to) if n_to else None,
+            dt_from=(from_sum[word_id] / n_from) if n_from else None,
             n_to=n_to,
             n_from=n_from,
         )

@@ -21,7 +21,14 @@ from scipy.stats import rankdata
 from scipy.stats import t as t_dist
 
 from .centrality import MEASURES, CentralityVector, PageRankParams, compute_all, ldc_vector
-from .corpus import DistanceFunctionParams, FluencyRecord, build_graph, shuffle_records
+from .corpus import (
+    Corpus,
+    DistanceFunctionParams,
+    FluencyRecord,
+    build_graph,
+    encode,
+    shuffle_records,
+)
 from .errors import (
     InsufficientData,
     LdcnetError,
@@ -159,13 +166,18 @@ def table_entry(cell: GridResult, a: str, b: str) -> Optional[SpearmanEntry]:
 
 
 def evaluate_cell(
-    records: Sequence[FluencyRecord],
+    records: Corpus,
     ws: int,
     ms: int,
     pagerank_params: Optional[PageRankParams] = None,
 ) -> GridResult:
-    """Build one cell's graph, measures, covariates, and Spearman table."""
-    graph = build_graph(records, DistanceFunctionParams(ws, ms))
+    """Build one cell's graph, measures, covariates, and Spearman table.
+
+    Cells evaluated on one :class:`~ldcnet.corpus.EncodedCorpus` share its
+    collapse, its covariates and, at equal ``ws``, its pair medians.
+    """
+    corpus = encode(records)
+    graph = build_graph(corpus, DistanceFunctionParams(ws, ms))
     if graph.vertex_count == 0:
         return GridResult(ws=ws, ms=ms, status="empty")
     try:
@@ -180,7 +192,7 @@ def evaluate_cell(
             words=graph.vertices,
             graph=graph,
         )
-    word_stats = covariates(records)
+    word_stats = covariates(corpus)
     words = graph.vertices
     variables: dict[str, dict[str, float]] = {
         name: dict(measures[name].scores) for name in MEASURES
@@ -210,28 +222,33 @@ def evaluate_cell(
 
 
 def _cell_task(args: tuple) -> GridResult:
-    records, ws, ms, pagerank_params = args
-    return evaluate_cell(records, ws, ms, pagerank_params)
+    corpus, ws, ms, pagerank_params = args
+    return evaluate_cell(corpus, ws, ms, pagerank_params)
 
 
 def evaluate_cells(
-    records: Sequence[FluencyRecord],
+    records: Corpus,
     cells: Sequence[tuple[int, int]],
     pagerank_params: Optional[PageRankParams] = None,
     jobs: int = 1,
 ) -> list[GridResult]:
-    """Evaluate an explicit cell list, in order, optionally across workers."""
-    if not records:
+    """Evaluate an explicit cell list, in order, optionally across workers.
+
+    The records are encoded once for every cell. Each worker task carries
+    the encoding without its memoised tables.
+    """
+    corpus = encode(records)
+    if not corpus:
         raise NoRecords("cannot sweep zero records")
     if jobs <= 1 or len(cells) <= 1:
-        return [evaluate_cell(records, ws, ms, pagerank_params) for ws, ms in cells]
-    tasks = [(records, ws, ms, pagerank_params) for ws, ms in cells]
+        return [evaluate_cell(corpus, ws, ms, pagerank_params) for ws, ms in cells]
+    tasks = [(corpus, ws, ms, pagerank_params) for ws, ms in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_cell_task, tasks))
 
 
 def grid_sweep(
-    records: Sequence[FluencyRecord],
+    records: Corpus,
     ws_values: Iterable[int] = FULL_GRID_WS_VALUES,
     ms_values: Iterable[int] = FULL_GRID_MS_VALUES,
     pagerank_params: Optional[PageRankParams] = None,
@@ -419,18 +436,20 @@ def derive_seed(master: int, *parts: object) -> int:
 
 
 def ldc_dt_correlation(
-    records: Sequence[FluencyRecord], ws: int, ms: int, target: str
+    records: Corpus, ws: int, ms: int, target: str
 ) -> tuple[float, int]:
     """Rank correlation between the detour score and one retrieval statistic.
 
     Returns (rho, number of paired words). Raises the underlying error when
-    the graph is empty or too few words carry both values.
+    the graph is empty or too few words carry both values. The graph and
+    the retrieval statistic come from one encoding of the records.
     """
-    graph = build_graph(records, DistanceFunctionParams(ws, ms))
+    corpus = encode(records)
+    graph = build_graph(corpus, DistanceFunctionParams(ws, ms))
     if graph.vertex_count == 0:
         raise InsufficientData(f"graph at ws={ws} ms={ms} is empty")
     scores = ldc_vector(graph).scores
-    word_stats = covariates(records)
+    word_stats = covariates(corpus)
     xs: list[float] = []
     ys: list[Optional[float]] = []
     for word in graph.vertices:

@@ -97,6 +97,17 @@ def random_records(rng, n_subjects=25, list_len=10, vocab_size=10, zipf=False):
     return records
 
 
+def ragged_records(rng, n_subjects, max_len, vocab_size):
+    """Random records cut to lengths 0..max_len, so some are empty and lengths differ.
+
+    A small ``vocab_size`` makes words repeat within a record.
+    """
+    records = random_records(rng, n_subjects, max_len, vocab_size)
+    return [
+        FluencyRecord(r.subject_id, r.entries[: rng.randint(0, max_len)]) for r in records
+    ]
+
+
 def boundary_records():
     """Four identical two-word subjects: the strict |P| > ms boundary fixture."""
     return [

@@ -3,11 +3,20 @@
 Everything here deliberately avoids the library's shortest-path machinery:
 distances come from Floyd-Warshall over a dense matrix or from a pure-Python
 heap Dijkstra, path counts from exhaustive simple-path enumeration, and
-ranks from an O(n^2) scan.
+ranks from an O(n^2) scan. Graphs and covariates are rebuilt record by
+record from ``FluencyRecord`` objects, without the encoded corpus.
 """
 
 import math
+import statistics
 from heapq import heappop, heappush
+
+from ldcnet import (
+    RetrievalStats,
+    WeightedDigraph,
+    collapse_first_occurrence,
+    normalize_record,
+)
 
 INF = math.inf
 
@@ -274,3 +283,58 @@ def naive_spearman(xs, ys):
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(vx * vy)
+
+
+def reference_build_graph(records, params):
+    """Per-record graph construction: normalize, collapse, then gather each pair's gaps."""
+    traversals = {}
+    for record in records:
+        if len(record) == 0:
+            continue
+        collapsed = collapse_first_occurrence(normalize_record(record))
+        words = collapsed.words
+        onsets = collapsed.onsets
+        length = len(words)
+        for i in range(length):
+            for j in range(i + 1, min(i + params.ws, length - 1) + 1):
+                traversals.setdefault((words[i], words[j]), []).append(onsets[j] - onsets[i])
+    return WeightedDigraph([
+        (u, v, statistics.median(times))
+        for (u, v), times in traversals.items()
+        if len(times) > params.ms
+    ])
+
+
+def reference_covariates(records):
+    """Per-record covariates over first occurrences, keyed by word in sorted order."""
+    frequency, position_sum = {}, {}
+    to_sum, to_count, from_sum, from_count = {}, {}, {}, {}
+    for record in map(collapse_first_occurrence, records):
+        onsets = record.onsets
+        words = record.words
+        last = len(words) - 1
+        for position, word in enumerate(words):
+            frequency[word] = frequency.get(word, 0) + 1
+            position_sum[word] = position_sum.get(word, 0) + position + 1
+            if position >= 1:
+                to_sum[word] = to_sum.get(word, 0.0) + onsets[position] - onsets[position - 1]
+                to_count[word] = to_count.get(word, 0) + 1
+            if position < last:
+                from_sum[word] = from_sum.get(word, 0.0) + onsets[position + 1] - onsets[position]
+                from_count[word] = from_count.get(word, 0) + 1
+    stats = {}
+    for word in sorted(frequency):
+        freq = frequency[word]
+        n_to = to_count.get(word, 0)
+        n_from = from_count.get(word, 0)
+        stats[word] = RetrievalStats(
+            word=word,
+            frequency=freq,
+            log_frequency=math.log(freq),
+            avg_location=position_sum[word] / freq,
+            dt_to=(to_sum[word] / n_to) if n_to else None,
+            dt_from=(from_sum[word] / n_from) if n_from else None,
+            n_to=n_to,
+            n_from=n_from,
+        )
+    return stats

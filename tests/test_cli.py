@@ -237,6 +237,19 @@ class TestSweep:
         d_resumed = load_manifest(resumed / "manifest.json")["outputs"]
         assert d_clean == d_resumed
 
+    @pytest.mark.parametrize("change", ["corpus", "alpha"])
+    def test_resume_recomputes_cells_of_another_key(self, rich_corpus, tmp_path, change):
+        other = str(tmp_path / "other.csv")
+        write_corpus_csv(random_records(random.Random(8), 25, 10, 10), other)
+        grid = ["--grid", "ws=1..2,ms=3"]
+        second = [other] if change == "corpus" else [rich_corpus, "--alpha", "0.5"]
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["sweep", rich_corpus, *grid, "-o", str(reused)]) == 0
+        assert main(["sweep", *second, *grid, "-o", str(reused), "--resume"]) == 0
+        assert main(["sweep", *second, *grid, "-o", str(fresh)]) == 0
+        assert (load_manifest(reused / "manifest.json")["outputs"]
+                == load_manifest(fresh / "manifest.json")["outputs"])
+
 
 class TestStatsCommand:
     def test_schema(self, boundary_corpus, tmp_path):

@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from ldcnet import (
     collapse_first_occurrence,
     emit_corpus,
     normalize_record,
+    covariates,
+    encode,
     parse_corpus,
     shuffle_records,
 )
@@ -22,7 +25,21 @@ from ldcnet.errors import (
     NoRecords,
 )
 
-from corpora import boundary_records, make_record, random_records
+import oracles
+from corpora import boundary_records, make_record, random_records, ragged_records
+
+
+def oracle_corpora(count=40, max_len=8):
+    """Small random corpora with empty records, repeated words and mixed lengths."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        yield ragged_records(
+            rng, rng.randint(1, 14), rng.randint(1, max_len), rng.randint(2, 6)
+        )
+
+
+def graph_state(graph):
+    return graph.vertices, list(graph.arcs())
 
 
 class TestParseCorpus:
@@ -232,6 +249,58 @@ class TestBuildGraph:
         # only the first 'a' survives, so no b->a traversal exists
         assert g.weight("b", "a") is None
         assert g.weight("a", "b") is not None
+
+
+class TestEncodedCorpus:
+    def test_build_graph_equals_per_record_reference(self):
+        for records in oracle_corpora():
+            longest = max(len(r) for r in records)
+            # ws up to one past the longest record covers ws >= record length
+            for ws in range(1, longest + 2):
+                for ms in (1, 2, 3):
+                    params = DistanceFunctionParams(ws=ws, ms=ms)
+                    assert graph_state(build_graph(records, params)) == graph_state(
+                        oracles.reference_build_graph(records, params)
+                    )
+
+    def test_one_encoding_reused_over_windows_2_1_2(self):
+        for records in oracle_corpora(count=20):
+            corpus = encode(records)
+            for ws in (2, 1, 2):
+                for ms in (1, 2):
+                    params = DistanceFunctionParams(ws=ws, ms=ms)
+                    assert graph_state(build_graph(corpus, params)) == graph_state(
+                        oracles.reference_build_graph(records, params)
+                    )
+                assert covariates(corpus) == oracles.reference_covariates(records)
+
+    def test_encode_keeps_an_encoded_corpus_and_counts_every_record(self):
+        records = [make_record("s1", ["a", "b", "a"]), FluencyRecord("s2", ())]
+        corpus = encode(records)
+        assert encode(corpus) is corpus
+        assert len(corpus) == 2
+        assert corpus.words == ("a", "b")
+        assert corpus.ids == [(0, 1)]
+        assert corpus.onsets == [(1.0, 2.0)]
+        assert corpus.normalized == [(1.0 / 3, 2.0 / 3)]
+
+    def test_only_empty_records_give_an_empty_graph(self):
+        corpus = encode([FluencyRecord("s1", ()), FluencyRecord("s2", ())])
+        assert build_graph(corpus, DistanceFunctionParams(ws=1, ms=1)).vertex_count == 0
+        with pytest.raises(NoRecords):
+            build_graph(encode([]), DistanceFunctionParams(ws=1, ms=1))
+
+    def test_pickling_drops_the_memoised_tables(self):
+        rng = random.Random(3)
+        records = random_records(rng, n_subjects=20, list_len=8, vocab_size=8)
+        fresh = pickle.dumps(encode(records))
+        used = encode(records)
+        build_graph(used, DistanceFunctionParams(ws=3, ms=1))
+        covariates(used)
+        assert pickle.dumps(used) == fresh
+        clone = pickle.loads(fresh)
+        params = DistanceFunctionParams(ws=2, ms=2)
+        assert graph_state(build_graph(clone, params)) == graph_state(build_graph(records, params))
 
 
 class TestShuffleRecords:

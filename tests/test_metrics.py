@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from ldcnet import covariates, dt_from, dt_to, normalize_record
+from ldcnet import covariates, dt_from, dt_to, encode, normalize_record
 from ldcnet.errors import NoEligibleOccurrence, NoRecords
 from ldcnet.metrics import write_stats_csv
 
-from corpora import make_record, random_records
+import oracles
+from corpora import make_record, random_records, ragged_records
 
 
 class TestDtTo:
@@ -136,6 +137,24 @@ class TestCovariates:
     def test_no_records_raises(self):
         with pytest.raises(NoRecords):
             covariates([])
+
+    def test_equals_per_record_reference(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            records = ragged_records(
+                rng, rng.randint(1, 14), rng.randint(1, 9), rng.randint(2, 6)
+            )
+            expected = oracles.reference_covariates(records)
+            assert covariates(records) == expected
+            corpus = encode(records)
+            assert covariates(corpus) == expected
+            assert covariates(corpus) == expected
+
+    def test_memoised_table_comes_back_as_a_fresh_dict(self):
+        corpus = encode([make_record("s1", ["cat", "dog"], [1.0, 3.0])])
+        first = covariates(corpus)
+        first.clear()
+        assert list(covariates(corpus)) == ["cat", "dog"]
 
 
 class TestStatsCsv:

@@ -13,8 +13,10 @@ from ldcnet import (
     permutation_test,
     spearman,
 )
+from ldcnet.corpus import EncodedCorpus, encode, shuffle_records
 from ldcnet.errors import (
     InsufficientData,
+    LdcnetError,
     UndefinedActualCorrelation,
     ZeroVariance,
 )
@@ -34,6 +36,20 @@ from ldcnet.stats import (
 
 import oracles
 from corpora import make_record, random_records
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Counts every corpus encoding, i.e. every pass that collapses the records."""
+    calls = []
+    original = EncodedCorpus.__init__
+
+    def counting(self, records):
+        calls.append(len(records))
+        original(self, records)
+
+    monkeypatch.setattr(EncodedCorpus, "__init__", counting)
+    return calls
 
 
 class TestSpearman:
@@ -161,6 +177,13 @@ class TestGridSweep:
         seq = grid_sweep(records, (1, 2), (3, 4))
         par = grid_sweep(records, (1, 2), (3, 4), jobs=2)
         assert [summary_row(c) for c in seq] == [summary_row(c) for c in par]
+
+    def test_records_are_encoded_once_per_sweep(self, encode_calls):
+        rng = random.Random(23)
+        records = random_records(rng, n_subjects=15, list_len=7, vocab_size=7)
+        cells = grid_sweep(records, (2, 1, 2), (3, 4))
+        assert len(cells) == 6
+        assert encode_calls == [len(records)]
 
     def test_vertex_count_nonincreasing_in_ms(self):
         rng = random.Random(19)
@@ -321,6 +344,39 @@ class TestPermutationTest:
             assert 0.0 < outcomes[alternative].p_value <= 1.0
         # the actual rho is strongly negative: "less" must be the small tail
         assert outcomes["less"].p_value < outcomes["greater"].p_value
+
+    def test_draw_on_an_encoded_shuffle_equals_the_record_list(self):
+        rng = random.Random(43)
+        records = random_records(rng, n_subjects=12, list_len=6, vocab_size=6)
+
+        def outcome(corpus, target):
+            try:
+                return ldc_dt_correlation(corpus, 2, 2, target)
+            except LdcnetError as exc:
+                return type(exc)
+
+        for seed in range(12):
+            shuffled = shuffle_records(records, seed)
+            for target in ("dt_to", "dt_from"):
+                assert outcome(encode(shuffled), target) == outcome(shuffled, target)
+
+    def test_one_collapse_per_draw(self, encode_calls, monkeypatch):
+        rng = random.Random(47)
+        records = random_records(rng, n_subjects=12, list_len=6, vocab_size=6)
+        shuffles = []
+        original = shuffle_records
+
+        def counting(recs, seed):
+            shuffles.append(seed)
+            return original(recs, seed)
+
+        monkeypatch.setattr("ldcnet.stats.shuffle_records", counting)
+        config = PermutationConfig(ws=2, ms=2, target="dt_from", repetitions=25, seed=4)
+        outcome = permutation_test(records, config)
+        assert outcome.n_effective + outcome.n_failed == 25
+        assert len(shuffles) >= 25
+        # the actual-order correlation, then one encoding per shuffled draw
+        assert len(encode_calls) == 1 + len(shuffles)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
