@@ -1,15 +1,16 @@
 """Command-line front end for reproducible batch runs.
 
-Exit codes: 0 success, 1 usage, 2 input error, 3 empty result, 4 undefined
-statistic (including a pagerank that does not converge). Every command is a
-pure function of (inputs, flags, seed) and writes a manifest with content
-digests of everything it emitted.
+Exit codes: 0 success; 1 usage; 2 input error (a file that cannot be read,
+decoded or written, or a malformed input); 3 empty result (a corpus with no
+records, a graph too small for a measure, or a sweep whose cells all failed);
+4 undefined statistic (including a pagerank that does not converge). Every
+command is a pure function of (inputs, flags, seed) and writes a manifest
+with content digests of everything it emitted.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -51,6 +52,7 @@ from .stats import (
     write_grid_summary,
     write_spearman_csv,
 )
+from .textio import write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,19 +62,24 @@ EXIT_UNDEFINED = 4
 
 SEED_ENV_VAR = "LDC_SEED"
 
-_INPUT_ERRORS = (MalformedLine, NonMonotoneTimestamp, FileNotFoundError, IsADirectoryError)
-
 
 class _UsageError(Exception):
     """Command-level usage problem mapped to exit code 1."""
 
 
-#: Exit code for an exception escaping a command; the first matching row wins.
+#: Exit code for an exception escaping a command; the first matching row wins,
+#: so UnicodeDecodeError must come before its base class ValueError.
 _EXIT_CODES = (
     (_UsageError, EXIT_USAGE),
+    (MalformedLine, EXIT_INPUT),
+    (NonMonotoneTimestamp, EXIT_INPUT),
+    (OSError, EXIT_INPUT),
+    (UnicodeDecodeError, EXIT_INPUT),
     (ValueError, EXIT_USAGE),
-    *((error, EXIT_INPUT) for error in _INPUT_ERRORS),
+    (NoRecords, EXIT_EMPTY),
+    (EmptyGraph, EXIT_EMPTY),
     (NoConvergence, EXIT_UNDEFINED),
+    (UndefinedActualCorrelation, EXIT_UNDEFINED),
     (LdcnetError, EXIT_INPUT),
 )
 
@@ -102,9 +109,7 @@ def _round12(obj):
 
 
 def _write_json(payload, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round12(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(_round12(payload), path)
 
 
 def _resolve_seed(flag_value: Optional[int]) -> int:
@@ -170,16 +175,10 @@ def _parse_measures(raw: str) -> list[str]:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    try:
-        records = load_corpus(args.corpus, args.input_format)
-    except _INPUT_ERRORS as exc:
-        return _fail(EXIT_INPUT, f"cannot read corpus: {exc}")
-    try:
-        graph = build_graph(records, DistanceFunctionParams(args.ws, args.ms))
-    except NoRecords:
-        return _fail(EXIT_EMPTY, "empty graph: corpus has no records")
+    records = load_corpus(args.corpus, args.input_format)
+    graph = build_graph(records, DistanceFunctionParams(args.ws, args.ms))
     if graph.vertex_count == 0:
-        return _fail(EXIT_EMPTY, f"empty graph at ws={args.ws} ms={args.ms}")
+        raise EmptyGraph(f"empty graph at ws={args.ws} ms={args.ms}")
     manifest = _new_manifest(
         "build",
         {"ws": args.ws, "ms": args.ms, "input_format": args.input_format},
@@ -195,26 +194,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_centrality(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    try:
-        measures = _parse_measures(args.measure)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    try:
-        graph = WeightedDigraph.from_csv(args.graph)
-    except _INPUT_ERRORS as exc:
-        return _fail(EXIT_INPUT, f"cannot read graph: {exc}")
+    measures = _parse_measures(args.measure)
+    graph = WeightedDigraph.from_csv(args.graph)
     params = PageRankParams(alpha=args.alpha)
     # compute_all's loop, except that --verbose keeps pagerank's raw update
     # from the one iteration that also gives the scores
     table = {}
-    try:
-        for m in measures:
-            if m == "pagerank" and args.verbose:
-                table[m], raw, iterations = pagerank_with_raw(graph, params)
-            else:
-                table[m] = SCORERS[m](graph, params, args.jobs)
-    except EmptyGraph as exc:
-        return _fail(EXIT_EMPTY, str(exc))
+    for m in measures:
+        if m == "pagerank" and args.verbose:
+            table[m], raw, iterations = pagerank_with_raw(graph, params)
+        else:
+            table[m] = SCORERS[m](graph, params, args.jobs)
     manifest = _new_manifest(
         "centrality",
         {"measures": measures, "alpha": args.alpha, "layout": args.layout,
@@ -248,7 +238,7 @@ def _trusted_cells(out_dir: str, key: dict) -> set[str]:
     """Cell directories the key file records as computed under ``key``."""
     try:
         state = load_manifest(os.path.join(out_dir, RESUME_KEY_FILE))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError covers JSON and UTF-8 decoding
         return set()
     if not isinstance(state, dict) or state.get("key") != key:
         return set()
@@ -257,10 +247,8 @@ def _trusted_cells(out_dir: str, key: dict) -> set[str]:
 
 
 def _write_resume_key(out_dir: str, key: dict, cells: set[str]) -> None:
-    # plain json.dump: _write_json rounds floats, which could merge two alphas
-    with open(os.path.join(out_dir, RESUME_KEY_FILE), "w", encoding="utf-8") as fh:
-        json.dump({"key": key, "cells": sorted(cells)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # unrounded: _write_json rounds floats, which could merge two alphas
+    write_json({"key": key, "cells": sorted(cells)}, os.path.join(out_dir, RESUME_KEY_FILE))
 
 
 def _cell_is_complete(cell_dir: str) -> Optional[dict]:
@@ -270,9 +258,9 @@ def _cell_is_complete(cell_dir: str) -> Optional[dict]:
         return None
     try:
         meta = load_manifest(meta_path)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
-    if "row" not in meta or "files" not in meta:
+    if not isinstance(meta, dict) or "row" not in meta or not isinstance(meta.get("files"), dict):
         return None
     for name, digest in meta["files"].items():
         path = os.path.join(cell_dir, name)
@@ -321,13 +309,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ws_values, ms_values = _parse_grid_spec(args.grid)
     except ValueError as exc:
         raise _UsageError(f"bad --grid value: {exc}") from None
-    try:
-        # every cell reads the encoding, so the record list is not kept
-        corpus = encode(load_corpus(args.corpus, args.input_format))
-    except _INPUT_ERRORS as exc:
-        return _fail(EXIT_INPUT, f"cannot read corpus: {exc}")
+    # every cell reads the encoding, so the record list is not kept
+    corpus = encode(load_corpus(args.corpus, args.input_format))
     if not corpus:
-        return _fail(EXIT_EMPTY, "corpus has no records")
+        # before the output directory is made; evaluate_cells would be too late
+        raise NoRecords("cannot sweep zero records")
 
     manifest = _new_manifest(
         "sweep",
@@ -402,20 +388,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     if (args.ws is None) != (args.ms is None):
         raise _UsageError("--ws and --ms must be given together")
-    try:
-        corpus = encode(load_corpus(args.corpus, args.input_format))
-    except _INPUT_ERRORS as exc:
-        return _fail(EXIT_INPUT, f"cannot read corpus: {exc}")
-    try:
-        stats = covariates(corpus)
-    except NoRecords:
-        return _fail(EXIT_EMPTY, "corpus has no records")
+    corpus = encode(load_corpus(args.corpus, args.input_format))
+    stats = covariates(corpus)
 
     ldc_scores = None
     if args.ws is not None:
         graph = build_graph(corpus, DistanceFunctionParams(args.ws, args.ms))
         if graph.vertex_count == 0:
-            return _fail(EXIT_EMPTY, f"empty graph at ws={args.ws} ms={args.ms}")
+            raise EmptyGraph(f"empty graph at ws={args.ws} ms={args.ms}")
         ldc_scores = dict(ldc_vector(graph, jobs=args.jobs).scores)
 
     manifest = _new_manifest(
@@ -444,12 +424,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_permtest(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    try:
-        records = load_corpus(args.corpus, args.input_format)
-    except _INPUT_ERRORS as exc:
-        return _fail(EXIT_INPUT, f"cannot read corpus: {exc}")
-    if not records:
-        return _fail(EXIT_EMPTY, "corpus has no records")
+    records = load_corpus(args.corpus, args.input_format)
     config = PermutationConfig(
         ws=args.ws,
         ms=args.ms,
@@ -459,10 +434,7 @@ def _cmd_permtest(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         alternative=args.alternative,
     )
-    try:
-        outcome = permutation_test(records, config, jobs=args.jobs)
-    except UndefinedActualCorrelation as exc:
-        return _fail(EXIT_UNDEFINED, str(exc))
+    outcome = permutation_test(records, config, jobs=args.jobs)
     manifest = _new_manifest(
         "permtest",
         {"ws": args.ws, "ms": args.ms, "target": args.target, "n": args.n,
@@ -523,7 +495,8 @@ def _build_parser() -> _Parser:
                    help="'paper' (ws 1..9 x ms 3,5,...,21) or e.g. 'ws=1..2,ms=3'")
     p.add_argument("--alpha", type=float, default=0.85, help="pagerank damping")
     p.add_argument("--resume", action="store_true",
-                   help="skip cells whose outputs verify against their digests")
+                   help="reuse cells computed from the same corpus, input format, "
+                        "alpha and version whose files still verify")
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_sweep)
 

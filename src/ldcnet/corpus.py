@@ -155,19 +155,25 @@ def emit_corpus(records: Sequence[FluencyRecord], dest: PathOrFile) -> None:
 def parse_corpus_osf(source: PathOrFile) -> list[FluencyRecord]:
     """Load the released-data layout: {subject: {"words": [...], "timestamps": [...]}}."""
     with open_text(source, "r") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(data, dict):
         raise MalformedLine(0, "expected a JSON object keyed by subject id")
     records = []
     for subject, payload in data.items():
-        if (
-            not isinstance(payload, dict)
-            or "words" not in payload
-            or "timestamps" not in payload
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("words"), list)
+            and isinstance(payload.get("timestamps"), list)
         ):
             raise MalformedLine(0, f"subject {subject!r}: need 'words' and 'timestamps' lists")
         words = payload["words"]
-        onsets = [float(t) for t in payload["timestamps"]]
+        try:
+            onsets = [float(t) for t in payload["timestamps"]]
+        except (TypeError, ValueError):
+            raise MalformedLine(0, f"subject {subject!r}: non-numeric timestamp") from None
         if len(words) != len(onsets):
             raise MalformedLine(0, f"subject {subject!r}: words/timestamps length mismatch")
         cleaned = [_clean_word(str(w)) for w in words]

@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
+
+from .textio import write_json
 
 
 def file_digest(path: str | os.PathLike) -> str:
@@ -51,22 +53,11 @@ class RunManifest:
         self.outputs[key] = file_digest(path)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
     def write(self, path: str | os.PathLike) -> None:
         self.finished_at = utc_now()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
 
 def load_manifest(path: str | os.PathLike) -> dict:

@@ -13,7 +13,7 @@ import itertools
 import math
 import statistics as pystats
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -142,10 +142,8 @@ class GridResult:
     status: str
     error: Optional[str] = None
     n_vertices: int = 0
-    words: tuple[str, ...] = ()
     graph: Optional[WeightedDigraph] = None
     measures: Optional[dict[str, CentralityVector]] = None
-    variables: Optional[dict[str, dict[str, float]]] = None
     table: Optional[dict[tuple[str, str], Optional[SpearmanEntry]]] = None
 
 
@@ -189,7 +187,6 @@ def evaluate_cell(
             status="error",
             error=f"{type(exc).__name__}: {exc}",
             n_vertices=graph.vertex_count,
-            words=graph.vertices,
             graph=graph,
         )
     word_stats = covariates(corpus)
@@ -213,10 +210,8 @@ def evaluate_cell(
         ms=ms,
         status="ok",
         n_vertices=graph.vertex_count,
-        words=words,
         graph=graph,
         measures=measures,
-        variables=variables,
         table=table,
     )
 
@@ -407,22 +402,7 @@ class PermutationOutcome:
 
     def to_dict(self) -> dict:
         return {
-            "ws": self.ws,
-            "ms": self.ms,
-            "target": self.target,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "alternative": self.alternative,
-            "n_words": self.n_words,
-            "actual_rho": self.actual_rho,
-            "parametric_p": self.parametric_p,
-            "p_value": self.p_value,
-            "repetitions": self.repetitions,
-            "n_effective": self.n_effective,
-            "n_failed": self.n_failed,
-            "null_mean": self.null_mean,
-            "null_sd": self.null_sd,
-            "null_quantiles": self.null_quantiles,
+            **asdict(self),
             "significant": self.significant,
             "nontrivial": self.nontrivial,
             "significant_and_nontrivial": self.significant_and_nontrivial,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from typing import IO, Iterator, Union
 
@@ -21,3 +22,10 @@ def open_text(target: PathOrFile, mode: str) -> Iterator[IO[str]]:
         return
     with open(target, mode, encoding="utf-8", newline="") as fh:
         yield fh
+
+
+def write_json(payload, dest: PathOrFile) -> None:
+    """Write ``payload`` as JSON: indent 2, sorted keys, trailing newline."""
+    with open_text(dest, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -13,6 +13,8 @@ from ldcnet.errors import (
     MalformedLine,
     NoConvergence,
     NonMonotoneTimestamp,
+    NoRecords,
+    UndefinedActualCorrelation,
 )
 from ldcnet.manifest import load_manifest
 
@@ -73,6 +75,44 @@ class TestBuild:
         assert main(["build", str(bad), "--ws", "1", "--ms", "3",
                      "-o", str(tmp_path / "g.csv")]) == 2
 
+    def test_latin1_corpus_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("subject,word,onset_seconds\ns1,café,1.0\n".encode("latin-1"))
+        assert main(["build", str(bad), "--ws", "1", "--ms", "3",
+                     "-o", str(tmp_path / "g.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_corpus_path_below_a_file_exits_2(self, boundary_corpus, tmp_path):
+        assert main(["build", f"{boundary_corpus}/x", "--ws", "1", "--ms", "3",
+                     "-o", str(tmp_path / "g.csv")]) == 2
+
+    def test_empty_corpus_exits_3(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("subject,word,onset_seconds\n")
+        assert main(["build", str(empty), "--ws", "1", "--ms", "3",
+                     "-o", str(tmp_path / "g.csv")]) == 3
+        assert "zero records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"s1": {"words": ["cat", "dog"], "timestamps": [0.0, 1.0]',
+        '{"s1": {"words": ["cat", "dog"], "timestamps": [0.0, "x"]}}',
+        '{"s1": {"words": ["cat", "dog"], "timestamps": [0.0, null]}}',
+        '{"s1": {"words": "ab", "timestamps": [0.0, 1.0]}}',
+    ],
+    ids=["truncated", "string-timestamp", "null-timestamp", "words-not-a-list"],
+)
+def test_malformed_osf_json_exits_2(text, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(text)
+    assert main(["build", str(corpus), "--input-format", "osf-json", "--ws", "1",
+                 "--ms", "1", "-o", str(tmp_path / "g.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "line " in err
+
 
 @pytest.fixture
 def chain_graph_csv(tmp_path):
@@ -124,6 +164,20 @@ class TestCentrality:
         bad = tmp_path / "bad.csv"
         bad.write_text("source,target,weight\nx,x,1.0\n")
         assert main(["centrality", str(bad), "-o", str(tmp_path / "c.csv")]) == 2
+
+    def test_latin1_graph_exits_2(self, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("source,target,weight\ncafé,dog,1.0\n".encode("latin-1"))
+        assert main(["centrality", str(bad), "-o", str(tmp_path / "c.csv")]) == 2
+
+    def test_graph_too_small_for_measure_exits_3(self, tmp_path, capsys):
+        graph = tmp_path / "one_arc.csv"
+        graph.write_text("source,target,weight\ncat,dog,0.5\n")
+        out = tmp_path / "c.csv"
+        assert main(["centrality", str(graph), "--measure", "betweenness",
+                     "-o", str(out)]) == 3
+        assert "ldcnet: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_measure_selection_exits_1_before_reading(self, fmt, tmp_path, capsys):
@@ -250,6 +304,26 @@ class TestSweep:
         assert (load_manifest(reused / "manifest.json")["outputs"]
                 == load_manifest(fresh / "manifest.json")["outputs"])
 
+    @pytest.mark.parametrize(
+        "damaged, content",
+        [
+            ("resume_key.json", b"\xff"),
+            ("ws2_ms3/cell.json", b"\xff"),
+            ("ws2_ms3/cell.json", b"5\n"),
+            ("ws2_ms3/cell.json", b'{"row": {}, "files": []}\n'),
+        ],
+    )
+    def test_resume_recomputes_past_damaged_files(self, rich_corpus, tmp_path, damaged,
+                                                  content):
+        grid = ["--grid", "ws=1..2,ms=3"]
+        clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+        assert main(["sweep", rich_corpus, *grid, "-o", str(clean)]) == 0
+        assert main(["sweep", rich_corpus, *grid, "-o", str(resumed)]) == 0
+        (resumed / damaged).write_bytes(content)
+        assert main(["sweep", rich_corpus, *grid, "-o", str(resumed), "--resume"]) == 0
+        assert (load_manifest(resumed / "manifest.json")["outputs"]
+                == load_manifest(clean / "manifest.json")["outputs"])
+
 
 class TestStatsCommand:
     def test_schema(self, boundary_corpus, tmp_path):
@@ -333,8 +407,13 @@ class TestPermtest:
         (NonMonotoneTimestamp("s1"), 2),
         (FileNotFoundError("absent.csv"), 2),
         (IsADirectoryError("dir"), 2),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 2),
+        (NotADirectoryError("ok.csv/x"), 2),
+        (PermissionError("locked.csv"), 2),
         (NoConvergence("pagerank did not converge"), 4),
-        (EmptyGraph("no vertices"), 2),
+        (NoRecords("cannot build a graph from zero records"), 3),
+        (EmptyGraph("no vertices"), 3),
+        (UndefinedActualCorrelation("actual-order correlation undefined"), 4),
     ],
     ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
 )

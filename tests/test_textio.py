@@ -1,6 +1,6 @@
 import io
 
-from ldcnet.textio import open_text
+from ldcnet.textio import open_text, write_json
 
 
 def test_open_handle_is_yielded_unchanged_and_left_open():
@@ -20,3 +20,9 @@ def test_path_is_opened_as_utf8_without_newline_translation(tmp_path):
     assert path.read_bytes() == "café\r\n".encode("utf-8")
     with open_text(str(path), "r") as fh:
         assert fh.read() == "café\r\n"
+
+
+def test_write_json_sorts_keys_indents_and_ends_with_newline(tmp_path):
+    path = tmp_path / "t.json"
+    write_json({"b": [1, 2.5], "a": None}, path)
+    assert path.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
