@@ -12,13 +12,15 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
+from operator import add
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyGraph, NoConvergence
-from .graph import WeightedDigraph
+from .graph import WeightedDigraph, finite_or_zero
 from .textio import PathOrFile, open_text
 
 _INF = math.inf
@@ -66,30 +68,34 @@ class CentralityVector:
     scores: Mapping[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborhoodContext:
     """Per-vertex bundle backing the detour computation.
 
-    ``with_matrix[i][j]`` is the shortest-path length from ``members[i]`` to
-    ``members[j]`` on the original graph, where routing through the center is
-    allowed at original cost. ``without_matrix`` holds the same lengths on
-    the reweighted graph in which every arc touching the center costs the
-    graph's maximum arc weight. Entries are None when the target is
-    unreachable. Both matrices come from the graph's one shortest-path
-    kernel (csgraph Dijkstra), whose lengths are exact minima of left-to-right
-    float sums, so they do not depend on how the kernel breaks ties.
+    ``with_distances[i, j]`` is the shortest-path length from ``members[i]``
+    to ``members[j]`` on the original graph, a slice of its one cached
+    all-pairs array. ``without_distances`` holds the same lengths on the
+    reweighted graph in which every arc touching the center costs the graph's
+    maximum arc weight. Both are ``float64`` arrays, ``inf`` when the target
+    is unreachable, from the one shortest-path kernel (csgraph Dijkstra),
+    whose lengths are exact minima of left-to-right float sums.
+    ``with_matrix``/``without_matrix`` are the same tables as tuples of rows,
+    None for unreachable, built only when read.
     """
 
     center: str
     r: float
     members: tuple[str, ...]
-    with_matrix: tuple[tuple[Optional[float], ...], ...]
-    without_matrix: tuple[tuple[Optional[float], ...], ...]
+    with_distances: np.ndarray
+    without_distances: np.ndarray
     max_weight: float
 
+    with_matrix = property(lambda self: _rows_or_none(self.with_distances))
+    without_matrix = property(lambda self: _rows_or_none(self.without_distances))
 
-def _rows_or_none(rows: list[list[float]]) -> tuple[tuple[Optional[float], ...], ...]:
-    return tuple([tuple([None if d == _INF else d for d in row]) for row in rows])
+
+def _rows_or_none(table: np.ndarray) -> tuple[tuple[Optional[float], ...], ...]:
+    return tuple(tuple(None if d == _INF else d for d in row) for row in table.tolist())
 
 
 def build_context(graph: WeightedDigraph, vertex: str, r: float) -> NeighborhoodContext:
@@ -102,24 +108,17 @@ def build_context(graph: WeightedDigraph, vertex: str, r: float) -> Neighborhood
     inflated to the maximum arc weight, in one kernel call for all members.
     """
     center = graph._vertex_index(vertex)
-    members = sorted(graph._vertex_index(u) for u in graph.local_neighborhood(vertex, r))
-    names = graph.vertices
-
-    apsp = graph._apsp_raw()
-    with_rows = _rows_or_none([[apsp[i][j] for j in members] for i in members])
-
+    members = graph._neighborhood(center, r)
     arcs = graph._arcs_csr()
     touches = arcs.indices == center
     touches[arcs.indptr[center] : arcs.indptr[center + 1]] = True
     inflated = np.where(touches, graph.max_arc_weight, arcs.data)
-    without_rows = _rows_or_none(graph._distances(members, inflated)[:, members].tolist())
-
     return NeighborhoodContext(
         center=vertex,
         r=r,
-        members=tuple(names[i] for i in members),
-        with_matrix=with_rows,
-        without_matrix=without_rows,
+        members=tuple(graph.vertices[i] for i in members.tolist()),
+        with_distances=graph._apsp_table()[np.ix_(members, members)],
+        without_distances=graph._distances(members, inflated)[:, members],
         max_weight=graph.max_arc_weight,
     )
 
@@ -129,22 +128,18 @@ def ldc_from_context(ctx: NeighborhoodContext) -> float:
 
     Sums, over all ordered neighbor pairs, the excess of the center-inflated
     distance over the unrestricted distance, divided by the neighborhood
-    size. Pairs unreachable in the unrestricted matrix contribute 0.
+    size. Pairs unreachable in the unrestricted matrix contribute 0. The
+    excesses (all >= 0) add left to right in row-major order, so the zeroed
+    diagonal and unreachable pairs leave the total a plain double loop gives.
     """
     k = len(ctx.members)
     if k == 0:
         return 0.0
-    total = 0.0
-    for i in range(k):
-        with_row = ctx.with_matrix[i]
-        without_row = ctx.without_matrix[i]
-        for j in range(k):
-            if i == j:
-                continue
-            w_dist = with_row[j]
-            if w_dist is not None:
-                total += without_row[j] - w_dist
-    return total / k
+    counted = ctx.with_distances != _INF
+    np.fill_diagonal(counted, False)
+    excess = np.zeros((k, k))
+    np.subtract(ctx.without_distances, ctx.with_distances, out=excess, where=counted)
+    return float(np.cumsum(excess)[-1]) / k
 
 
 def ldc(graph: WeightedDigraph, vertex: str, r: Optional[float] = None) -> float:
@@ -203,13 +198,13 @@ def closeness(graph: WeightedDigraph) -> CentralityVector:
     """
     if graph.vertex_count < 2:
         raise EmptyGraph("closeness needs at least 2 vertices")
-    scores: dict[str, float] = {}
-    for i, name in enumerate(graph.vertices):
-        row = graph._apsp_raw()[i]
-        reachable = [d for d in row if d != _INF]
-        total = sum(reachable)
-        scores[name] = (len(reachable) - 1) / total if total > 0.0 else 0.0
-    return CentralityVector("closeness", scores)
+    table = graph._apsp_table()
+    reachable = np.count_nonzero(table != _INF, axis=1).tolist()
+    totals = np.cumsum(finite_or_zero(table), axis=1)[:, -1].tolist()  # left to right
+    return CentralityVector("closeness", {
+        name: (count - 1) / total if total > 0.0 else 0.0
+        for name, count, total in zip(graph.vertices, reachable, totals)
+    })
 
 
 def triangles(graph: WeightedDigraph) -> CentralityVector:
@@ -246,16 +241,17 @@ def _pagerank_iterate(
     n = graph.vertex_count
     if n == 0:
         raise EmptyGraph("pagerank needs at least 1 vertex")
-    alpha = params.alpha
     out_deg = [len(row) for row in graph._adj]
-    radj = graph._radj
+    dangling_vertices = [u for u in range(n) if out_deg[u] == 0]
+    in_sources = [[u for u, _ in row] for row in graph._radj]
     x = [1.0 / n] * n
-    teleport = (1.0 - alpha) / n
+    teleport = (1.0 - params.alpha) / n
+    # totals add left to right: builtin sum compensates floats from Python 3.12
     for iteration in range(1, params.max_iterations + 1):
-        dangling = sum(x[u] for u in range(n) if out_deg[u] == 0)
-        base = teleport + dangling / n
-        raw = [base + sum(x[u] / out_deg[u] for u, _ in radj[v]) for v in range(n)]
-        total = sum(raw)
+        base = teleport + reduce(add, [x[u] for u in dangling_vertices], 0.0) / n
+        share = [x[u] / d if d else 0.0 for u, d in enumerate(out_deg)]
+        raw = [base + reduce(add, [share[u] for u in row], 0.0) for row in in_sources]
+        total = reduce(add, raw, 0.0)
         new = [value / total for value in raw]
         diff = max(abs(new[v] - x[v]) for v in range(n))
         x = new

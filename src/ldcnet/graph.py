@@ -13,6 +13,11 @@ of the arc weights: rounding is monotone, so extending the shortest prefix
 never loses to extending a longer one. That minimum does not depend on the
 order in which the priority queue settles ties, so every result is exact,
 reproducible and independent of arc insertion order.
+
+The all-pairs table is one cached, read-only ``float64`` array from a single
+kernel call, ``inf`` where unreachable; every reader works on it. Totals over
+it add strictly left to right (``np.cumsum(...)[-1]``), never pairwise
+(``np.sum``) or compensated (builtin ``sum`` from Python 3.12).
 """
 
 from __future__ import annotations
@@ -37,13 +42,18 @@ GRAPH_CSV_HEADER = ("source", "target", "weight")
 _INF = math.inf
 
 
+def finite_or_zero(table: np.ndarray) -> np.ndarray:
+    """``table`` with ``inf`` as 0.0, which leaves a left-to-right total unchanged."""
+    return np.where(table == _INF, 0.0, table)
+
+
 class DistanceMatrix:
     """Dense all-pairs shortest-path table, indexed by vertex label."""
 
-    def __init__(self, names: tuple[str, ...], rows: list[list[float]]):
+    def __init__(self, names: tuple[str, ...], table: np.ndarray):
         self._names = names
         self._index = {name: i for i, name in enumerate(names)}
-        self._rows = rows
+        self._table = table
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -52,7 +62,7 @@ class DistanceMatrix:
     def distance(self, source: str, target: str) -> Optional[float]:
         """Shortest-path length, or None when target is unreachable."""
         try:
-            d = self._rows[self._index[source]][self._index[target]]
+            d = float(self._table[self._index[source], self._index[target]])
         except KeyError as exc:
             raise UnknownVertex(str(exc.args[0])) from None
         return None if d == _INF else d
@@ -60,11 +70,8 @@ class DistanceMatrix:
     def row(self, source: str) -> dict[str, Optional[float]]:
         if source not in self._index:
             raise UnknownVertex(source)
-        raw = self._rows[self._index[source]]
+        raw = self._table[self._index[source]].tolist()
         return {name: (None if raw[i] == _INF else raw[i]) for i, name in enumerate(self._names)}
-
-    def _raw(self) -> list[list[float]]:
-        return self._rows
 
 
 class WeightedDigraph:
@@ -103,7 +110,7 @@ class WeightedDigraph:
         self._adj: list[tuple[tuple[int, float], ...]] = [tuple(sorted(row)) for row in out]
         self._radj: list[tuple[tuple[int, float], ...]] = [tuple(sorted(row)) for row in rin]
         self._max_weight: float = max(weights.values()) if weights else 0.0
-        self._apsp_rows: Optional[list[list[float]]] = None
+        self._apsp: Optional[np.ndarray] = None
         self._csr: Optional[csr_matrix] = None
 
     # -- basic queries ------------------------------------------------------
@@ -172,13 +179,14 @@ class WeightedDigraph:
 
     def apsp(self) -> DistanceMatrix:
         """All-pairs shortest paths; computed once and cached."""
-        return DistanceMatrix(self._names, self._apsp_raw())
+        return DistanceMatrix(self._names, self._apsp_table())
 
-    def _apsp_raw(self) -> list[list[float]]:
-        """Dense all-pairs rows (``math.inf`` when unreachable), one kernel call, cached."""
-        if self._apsp_rows is None:
-            self._apsp_rows = self._distances(range(self.vertex_count)).tolist()
-        return self._apsp_rows
+    def _apsp_table(self) -> np.ndarray:
+        """All-pairs lengths (``inf`` when unreachable), one kernel call, cached read-only."""
+        if self._apsp is None:
+            self._apsp = self._distances(range(self.vertex_count))
+            self._apsp.flags.writeable = False
+        return self._apsp
 
     def _arcs_csr(self) -> csr_matrix:
         """The arcs as a CSR matrix, row = source index; built once and cached.
@@ -217,34 +225,29 @@ class WeightedDigraph:
         """Sum of all finite ordered-pair distances divided by the vertex count.
 
         The divisor is the number of vertices, not the number of ordered
-        pairs; unreachable pairs are excluded from the sum.
+        pairs; unreachable pairs are excluded from the sum, which adds the
+        finite entries left to right in row-major order.
         """
         if self.vertex_count < 2:
             raise EmptyGraph("mean pairwise distance needs at least 2 vertices")
-        total = 0.0
-        for drow in self._apsp_raw():
-            for d in drow:
-                if d != _INF:
-                    total += d
-        return total / self.vertex_count
+        return float(np.cumsum(finite_or_zero(self._apsp_table()))[-1]) / self.vertex_count
 
     def local_neighborhood(self, vertex: str, r: float) -> set[str]:
         """Vertices within distance ``r`` of ``vertex`` in either direction.
 
         The vertex itself is excluded.
         """
+        members = self._neighborhood(self._vertex_index(vertex), r)
+        return {self._names[i] for i in members.tolist()}
+
+    def _neighborhood(self, center: int, r: float) -> np.ndarray:
+        """Sorted indices of the vertices within ``r`` of ``center`` either way, bar itself."""
         if r < 0.0:
             raise ValueError(f"threshold must be >= 0, got {r!r}")
-        vi = self._vertex_index(vertex)
-        rows = self._apsp_raw()
-        out_row = rows[vi]
-        members = set()
-        for u in range(self.vertex_count):
-            if u == vi:
-                continue
-            if out_row[u] <= r or rows[u][vi] <= r:
-                members.add(self._names[u])
-        return members
+        d = self._apsp_table()
+        near = (d[center] <= r) | (d[:, center] <= r)
+        near[center] = False
+        return np.flatnonzero(near)
 
     # -- serialization ------------------------------------------------------
 

@@ -46,6 +46,33 @@ def kernel_edge_graphs(rng):
     return graphs
 
 
+def tie_heavy_graph(rng, n, p=0.45):
+    """Random digraph on w0..w{n-1} whose float sums tie, repeat and round.
+
+    Half the weights come from a small set holding 0.0, 0.1, 0.3 and repeated
+    values, the rest are uniform in (0, 5]; the two arcs of a pair are drawn
+    independently, so many are one-way or differ in weight. No arc enters
+    the last vertex, so nothing else reaches it.
+    """
+    names = [f"w{i:02d}" for i in range(n)]
+    arcs = []
+    for u in names:
+        for v in names[:-1]:
+            if u == v or rng.random() >= p:
+                continue
+            if rng.random() < 0.5:
+                w = rng.choice((0.0, 0.1, 0.3, 0.5, 1.0, 1.0, 2.0))
+            else:
+                w = 5.0 * (1.0 - rng.random())
+            arcs.append((u, v, w))
+    return WeightedDigraph(arcs, vertices=names)
+
+
+def exact_sum_graphs(rng):
+    """:func:`kernel_edge_graphs` plus twelve :func:`tie_heavy_graph` of 9-14 vertices."""
+    return kernel_edge_graphs(rng) + [tie_heavy_graph(rng, rng.randint(9, 14)) for _ in range(12)]
+
+
 def complete_graph(n, weight=1.0):
     names = [f"w{i:02d}" for i in range(n)]
     return WeightedDigraph(

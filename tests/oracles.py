@@ -109,6 +109,85 @@ def reference_context(graph, center, r):
     return tuple(members), tuple(with_rows), tuple(without_rows)
 
 
+def left_to_right_ldc(graph, center, r):
+    """Detour score summed pair by pair, row-major, over :func:`reference_context`."""
+    members, with_rows, without_rows = reference_context(graph, center, r)
+    k = len(members)
+    if k == 0:
+        return 0.0
+    total = 0.0
+    for i in range(k):
+        for j in range(k):
+            if i != j and with_rows[i][j] is not None:
+                total += without_rows[i][j] - with_rows[i][j]
+    return total / k
+
+
+def left_to_right_mean_pairwise_distance(graph):
+    """Finite heap-Dijkstra distances added one by one, row-major, over the vertex count."""
+    names = graph.vertices
+    arcs = list(graph.arcs())
+    total = 0.0
+    for source in names:
+        dist = heap_dijkstra(names, arcs, source)
+        for target in names:
+            if dist[target] != INF:
+                total += dist[target]
+    return total / len(names)
+
+
+def left_to_right_closeness(graph):
+    """Reachable-set closeness with each row's distances added one by one."""
+    names = graph.vertices
+    arcs = list(graph.arcs())
+    scores = {}
+    for source in names:
+        dist = heap_dijkstra(names, arcs, source)
+        count, total = 0, 0.0
+        for target in names:
+            if dist[target] != INF:
+                count += 1
+                total += dist[target]
+        scores[source] = (count - 1) / total if total > 0.0 else 0.0
+    return scores
+
+
+def left_to_right_pagerank(graph, alpha=0.85, tolerance=1e-10, max_iterations=1000):
+    """Normalized pagerank power iteration, every total added one term at a time.
+
+    Rebuilt from the arc list; ``arcs()`` yields sources in vertex order, so
+    each vertex's in-arcs are added in source order.
+    """
+    names = list(graph.vertices)
+    n = len(names)
+    index = {v: i for i, v in enumerate(names)}
+    out_count = [0] * n
+    in_from = [[] for _ in range(n)]
+    for u, v, _ in graph.arcs():
+        out_count[index[u]] += 1
+        in_from[index[v]].append(index[u])
+    x = [1.0 / n] * n
+    for _ in range(max_iterations):
+        dangling = 0.0
+        for u in range(n):
+            if out_count[u] == 0:
+                dangling += x[u]
+        raw = []
+        for v in range(n):
+            incoming = 0.0
+            for u in in_from[v]:
+                incoming += x[u] / out_count[u]
+            raw.append((1.0 - alpha) / n + dangling / n + incoming)
+        total = 0.0
+        for value in raw:
+            total += value
+        new = [value / total for value in raw]
+        if max(abs(a - b) for a, b in zip(new, x)) < tolerance:
+            return dict(zip(names, new))
+        x = new
+    raise AssertionError("reference pagerank did not converge")
+
+
 def brute_threshold(graph):
     dist = fw_distances(graph)
     total = sum(d for d in dist.values() if d != INF)

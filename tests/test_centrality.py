@@ -21,7 +21,13 @@ from ldcnet.centrality import write_centrality_csv
 from ldcnet.errors import EmptyGraph, NoConvergence, UnknownVertex
 
 import oracles
-from corpora import complete_graph, kernel_edge_graphs, random_graph, scale_weights
+from corpora import (
+    complete_graph,
+    exact_sum_graphs,
+    kernel_edge_graphs,
+    random_graph,
+    scale_weights,
+)
 
 
 def detour_toy(detour_cost):
@@ -180,6 +186,35 @@ class TestLdc:
     def test_empty_neighborhood_scores_zero(self):
         g = WeightedDigraph([("a", "b", 1.0)], vertices=["lone"])
         assert ldc(g, "lone") == 0.0
+
+
+class TestLeftToRightTotals:
+    """Exact == against oracles that add one float at a time, in row-major order.
+
+    A pairwise (``np.sum``) or compensated (``math.fsum``, builtin ``sum`` on
+    Python 3.12) total differs from these in the last place on some graphs.
+    """
+
+    def test_ldc_vector_equals_left_to_right_sum_over_reference_context(self):
+        largest = 0
+        for g in exact_sum_graphs(random.Random(59)):
+            r = oracles.left_to_right_mean_pairwise_distance(g)
+            for threshold in (None, math.inf):
+                expected = {
+                    v: oracles.left_to_right_ldc(g, v, r if threshold is None else threshold)
+                    for v in g.vertices
+                }
+                assert ldc_vector(g, threshold).scores == expected
+            largest = max(largest, max(len(g.local_neighborhood(v, r)) for v in g.vertices))
+        assert largest >= 8
+
+    def test_closeness_equals_left_to_right_oracle(self):
+        for g in exact_sum_graphs(random.Random(61)):
+            assert closeness(g).scores == oracles.left_to_right_closeness(g)
+
+    def test_pagerank_equals_left_to_right_oracle(self):
+        for g in exact_sum_graphs(random.Random(67)):
+            assert pagerank(g).scores == oracles.left_to_right_pagerank(g)
 
 
 class TestDegree:

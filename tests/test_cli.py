@@ -18,7 +18,7 @@ from ldcnet.errors import (
 )
 from ldcnet.manifest import load_manifest
 
-from corpora import boundary_records, random_records, write_corpus_csv
+from corpora import boundary_records, random_graph, random_records, write_corpus_csv
 
 
 @pytest.fixture
@@ -200,6 +200,16 @@ class TestCentrality:
         assert main(["centrality", chain_graph_csv, "--measure", "ldc", "--jobs", "2",
                      "-o", str(tmp_path / "c.csv")]) == 0
         assert seen == [2]
+
+    def test_jobs_4_writes_the_bytes_of_jobs_1(self, tmp_path):
+        graph = tmp_path / "g.csv"
+        random_graph(random.Random(73), 48, p=0.15).to_csv(graph)
+        tables = []
+        for jobs in ("1", "4"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(["centrality", str(graph), "--jobs", jobs, "-o", str(out)]) == 0
+            tables.append(read(out))
+        assert tables[0] == tables[1]
 
     def test_pagerank_without_convergence_exits_4(self, tmp_path, capsys):
         graph = tmp_path / "cycle.csv"

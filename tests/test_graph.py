@@ -8,7 +8,7 @@ from ldcnet import WeightedDigraph
 from ldcnet.errors import EmptyGraph, MalformedLine, UnknownVertex
 
 import oracles
-from corpora import kernel_edge_graphs, random_graph
+from corpora import exact_sum_graphs, kernel_edge_graphs, random_graph
 
 
 def chain_graph():
@@ -168,6 +168,13 @@ class TestMeanPairwiseDistance:
             assert g.mean_pairwise_distance() == pytest.approx(
                 oracles.brute_threshold(g), rel=1e-12
             )
+
+    def test_equals_left_to_right_sum_of_heap_dijkstra_rows(self):
+        graphs = exact_sum_graphs(random.Random(71))
+        assert any(g.vertex_count >= 12 for g in graphs)
+        for g in graphs:
+            expected = oracles.left_to_right_mean_pairwise_distance(g)
+            assert g.mean_pairwise_distance() == expected
 
 
 class TestLocalNeighborhood:
