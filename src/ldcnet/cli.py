@@ -25,7 +25,7 @@ from .centrality import (
     pagerank_with_raw,
     write_centrality_csv,
 )
-from .corpus import DistanceFunctionParams, build_graph, encode, load_corpus
+from .corpus import DistanceFunctionParams, build_graph, load_corpus
 from .errors import (
     EmptyGraph,
     InsufficientData,
@@ -175,8 +175,8 @@ def _parse_measures(raw: str) -> list[str]:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    records = load_corpus(args.corpus, args.input_format)
-    graph = build_graph(records, DistanceFunctionParams(args.ws, args.ms))
+    corpus = load_corpus(args.corpus, args.input_format)
+    graph = build_graph(corpus, DistanceFunctionParams(args.ws, args.ms))
     if graph.vertex_count == 0:
         raise EmptyGraph(f"empty graph at ws={args.ws} ms={args.ms}")
     manifest = _new_manifest(
@@ -309,8 +309,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ws_values, ms_values = _parse_grid_spec(args.grid)
     except ValueError as exc:
         raise _UsageError(f"bad --grid value: {exc}") from None
-    # every cell reads the encoding, so the record list is not kept
-    corpus = encode(load_corpus(args.corpus, args.input_format))
+    corpus = load_corpus(args.corpus, args.input_format)
     if not corpus:
         # before the output directory is made; evaluate_cells would be too late
         raise NoRecords("cannot sweep zero records")
@@ -388,7 +387,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     if (args.ws is None) != (args.ms is None):
         raise _UsageError("--ws and --ms must be given together")
-    corpus = encode(load_corpus(args.corpus, args.input_format))
+    corpus = load_corpus(args.corpus, args.input_format)
     stats = covariates(corpus)
 
     ldc_scores = None
@@ -424,7 +423,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_permtest(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    records = load_corpus(args.corpus, args.input_format)
+    corpus = load_corpus(args.corpus, args.input_format)
     config = PermutationConfig(
         ws=args.ws,
         ms=args.ms,
@@ -434,7 +433,7 @@ def _cmd_permtest(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         alternative=args.alternative,
     )
-    outcome = permutation_test(records, config, jobs=args.jobs)
+    outcome = permutation_test(corpus, config, jobs=args.jobs)
     manifest = _new_manifest(
         "permtest",
         {"ws": args.ws, "ms": args.ms, "target": args.target, "n": args.n,

@@ -6,6 +6,14 @@ onsets in seconds within [0, 60]. A second loader accepts the released-data
 layout: a JSON object mapping each subject id to parallel ``words`` and
 ``timestamps`` lists.
 
+Each format has one row validator, which checks and converts every row once.
+It feeds both the :class:`FluencyRecord` lists of ``parse_corpus`` and
+``parse_corpus_osf`` and, through ``load_corpus``, an :class:`EncodedCorpus`
+built straight from the rows: words interned to ids, each record collapsed
+once, the records still readable as a sequence. The commands run on that
+encoded corpus from the parser to the correlation table and the
+permutation draws.
+
 Graph construction follows the windowed median-traversal-time rule: an arc
 (a, b) exists when strictly more than ``ms`` subjects produced ``b`` within
 ``ws`` positions after ``a``, and its weight is the median of those
@@ -18,10 +26,11 @@ import csv
 import json
 import math
 import random
-import statistics
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import IO, Optional, Sequence, Union
+from itertools import chain
+from typing import IO, Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyRecord,
@@ -33,6 +42,9 @@ from .graph import WeightedDigraph
 from .textio import PathOrFile, open_text
 
 CORPUS_CSV_HEADER = ("subject", "word", "onset_seconds")
+
+#: Each subject's id, words and onsets, checked and converted, in file order.
+Rows = list[tuple[str, list[str], list[float]]]
 
 
 @dataclass(frozen=True)
@@ -80,38 +92,19 @@ class DistanceFunctionParams:
             raise ValueError(f"ms must be a positive integer, got {self.ms!r}")
 
 
-def _clean_word(raw: str) -> str:
-    return raw.strip().lower()
-
-
-def parse_corpus(source: PathOrFile) -> list[FluencyRecord]:
-    """Parse transcript CSV into one record per subject, in file order.
-
-    Raises MalformedLine for format violations and NonMonotoneTimestamp when
-    a subject's onsets fail to increase strictly.
-    """
-    with open_text(source, "r") as fh:
-        return _parse_csv(fh)
-
-
-def _parse_csv(fh: IO[str]) -> list[FluencyRecord]:
+def _csv_rows(fh: IO[str]) -> Rows:
+    """Check and convert transcript CSV rows, grouped by subject in file order."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None or tuple(header) != CORPUS_CSV_HEADER:
         raise MalformedLine(1, f"expected header {','.join(CORPUS_CSV_HEADER)!r}")
 
-    records: list[FluencyRecord] = []
-    finished: set[str] = set()
+    rows: Rows = []
+    started: set[str] = set()
     current: str | None = None
-    entries: list[tuple[str, float]] = []
-
-    def close_current() -> None:
-        nonlocal current, entries
-        if current is not None:
-            records.append(FluencyRecord(current, tuple(entries)))
-            finished.add(current)
-        current, entries = None, []
-
+    words: list[str] = []
+    onsets: list[float] = []
+    previous = 0.0
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -120,48 +113,39 @@ def _parse_csv(fh: IO[str]) -> list[FluencyRecord]:
         subject, raw_word, raw_onset = row
         if not subject:
             raise MalformedLine(line_no, "empty subject id")
-        word = _clean_word(raw_word)
+        word = raw_word.strip().lower()
         if not word:
             raise MalformedLine(line_no, "empty word")
         try:
             onset = float(raw_onset)
         except ValueError:
             raise MalformedLine(line_no, f"bad onset {raw_onset!r}") from None
-        if not math.isfinite(onset) or not 0.0 <= onset <= 60.0:
+        if not 0.0 <= onset <= 60.0:  # also true for nan
             raise MalformedLine(line_no, f"onset out of [0, 60]: {raw_onset!r}")
 
         if subject != current:
-            if subject in finished:
+            if subject in started:
                 raise MalformedLine(line_no, f"subject {subject!r} rows are not contiguous")
-            close_current()
-            current = subject
-        if entries and onset <= entries[-1][1]:
-            raise NonMonotoneTimestamp(subject, f"onset {onset} after {entries[-1][1]}")
-        entries.append((word, onset))
-    close_current()
-    return records
+            started.add(subject)
+            current, words, onsets = subject, [], []
+            rows.append((subject, words, onsets))
+        elif onset <= previous:
+            raise NonMonotoneTimestamp(subject, f"onset {onset} after {previous}")
+        words.append(word)
+        onsets.append(onset)
+        previous = onset
+    return rows
 
 
-def emit_corpus(records: Sequence[FluencyRecord], dest: PathOrFile) -> None:
-    """Write records back to transcript CSV; onsets keep full precision."""
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CORPUS_CSV_HEADER)
-        for record in records:
-            for word, onset in record.entries:
-                writer.writerow((record.subject_id, word, repr(onset)))
-
-
-def parse_corpus_osf(source: PathOrFile) -> list[FluencyRecord]:
-    """Load the released-data layout: {subject: {"words": [...], "timestamps": [...]}}."""
-    with open_text(source, "r") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(exc.lineno, f"invalid JSON: {exc.msg}") from None
+def _osf_rows(fh: IO[str]) -> Rows:
+    """Check and convert the released-data layout, one row per subject."""
+    try:
+        data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(data, dict):
         raise MalformedLine(0, "expected a JSON object keyed by subject id")
-    records = []
+    rows: Rows = []
     for subject, payload in data.items():
         if not (
             isinstance(payload, dict)
@@ -176,22 +160,69 @@ def parse_corpus_osf(source: PathOrFile) -> list[FluencyRecord]:
             raise MalformedLine(0, f"subject {subject!r}: non-numeric timestamp") from None
         if len(words) != len(onsets):
             raise MalformedLine(0, f"subject {subject!r}: words/timestamps length mismatch")
-        cleaned = [_clean_word(str(w)) for w in words]
+        cleaned = [str(w).strip().lower() for w in words]
         if any(not w for w in cleaned):
             raise MalformedLine(0, f"subject {subject!r}: empty word")
-        if any(not math.isfinite(t) or not 0.0 <= t <= 60.0 for t in onsets):
+        if any(not 0.0 <= t <= 60.0 for t in onsets):  # also true for nan
             raise MalformedLine(0, f"subject {subject!r}: onset out of [0, 60]")
-        records.append(FluencyRecord(str(subject), tuple(zip(cleaned, onsets))))
-    return records
+        subject = str(subject)
+        if any(later <= earlier for earlier, later in zip(onsets, onsets[1:])):
+            raise NonMonotoneTimestamp(subject)
+        rows.append((subject, cleaned, onsets))
+    return rows
 
 
-def load_corpus(path: PathOrFile, input_format: str = "csv") -> list[FluencyRecord]:
-    """Dispatch to the loader named by ``input_format`` ("csv" or "osf-json")."""
-    if input_format == "csv":
-        return parse_corpus(path)
-    if input_format == "osf-json":
-        return parse_corpus_osf(path)
-    raise ValueError(f"unknown corpus format {input_format!r}")
+#: The row validator of each ``input_format``.
+_ROW_READERS: dict[str, Callable[[IO[str]], Rows]] = {"csv": _csv_rows, "osf-json": _osf_rows}
+
+
+def _read_rows(source: PathOrFile, input_format: str) -> Rows:
+    reader = _ROW_READERS.get(input_format)
+    if reader is None:
+        raise ValueError(f"unknown corpus format {input_format!r}")
+    with open_text(source, "r") as fh:
+        return reader(fh)
+
+
+def _records(rows: Rows) -> list[FluencyRecord]:
+    return [FluencyRecord(subject, tuple(zip(words, onsets))) for subject, words, onsets in rows]
+
+
+def parse_corpus(source: PathOrFile) -> list[FluencyRecord]:
+    """Parse transcript CSV into one record per subject, in file order.
+
+    Raises MalformedLine for format violations and NonMonotoneTimestamp when
+    a subject's onsets fail to increase strictly.
+    """
+    return _records(_read_rows(source, "csv"))
+
+
+def emit_corpus(records: Sequence[FluencyRecord], dest: PathOrFile) -> None:
+    """Write records back to transcript CSV; onsets keep full precision."""
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CORPUS_CSV_HEADER)
+        for record in records:
+            for word, onset in record.entries:
+                writer.writerow((record.subject_id, word, repr(onset)))
+
+
+def parse_corpus_osf(source: PathOrFile) -> list[FluencyRecord]:
+    """Load the released-data layout: {subject: {"words": [...], "timestamps": [...]}}."""
+    return _records(_read_rows(source, "osf-json"))
+
+
+def load_corpus(path: PathOrFile, input_format: str = "csv") -> EncodedCorpus:
+    """Load a corpus in ``input_format`` ("csv" or "osf-json"), one record per subject.
+
+    The result is an :class:`EncodedCorpus`: a read-only sequence of the
+    file's :class:`FluencyRecord` objects, in file order, that the graph,
+    covariates and permutation code take as is. The format's row validator
+    feeds the encoding directly, and a record is built only when one is read
+    from the sequence. ``list(load_corpus(...))`` equals
+    :func:`parse_corpus` or :func:`parse_corpus_osf` of the same file.
+    """
+    return EncodedCorpus._from_ids(*_intern(_read_rows(path, input_format)))
 
 
 def normalize_record(record: FluencyRecord) -> FluencyRecord:
@@ -219,16 +250,37 @@ def collapse_first_occurrence(record: FluencyRecord) -> FluencyRecord:
     return FluencyRecord(record.subject_id, tuple(kept))
 
 
-class EncodedCorpus:
-    """A record list with its words interned to ids and each record collapsed once.
+def _intern(
+    rows: Sequence[tuple[str, Sequence[str], Sequence[float]]],
+) -> tuple[tuple[str, ...], tuple[str, ...], list[list[int]], list[tuple[float, ...]]]:
+    """Each row's subject, the word table in order of first appearance, each row's ids and onsets."""
+    words = tuple(dict.fromkeys(chain.from_iterable(row[1] for row in rows)))
+    index = {word: i for i, word in enumerate(words)}.__getitem__
+    subjects = tuple(subject for subject, _, _ in rows)
+    raw_ids = [list(map(index, row_words)) for _, row_words, _ in rows]
+    return subjects, words, raw_ids, [tuple(onsets) for _, _, onsets in rows]
 
-    Every graph and covariates table built from it shares that one pass:
-    :func:`build_graph` and :func:`ldcnet.metrics.covariates` take it in place
-    of the records and give the same results. ``words[i]`` is the word with id
-    ``i``. For each non-empty record, in record order, ``ids[k]`` holds the ids
-    of its first occurrences, ``onsets[k]`` their raw onsets and
-    ``normalized[k]`` those onsets divided by the record's raw word count.
-    ``len()`` counts every record given, empty ones included.
+
+class EncodedCorpus(Sequence[FluencyRecord]):
+    """A corpus with its words interned to ids and each record collapsed once.
+
+    It is built from a record list (``encode(records)``), from the parser's
+    checked rows (:func:`load_corpus`) or by :func:`shuffle_records`, each
+    way ending in ``_set``, and every graph, covariates table and
+    permutation draw made from it shares that one pass: :func:`build_graph`
+    and :func:`ldcnet.metrics.covariates` take it in place of the records and
+    give the same results.
+
+    It is also a read-only sequence of its records: ``corpus[k]`` builds the
+    :class:`FluencyRecord` of record ``k`` from the ids, so code written for
+    record lists reads it unchanged.
+
+    ``words[i]`` is the word with id ``i``. For every record, empty ones
+    included, ``subjects[k]`` is its subject id, ``raw_ids[k]`` the ids of
+    all its words and ``raw_onsets[k]`` their onsets. For each non-empty
+    record, in record order, ``ids`` holds the ids of its first occurrences,
+    ``onsets`` their raw onsets and ``normalized`` those onsets divided by
+    the record's raw word count.
 
     The corpus memoises what depends only on it: ``covariates_table``, which
     :func:`ldcnet.metrics.covariates` fills on first use, and the pair
@@ -237,62 +289,128 @@ class EncodedCorpus:
     """
 
     def __init__(self, records: Sequence[FluencyRecord]):
-        index: dict[str, int] = {}
+        self._set(*_intern([(r.subject_id, r.words, r.onsets) for r in records]))
+
+    @classmethod
+    def _from_ids(
+        cls,
+        subjects: tuple[str, ...],
+        words: tuple[str, ...],
+        raw_ids: list[list[int]],
+        raw_onsets: list[tuple[float, ...]],
+    ) -> EncodedCorpus:
+        """The corpus of interned records, built without going through records."""
+        corpus = cls.__new__(cls)
+        corpus._set(subjects, words, raw_ids, raw_onsets)
+        return corpus
+
+    def _set(
+        self,
+        subjects: tuple[str, ...],
+        words: tuple[str, ...],
+        raw_ids: list[list[int]],
+        raw_onsets: list[tuple[float, ...]],
+    ) -> None:
+        self.subjects = subjects
+        self.words = words
+        self.raw_ids = raw_ids
+        self.raw_onsets = raw_onsets
         self.ids: list[tuple[int, ...]] = []
         self.onsets: list[tuple[float, ...]] = []
         self.normalized: list[tuple[float, ...]] = []
-        self._size = len(records)
-        for record in records:
-            count = len(record)
-            if count == 0:
+        for raw, times in zip(raw_ids, raw_onsets):
+            if not raw:
                 continue
-            first: dict[str, float] = {}
-            for word, onset in record.entries:
-                first.setdefault(word, onset)
-            self.ids.append(tuple(index.setdefault(word, len(index)) for word in first))
-            onsets = tuple(first.values())
+            ids = tuple(dict.fromkeys(raw))
+            # fed in reverse, each id keeps the onset of its first occurrence
+            first = dict(zip(reversed(raw), reversed(times)))
+            onsets = tuple(map(first.__getitem__, ids))
+            count = len(raw)
+            self.ids.append(ids)
             self.onsets.append(onsets)
             self.normalized.append(tuple(t / count for t in onsets))
-        self.words: tuple[str, ...] = tuple(index)
         self.covariates_table: Optional[dict] = None
-        self._window: Optional[tuple[int, tuple[tuple[int, int, int, float], ...]]] = None
+        self._window: Optional[tuple[int, tuple[np.ndarray, ...]]] = None
 
     def __len__(self) -> int:
-        return self._size
+        return len(self.subjects)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        words = map(self.words.__getitem__, self.raw_ids[index])
+        return FluencyRecord(self.subjects[index], tuple(zip(words, self.raw_onsets[index])))
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "covariates_table": None, "_window": None}
 
-    def pair_medians(self, ws: int) -> tuple[tuple[int, int, int, float], ...]:
-        """``(count, u, v, median)`` for every id pair at most ``ws`` positions apart.
+    def _shuffled(self, rng: random.Random) -> EncodedCorpus:
+        """A copy whose records' words are permuted by ``rng``, onsets in place.
 
-        ``count`` is the number of records holding the ordered pair (after
-        collapsing, a record holds a pair at most once) and ``median`` the
-        median of their normalized onset differences, which does not depend
-        on ``ms``. Entries run from the highest count down, so the arcs of
-        any ``ms`` are a prefix. Pairs held by one record are left out, since
-        an arc needs more than ``ms >= 1`` of them. Only the last window's
-        list is kept, and it is freed before the next one is built, so a
-        sweep over several windows holds one at a time.
+        Records are shuffled in order with one ``rng.shuffle`` each, as
+        :func:`shuffle_records` does on the record list; the copy keeps this
+        corpus's word ids.
+        """
+        shuffled = []
+        for raw in self.raw_ids:
+            ids = raw.copy()
+            rng.shuffle(ids)
+            shuffled.append(ids)
+        return EncodedCorpus._from_ids(self.subjects, self.words, shuffled, self.raw_onsets)
+
+    def pair_medians(self, ws: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(counts, sources, targets, medians)`` of every id pair at most ``ws`` apart.
+
+        One entry per ordered id pair: ``counts`` is the number of records
+        holding the pair (after collapsing, a record holds a pair at most
+        once) and ``medians`` the median of their normalized onset
+        differences, which does not depend on ``ms``. Entries run from the
+        highest count down, so the arcs of any ``ms`` are a prefix. Pairs
+        held by one record are left out, since an arc needs more than
+        ``ms >= 1`` of them.
+
+        The collapsed records are laid end to end in flat id and onset
+        arrays; each gap takes one slice of them, keeping the positions whose
+        two ends lie in the same record. A lexsort on (pair, difference)
+        groups each pair's differences in order, and the median is the
+        middle one, or ``(a + b) / 2`` of the middle two as in
+        ``statistics.median``. Only the last window's arrays are kept, and
+        they are freed before the next ones are built, so a sweep over
+        several windows holds one set at a time.
         """
         if self._window is None or self._window[0] != ws:
             self._window = None
-            traversals: dict[tuple[int, int], list[float]] = {}
-            for ids, onsets in zip(self.ids, self.normalized):
-                for gap in range(1, ws + 1):
-                    for u, v, start, end in zip(ids, ids[gap:], onsets, onsets[gap:]):
-                        traversals.setdefault((u, v), []).append(end - start)
-            ranked = [
-                (len(times), u, v, statistics.median(times))
-                for (u, v), times in traversals.items()
-                if len(times) > 1
-            ]
-            ranked.sort(key=itemgetter(0), reverse=True)
-            self._window = (ws, tuple(ranked))
+            self._window = (ws, self._rank_pairs(ws))
         return self._window[1]
 
+    def _rank_pairs(self, ws: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        lengths = np.fromiter(map(len, self.ids), dtype=np.intp, count=len(self.ids))
+        total = int(lengths.sum())
+        ids = np.fromiter(chain.from_iterable(self.ids), dtype=np.intp, count=total)
+        onsets = np.fromiter(chain.from_iterable(self.normalized), dtype=np.float64, count=total)
+        record = np.repeat(np.arange(lengths.size), lengths)
+        keys, deltas = [], []
+        for gap in range(1, ws + 1):
+            same = record[gap:] == record[:-gap]
+            keys.append(ids[:-gap][same] * len(self.words) + ids[gap:][same])
+            deltas.append(onsets[gap:][same] - onsets[:-gap][same])
+        key = np.concatenate(keys)
+        delta = np.concatenate(deltas)
+        order = np.lexsort((delta, key))
+        key, delta = key[order], delta[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        counts = np.diff(starts, append=key.size)
+        shared = counts > 1
+        starts, counts = starts[shared], counts[shared]
+        upper = starts + counts // 2
+        medians = np.where(counts % 2 == 1, delta[upper], (delta[upper - 1] + delta[upper]) / 2)
+        rank = np.argsort(-counts, kind="stable")
+        sources, targets = np.divmod(key[starts[rank]], len(self.words))
+        return counts[rank], sources, targets, medians[rank]
 
-Corpus = Union[Sequence[FluencyRecord], EncodedCorpus]
+
+#: Anything a graph, covariates table or draw is built from.
+Corpus = Sequence[FluencyRecord]
 
 
 def encode(records: Corpus) -> EncodedCorpus:
@@ -319,29 +437,31 @@ def build_graph(records: Corpus, params: DistanceFunctionParams) -> WeightedDigr
     corpus = encode(records)
     if not corpus:
         raise NoRecords("cannot build a graph from zero records")
+    counts, sources, targets, medians = corpus.pair_medians(params.ws)
+    kept = int(np.count_nonzero(counts > params.ms))
     words = corpus.words
-    arcs = []
-    for count, u, v, median in corpus.pair_medians(params.ws):
-        if count <= params.ms:
-            break
-        arcs.append((words[u], words[v], median))
-    return WeightedDigraph(arcs)
+    return WeightedDigraph(zip(
+        map(words.__getitem__, sources[:kept].tolist()),
+        map(words.__getitem__, targets[:kept].tolist()),
+        medians[:kept].tolist(),
+    ))
 
 
-def shuffle_records(
-    records: Sequence[FluencyRecord], seed: int
-) -> list[FluencyRecord]:
+def shuffle_records(records: Corpus, seed: int) -> Corpus:
     """Permute each record's words uniformly while its onsets stay in place.
 
     Word counts and word multisets are preserved; output is deterministic
-    under ``seed``.
+    under ``seed``. An :class:`EncodedCorpus` gives a shuffled encoded
+    corpus, drawn with the same random calls as its record list, so the two
+    give the same graphs and covariates.
     """
     rng = random.Random(seed)
+    if isinstance(records, EncodedCorpus):
+        return records._shuffled(rng)
     shuffled = []
     for record in records:
         words = list(record.words)
         rng.shuffle(words)
-        shuffled.append(
-            FluencyRecord(record.subject_id, tuple(zip(words, record.onsets)))
-        )
+        entries = tuple(zip(words, record.onsets))
+        shuffled.append(FluencyRecord(record.subject_id, entries))
     return shuffled

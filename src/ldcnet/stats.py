@@ -12,19 +12,18 @@ import hashlib
 import itertools
 import math
 import statistics as pystats
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 from scipy.stats import t as t_dist
 
 from .centrality import MEASURES, CentralityVector, PageRankParams, compute_all, ldc_vector
 from .corpus import (
     Corpus,
     DistanceFunctionParams,
-    FluencyRecord,
     build_graph,
     encode,
     shuffle_records,
@@ -54,6 +53,26 @@ SD_CONVENTION = "population"
 # -- rank correlation -------------------------------------------------------
 
 
+def average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their rank range.
+
+    A stable argsort orders the values; each tie group spans the positions
+    ``count[dense - 1]`` to ``count[dense] - 1``, so its mean rank is
+    ``0.5 * (count[dense] + count[dense - 1] + 1)``, the same float formula
+    as ``scipy.stats.rankdata(method="average")``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    dense = np.empty(values.size, dtype=np.intp)
+    dense[order] = np.cumsum(first)
+    count = np.append(np.flatnonzero(first), values.size)
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def spearman(x: Sequence[Optional[float]], y: Sequence[Optional[float]]) -> float:
     """Rank correlation of two paired series.
 
@@ -73,8 +92,8 @@ def spearman(x: Sequence[Optional[float]], y: Sequence[Optional[float]]) -> floa
         raise InsufficientData(f"need >= 3 paired observations, got {len(xs)}")
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise ZeroVariance("a constant series has no rank correlation")
-    rx = rankdata(xs, method="average")
-    ry = rankdata(ys, method="average")
+    rx = average_ranks(xs)
+    ry = average_ranks(ys)
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float(np.dot(rx, ry) / math.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
@@ -90,6 +109,49 @@ def spearman_pvalue(rho: float, n: int) -> float:
     return float(2.0 * t_dist.sf(abs(t_stat), n - 2))
 
 
+#: Bits of the round-to-odd integer square root in :func:`population_sd`: two
+#: more than twice the float precision leave one correct rounding to float.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """Correctly rounded float square root of ``n / m`` for integers ``n >= 0``, ``m > 0``.
+
+    The integer square root of ``n / m`` scaled by ``4**-q`` is rounded to odd
+    (its last bit set when inexact), which keeps enough information for the
+    one rounding of the final division, as in ``statistics._float_sqrt_of_frac``.
+    """
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def population_sd(values: Sequence[float]) -> float:
+    """Population standard deviation: the correctly rounded root of the exact variance.
+
+    The values are scaled to integers over one common denominator, so the
+    variance is an exact ratio of integers; the result is the value
+    ``statistics.pstdev`` gives on Python 3.11 and later, on every Python.
+    A nan or infinite value gives nan.
+    """
+    if not values:
+        raise pystats.StatisticsError("population_sd requires at least one data point")
+    if not all(map(math.isfinite, values)):
+        return math.nan
+    ratios = [v.as_integer_ratio() for v in values]
+    common = math.lcm(*(d for _, d in ratios))
+    scaled = [n * (common // d) for n, d in ratios]
+    size = len(scaled)
+    total = sum(scaled)
+    variance = size * sum(x * x for x in scaled) - total * total
+    return _sqrt_of_ratio(variance, size * size * common * common)
+
+
 def exclude_outliers(
     x: Mapping[str, float],
     y: Optional[Mapping[str, float]] = None,
@@ -98,7 +160,8 @@ def exclude_outliers(
     """Words whose values stay within mean +/- k*SD on every given series.
 
     The band uses population SD and is computed once from the full common
-    word set, not iteratively. A zero-variance series excludes nothing.
+    word set, not iteratively. A zero-variance series excludes nothing, and
+    so does a series holding a nan or an infinite value.
     """
     series = [x] if y is None else [x, y]
     words = set(series[0])
@@ -110,7 +173,7 @@ def exclude_outliers(
     for s in series:
         values = [s[w] for w in words]
         mean = pystats.fmean(values)
-        sd = pystats.pstdev(values)
+        sd = population_sd(values)
         if sd == 0.0:
             continue
         retained -= {w for w in words if abs(s[w] - mean) > k * sd}
@@ -197,14 +260,7 @@ def evaluate_cell(
     variables["log_frequency"] = {w: word_stats[w].log_frequency for w in words}
     variables["avg_location"] = {w: word_stats[w].avg_location for w in words}
 
-    table: dict[tuple[str, str], Optional[SpearmanEntry]] = {}
-    for a, b in variable_pairs():
-        try:
-            kept = sorted(exclude_outliers(variables[a], variables[b]))
-            rho = spearman([variables[a][w] for w in kept], [variables[b][w] for w in kept])
-            table[(a, b)] = SpearmanEntry(rho=rho, n=len(kept))
-        except (InsufficientData, ZeroVariance):
-            table[(a, b)] = None
+    table = _spearman_table(variables)
     return GridResult(
         ws=ws,
         ms=ms,
@@ -214,6 +270,30 @@ def evaluate_cell(
         measures=measures,
         table=table,
     )
+
+
+def _spearman_table(
+    variables: Mapping[str, Mapping[str, float]],
+) -> dict[tuple[str, str], Optional[SpearmanEntry]]:
+    """Each variable pair's correlation over the words inside both outlier bands.
+
+    Every variable is keyed on the same words (the graph's vertices), so a
+    pair's joint band, ``exclude_outliers(x, y)``, is the intersection of the
+    two variables' own bands: one band per variable serves every pair.
+    """
+    table: dict[tuple[str, str], Optional[SpearmanEntry]] = dict.fromkeys(variable_pairs())
+    try:
+        bands = {name: exclude_outliers(values) for name, values in variables.items()}
+    except InsufficientData:  # fewer than two words: every entry stays None
+        return table
+    for a, b in table:
+        kept = sorted(bands[a] & bands[b])
+        try:
+            rho = spearman([variables[a][w] for w in kept], [variables[b][w] for w in kept])
+        except (InsufficientData, ZeroVariance):
+            continue
+        table[(a, b)] = SpearmanEntry(rho=rho, n=len(kept))
+    return table
 
 
 def _cell_task(args: tuple) -> GridResult:
@@ -444,9 +524,9 @@ def ldc_dt_correlation(
 
 
 def _permutation_rep(args: tuple) -> Optional[float]:
-    records, ws, ms, target, master_seed, rep, max_retries = args
+    corpus, ws, ms, target, master_seed, rep, max_retries = args
     for attempt in range(max_retries + 1):
-        shuffled = shuffle_records(records, derive_seed(master_seed, rep, attempt))
+        shuffled = shuffle_records(corpus, derive_seed(master_seed, rep, attempt))
         try:
             rho, _ = ldc_dt_correlation(shuffled, ws, ms, target)
             return rho
@@ -456,7 +536,7 @@ def _permutation_rep(args: tuple) -> Optional[float]:
 
 
 def permutation_test(
-    records: Sequence[FluencyRecord],
+    records: Corpus,
     config: PermutationConfig,
     jobs: int = 1,
 ) -> PermutationOutcome:
@@ -468,11 +548,14 @@ def permutation_test(
     uses the add-one estimator over the null draws; repetitions whose
     shuffled corpus cannot produce a correlation are redrawn up to
     ``max_retries`` times and counted as failed afterwards.
+
+    The records are encoded once; every draw shuffles the encoded corpus.
     """
-    if not records:
+    corpus = encode(records)
+    if not corpus:
         raise NoRecords("cannot run a permutation test on zero records")
     try:
-        actual_rho, n_words = ldc_dt_correlation(records, config.ws, config.ms, config.target)
+        actual_rho, n_words = ldc_dt_correlation(corpus, config.ws, config.ms, config.target)
     except LdcnetError as exc:
         raise UndefinedActualCorrelation(
             f"actual-order correlation undefined at ws={config.ws} ms={config.ms}: {exc}"
@@ -480,7 +563,7 @@ def permutation_test(
     parametric_p = spearman_pvalue(actual_rho, n_words)
 
     tasks = [
-        (records, config.ws, config.ms, config.target, config.seed, rep, config.max_retries)
+        (corpus, config.ws, config.ms, config.target, config.seed, rep, config.max_retries)
         for rep in range(config.repetitions)
     ]
     if jobs <= 1 or config.repetitions == 1:

@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the library's shortest-path machinery:
 distances come from Floyd-Warshall over a dense matrix or from a pure-Python
-heap Dijkstra, path counts from exhaustive simple-path enumeration, and
-ranks from an O(n^2) scan. Graphs and covariates are rebuilt record by
-record from ``FluencyRecord`` objects, without the encoded corpus.
+heap Dijkstra, path counts from exhaustive simple-path enumeration, ranks
+from an O(n^2) scan, and the population variance from exact fractions.
+Graphs and covariates are rebuilt record by record from ``FluencyRecord``
+objects, without the encoded corpus.
 """
 
 import math
 import statistics
+from fractions import Fraction
 from heapq import heappop, heappush
 
 from ldcnet import (
@@ -350,6 +352,27 @@ def naive_average_ranks(values):
         equal = sum(1 for u in values if u == v)
         ranks.append(below + (equal + 1) / 2)
     return ranks
+
+
+def exact_population_variance(values):
+    """Population variance of ``values`` as an exact Fraction."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact, Fraction(0)) / len(exact)
+    return sum(((v - mean) ** 2 for v in exact), Fraction(0)) / len(exact)
+
+
+def is_nearest_root(root, square):
+    """Whether the float ``root`` is a nearest float to the square root of Fraction ``square``.
+
+    The exact squares of the midpoints from ``root`` to its two float
+    neighbours (``math.nextafter``) must bracket ``square``; the check works
+    with exact fractions, so it holds on every interpreter.
+    """
+    if root == 0.0:
+        return square == 0
+    below = (Fraction(root) + Fraction(math.nextafter(root, 0.0))) / 2
+    above = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    return below * below <= square <= above * above
 
 
 def naive_spearman(xs, ys):

@@ -17,9 +17,11 @@ from ldcnet import (
     parse_corpus,
     shuffle_records,
 )
-from ldcnet.corpus import parse_corpus_osf
+from ldcnet.corpus import EncodedCorpus, load_corpus, parse_corpus_osf
+from ldcnet.stats import ldc_dt_correlation
 from ldcnet.errors import (
     EmptyRecord,
+    LdcnetError,
     MalformedLine,
     NonMonotoneTimestamp,
     NoRecords,
@@ -40,6 +42,17 @@ def oracle_corpora(count=40, max_len=8):
 
 def graph_state(graph):
     return graph.vertices, list(graph.arcs())
+
+
+def encoding_state(corpus):
+    """Everything an encoded corpus holds, with each id spelled as its word."""
+    def spell(rows):
+        return [[corpus.words[i] for i in row] for row in rows]
+
+    return (
+        corpus.subjects, spell(corpus.raw_ids), corpus.raw_onsets, spell(corpus.ids),
+        corpus.onsets, corpus.normalized,
+    )
 
 
 class TestParseCorpus:
@@ -131,6 +144,90 @@ class TestOsfLoader:
         payload = {"s1": {"words": ["cat", "dog"], "timestamps": [0.5, 61.0]}}
         with pytest.raises(MalformedLine):
             parse_corpus_osf(io.StringIO(json.dumps(payload)))
+
+
+class TestLoadCorpus:
+    """``load_corpus`` encodes the rows of the validator the record loaders use."""
+
+    def test_equals_encoding_the_parsed_records(self, tmp_path):
+        for seed in range(20):
+            rng = random.Random(seed)
+            records = ragged_records(rng, rng.randint(1, 12), rng.randint(1, 9), 5)
+            csv_path = tmp_path / f"c{seed}.csv"
+            emit_corpus(records, str(csv_path))  # an empty record writes no row
+            json_path = tmp_path / f"c{seed}.json"
+            json_path.write_text(json.dumps({
+                r.subject_id: {"words": list(r.words), "timestamps": list(r.onsets)}
+                for r in records
+            }))
+            for path, input_format, parse in (
+                (csv_path, "csv", parse_corpus), (json_path, "osf-json", parse_corpus_osf)
+            ):
+                corpus = load_corpus(str(path), input_format)
+                assert isinstance(corpus, EncodedCorpus)
+                parsed = parse(str(path))
+                expected = encode(parsed)
+                assert corpus.words == expected.words
+                assert encoding_state(corpus) == encoding_state(expected)
+                assert list(corpus) == list(expected) == parsed
+            assert list(load_corpus(str(json_path), "osf-json")) == records
+
+    def test_reads_as_the_record_list(self, tmp_path):
+        records = [
+            make_record("s1", ["cat", "dog", "cat"], [0.5, 1.0, 2.5]),
+            FluencyRecord("s2", ()),
+            make_record("s3", ["owl"], [4.0]),
+        ]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            r.subject_id: {"words": list(r.words), "timestamps": list(r.onsets)}
+            for r in records
+        }))
+        corpus = load_corpus(str(path), "osf-json")
+        assert len(corpus) == 3
+        assert corpus[0] == records[0]
+        assert corpus[-1] == records[2]
+        assert corpus[1:] == records[1:]
+        assert corpus[::-1] == records[::-1]
+        assert records[1] in corpus
+        assert corpus.index(records[2]) == 2
+        with pytest.raises(IndexError):
+            corpus[3]
+        out = io.StringIO()
+        emit_corpus(corpus, out)
+        assert parse_corpus(io.StringIO(out.getvalue())) == [records[0], records[2]]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,word,time\ns1,cat,1.0\n",
+            "subject,word,onset_seconds\ns1,cat\n",
+            "subject,word,onset_seconds\ns1,cat,1.0\n,dog,2.0\n",
+            "subject,word,onset_seconds\ns1,cat,1.0\ns1,  ,2.0\n",
+            "subject,word,onset_seconds\ns1,cat,nan\n",
+            "subject,word,onset_seconds\ns1,cat,inf\n",
+            "subject,word,onset_seconds\ns1,cat,2.0\ns1,dog,2.0\n",
+            "subject,word,onset_seconds\ns1,cat,1.0\ns2,owl,1.0\ns1,dog,2.0\n",
+            '{"s1": {"words": ["cat", "dog"], "timestamps": [2.0, 1.0]}}',
+            '{"s1": {"words": ["cat"], "timestamps": ["x"]}}',
+            '{"s1": {"words": [" "], "timestamps": [1.0]}}',
+            '{"s1": {"words": ["cat"], "timestamps": [NaN]}}',
+        ],
+    )
+    def test_same_error_as_the_record_loader(self, text):
+        input_format, parse = (
+            ("osf-json", parse_corpus_osf) if text.startswith("{") else ("csv", parse_corpus)
+        )
+        errors = []
+        for load in (parse, lambda source: load_corpus(source, input_format)):
+            with pytest.raises(LdcnetError) as err:
+                load(io.StringIO(text))
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError):
+            load_corpus(io.StringIO(""), "xml")
 
 
 class TestUnicode:
@@ -290,6 +387,20 @@ class TestEncodedCorpus:
         with pytest.raises(NoRecords):
             build_graph(encode([]), DistanceFunctionParams(ws=1, ms=1))
 
+    def test_encoded_build_equals_reference_for_ws_1_to_9(self):
+        for seed in range(30):
+            rng = random.Random(100 + seed)
+            records = ragged_records(
+                rng, rng.randint(1, 20), rng.randint(1, 12), rng.randint(2, 8)
+            )
+            corpus = encode(records)
+            for ws in range(1, 10):
+                for ms in (1, 2, 3):
+                    params = DistanceFunctionParams(ws=ws, ms=ms)
+                    assert graph_state(build_graph(corpus, params)) == graph_state(
+                        oracles.reference_build_graph(records, params)
+                    )
+
     def test_pickling_drops_the_memoised_tables(self):
         rng = random.Random(3)
         records = random_records(rng, n_subjects=20, list_len=8, vocab_size=8)
@@ -332,6 +443,41 @@ class TestShuffleRecords:
         records = random_records(rng, n_subjects=5, list_len=6)
         assert shuffle_records(records, 77) == shuffle_records(records, 77)
         assert shuffle_records(records, 77) != shuffle_records(records, 78)
+
+
+    def test_encoded_shuffle_equals_encoding_the_shuffled_records(self):
+        rng = random.Random(61)
+        records = ragged_records(rng, 14, 7, 4) + [
+            FluencyRecord("empty", ()),
+            make_record("one", ["v00"]),
+            make_record("repeats", ["v01", "v01", "v02", "v01", "v03"]),
+        ]
+        rng.shuffle(records)
+        corpus = encode(records)
+
+        def outcome(shuffled, target):
+            try:
+                return ldc_dt_correlation(shuffled, 2, 2, target)
+            except LdcnetError as exc:
+                return type(exc)
+
+        for seed in range(50):
+            from_ids = shuffle_records(corpus, seed)
+            from_records = encode(shuffle_records(records, seed))
+            assert isinstance(from_ids, EncodedCorpus)
+            assert encoding_state(from_ids) == encoding_state(from_records)
+            assert list(from_ids) == shuffle_records(records, seed)
+            for ws in (1, 2, 3):
+                for ms in (1, 2):
+                    params = DistanceFunctionParams(ws=ws, ms=ms)
+                    assert graph_state(build_graph(from_ids, params)) == graph_state(
+                        build_graph(from_records, params)
+                    )
+            assert covariates(from_ids) == covariates(from_records)
+            for target in ("dt_to", "dt_from"):
+                assert outcome(from_ids, target) == outcome(from_records, target)
+        # the source corpus is left as it was
+        assert encoding_state(corpus) == encoding_state(encode(records))
 
 
 class TestParams:

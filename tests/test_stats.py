@@ -1,6 +1,8 @@
 import io
 import math
 import random
+import statistics
+import sys
 
 import pytest
 
@@ -8,12 +10,13 @@ from ldcnet import (
     GridResult,
     PermutationConfig,
     correlation_distance_matrix,
+    covariates,
     exclude_outliers,
     grid_sweep,
     permutation_test,
     spearman,
 )
-from ldcnet.corpus import EncodedCorpus, encode, shuffle_records
+from ldcnet.corpus import EncodedCorpus, FluencyRecord, encode, shuffle_records
 from ldcnet.errors import (
     InsufficientData,
     LdcnetError,
@@ -23,8 +26,12 @@ from ldcnet.errors import (
 from ldcnet.stats import (
     FULL_GRID_MS_VALUES,
     FULL_GRID_WS_VALUES,
+    MEASURES,
+    SpearmanEntry,
+    average_ranks,
     evaluate_cell,
     ldc_dt_correlation,
+    population_sd,
     spearman_pvalue,
     summary_columns,
     summary_row,
@@ -105,6 +112,16 @@ class TestSpearman:
         with pytest.raises(ZeroVariance):
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_average_ranks_equal_the_naive_oracle(self):
+        rng = random.Random(53)
+        series = [[], [4.2], [-0.0, 0.0], [0.0, -0.0, 1.0, -0.0], [3.0, 3.0, 3.0]]
+        for _ in range(300):
+            pool = [rng.uniform(-5, 5) for _ in range(rng.randint(1, 6))] + [-0.0, 0.0]
+            series.append([rng.choice(pool) for _ in range(rng.randint(1, 40))])
+            series.append([rng.randint(-3, 3) for _ in range(rng.randint(1, 40))])
+        for values in series:
+            assert average_ranks(values).tolist() == oracles.naive_average_ranks(values)
+
     def test_pvalue_sanity(self):
         assert spearman_pvalue(1.0, 10) == 0.0
         assert spearman_pvalue(0.0, 10) == pytest.approx(1.0)
@@ -139,6 +156,17 @@ class TestExcludeOutliers:
                     expected -= {w for w, v in series.items() if abs(v - mean) > 2.5 * sd}
             assert got == expected
 
+    def test_non_finite_series_excludes_nothing(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            values = {f"w{i}": 0.0 for i in range(9)}
+            values["spike"] = 100.0
+            values["bad"] = bad
+            assert exclude_outliers(values) == set(values)
+            # the other series still bands its words
+            y = {w: 1.0 for w in values}
+            assert exclude_outliers(y, values) == set(values)
+            assert exclude_outliers(dict(values, bad=0.0), values) == set(values) - {"spike"}
+
     def test_pair_uses_common_words_only(self):
         x = {"a": 1.0, "b": 2.0, "c": 3.0}
         y = {"b": 1.0, "c": 2.0, "d": 9.0}
@@ -147,6 +175,44 @@ class TestExcludeOutliers:
     def test_requires_two_words(self):
         with pytest.raises(InsufficientData):
             exclude_outliers({"a": 1.0})
+
+
+class TestPopulationSd:
+    @staticmethod
+    def _series():
+        rng = random.Random(59)
+        yield [1.0, 1.0]
+        yield [0.1, 0.2, 0.3]
+        yield [1e-300, 3e-300, 2e-300]
+        yield [1e300, -1e300, 0.5]
+        for _ in range(1500):
+            n = rng.randint(2, 40)
+            kind = rng.randrange(4)
+            if kind == 0:
+                yield [rng.gauss(0, 1) for _ in range(n)]
+            elif kind == 1:
+                yield [rng.randint(0, 12) for _ in range(n)]
+            elif kind == 2:
+                pool = [rng.uniform(0, 3) for _ in range(3)]
+                yield [rng.choice(pool) for _ in range(n)]
+            else:
+                yield [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+
+    def test_correctly_rounded_root_of_the_exact_variance(self):
+        for values in self._series():
+            variance = oracles.exact_population_variance(values)
+            assert oracles.is_nearest_root(population_sd(values), variance), values
+
+    def test_non_finite_gives_nan_and_empty_raises(self):
+        for values in ([1.0, math.nan], [math.inf, 1.0], [math.inf, -math.inf], [-math.inf]):
+            assert math.isnan(population_sd(values))
+        with pytest.raises(statistics.StatisticsError):
+            population_sd([])
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="pstdev is correctly rounded from 3.11")
+    def test_equals_pstdev_from_python_3_11(self):
+        for values in self._series():
+            assert population_sd(values) == statistics.pstdev(values), values
 
 
 class TestGridSweep:
@@ -204,6 +270,33 @@ class TestGridSweep:
         for a, b in variable_pairs():
             assert table_entry(cell, a, b) is table_entry(cell, b, a)
 
+
+    def test_table_equals_per_pair_outlier_bands(self):
+        for seed in range(12):
+            rng = random.Random(seed)
+            records = random_records(
+                rng, n_subjects=rng.randint(8, 30), list_len=rng.randint(4, 10),
+                vocab_size=rng.randint(5, 14), zipf=seed % 2 == 0,
+            )
+            for ws, ms in ((1, 2), (2, 3), (3, 2)):
+                cell = evaluate_cell(records, ws, ms)
+                if cell.status != "ok":
+                    continue
+                word_stats = covariates(records)
+                variables = {name: dict(cell.measures[name].scores) for name in MEASURES}
+                for name in ("log_frequency", "avg_location"):
+                    variables[name] = {
+                        w: getattr(word_stats[w], name) for w in cell.graph.vertices
+                    }
+                for a, b in variable_pairs():
+                    try:
+                        kept = sorted(exclude_outliers(variables[a], variables[b]))
+                        rho = spearman([variables[a][w] for w in kept],
+                                       [variables[b][w] for w in kept])
+                        expected = SpearmanEntry(rho=rho, n=len(kept))
+                    except (InsufficientData, ZeroVariance):
+                        expected = None
+                    assert cell.table[(a, b)] == expected
 
     def test_grid_summary_writes_one_row_per_cell(self):
         rng = random.Random(29)
@@ -370,13 +463,23 @@ class TestPermutationTest:
             shuffles.append(seed)
             return original(recs, seed)
 
+        built = []
+        original_init = FluencyRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original_init(self, *args, **kwargs)
+
         monkeypatch.setattr("ldcnet.stats.shuffle_records", counting)
+        monkeypatch.setattr(FluencyRecord, "__init__", counting_init)
         config = PermutationConfig(ws=2, ms=2, target="dt_from", repetitions=25, seed=4)
         outcome = permutation_test(records, config)
         assert outcome.n_effective + outcome.n_failed == 25
         assert len(shuffles) >= 25
-        # the actual-order correlation, then one encoding per shuffled draw
-        assert len(encode_calls) == 1 + len(shuffles)
+        # one encoding for the whole test; every draw shuffles the encoded
+        # corpus, so no record is built per draw
+        assert encode_calls == [len(records)]
+        assert built == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
