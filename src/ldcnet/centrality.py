@@ -8,7 +8,6 @@ sequential pass.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyGraph, NoConvergence
 from .graph import WeightedDigraph, finite_or_zero
-from .textio import PathOrFile, open_text
+from .textio import PathOrFile, format_number, write_csv
 
 _INF = math.inf
 
@@ -171,7 +170,7 @@ def ldc_vector(
     else:
         chunk = max(1, math.ceil(len(names) / jobs))
         pieces = [names[i : i + chunk] for i in range(0, len(names), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pieces))) as pool:
             parts = list(pool.map(_ldc_scores_for, [(graph, r, piece) for piece in pieces]))
         scores = [s for part in parts for s in part]
     return CentralityVector("ldc", dict(zip(names, scores)))
@@ -354,16 +353,10 @@ def write_centrality_csv(
     if not present:
         raise ValueError("no measures to write")
     words = sorted(table[present[0]].scores)
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if layout == "wide":
-            writer.writerow(["word"] + present)
-            for word in words:
-                writer.writerow(
-                    [word] + [format(table[m].scores[word], ".12g") for m in present]
-                )
-        else:
-            writer.writerow(("word", "measure", "value"))
-            for word in words:
-                for m in present:
-                    writer.writerow((word, m, format(table[m].scores[word], ".12g")))
+    if layout == "wide":
+        header = ["word"] + present
+        rows = ([word] + [format_number(table[m].scores[word]) for m in present] for word in words)
+    else:
+        header = ["word", "measure", "value"]
+        rows = ((word, m, format_number(table[m].scores[word])) for word in words for m in present)
+    write_csv(dest, header, rows)

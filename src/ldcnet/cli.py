@@ -11,10 +11,11 @@ with content digests of everything it emitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .centrality import (
@@ -47,12 +48,13 @@ from .stats import (
     cell_dir_name,
     evaluate_cells,
     permutation_test,
+    summary_columns,
     summary_row,
     write_distance_csv,
     write_grid_summary,
     write_spearman_csv,
 )
-from .textio import write_json
+from .textio import format_number, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,7 +102,7 @@ def _fail(code: int, message: str) -> int:
 def _round12(obj):
     """Round every float in a JSON-ready structure to 12 significant digits."""
     if isinstance(obj, float):
-        return float(format(obj, ".12g"))
+        return float(format_number(obj))
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -124,14 +126,33 @@ def _resolve_seed(flag_value: Optional[int]) -> int:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _new_manifest(command: str, parameters: dict, seed: Optional[int]) -> RunManifest:
+def _jobs_count(raw: str) -> int:
+    """``--jobs``: a worker count of at least 1."""
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
+def _new_manifest(args: argparse.Namespace, parameters: dict) -> RunManifest:
+    """The command's manifest, with the seed and start time :func:`main` resolved."""
     return RunManifest(
-        command=command,
+        command=args.command,
         parameters=parameters,
-        seed=seed,
+        seed=args.seed,
         version=__version__,
-        started_at=utc_now(),
+        started_at=args.started_at,
     )
+
+
+def _write_output(args: argparse.Namespace, parameters: dict, source: str,
+                  write: Callable[[str], None]) -> None:
+    """The tail of every single-file command: record ``source``, write
+    ``args.out`` with ``write``, record it, and write its manifest beside it."""
+    manifest = _new_manifest(args, parameters)
+    manifest.add_input(source)
+    write(args.out)
+    manifest.add_output(args.out)
+    manifest.write(f"{args.out}.manifest.json")
 
 
 def _parse_grid_spec(spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -174,26 +195,19 @@ def _parse_measures(raw: str) -> list[str]:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     corpus = load_corpus(args.corpus, args.input_format)
     graph = build_graph(corpus, DistanceFunctionParams(args.ws, args.ms))
     if graph.vertex_count == 0:
         raise EmptyGraph(f"empty graph at ws={args.ws} ms={args.ms}")
-    manifest = _new_manifest(
-        "build",
-        {"ws": args.ws, "ms": args.ms, "input_format": args.input_format},
-        seed,
+    _write_output(
+        args, {"ws": args.ws, "ms": args.ms, "input_format": args.input_format},
+        args.corpus, graph.to_csv,
     )
-    manifest.add_input(args.corpus)
-    graph.to_csv(args.out)
-    manifest.add_output(args.out)
-    manifest.write(f"{args.out}.manifest.json")
     print(f"wrote {args.out}: {graph.vertex_count} vertices, {graph.arc_count} arcs")
     return EXIT_OK
 
 
 def _cmd_centrality(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     measures = _parse_measures(args.measure)
     graph = WeightedDigraph.from_csv(args.graph)
     params = PageRankParams(alpha=args.alpha)
@@ -205,27 +219,24 @@ def _cmd_centrality(args: argparse.Namespace) -> int:
             table[m], raw, iterations = pagerank_with_raw(graph, params)
         else:
             table[m] = SCORERS[m](graph, params, args.jobs)
-    manifest = _new_manifest(
-        "centrality",
-        {"measures": measures, "alpha": args.alpha, "layout": args.layout,
-         "format": args.format},
-        seed,
-    )
-    manifest.add_input(args.graph)
     if args.format == "json":
         payload = {
             word: {m: table[m].scores[word] for m in measures}
             for word in sorted(graph.vertices)
         }
-        _write_json(payload, args.out)
+        write = functools.partial(_write_json, payload)
     else:
-        write_centrality_csv(table, args.out, layout=args.layout)
-    manifest.add_output(args.out)
-    manifest.write(f"{args.out}.manifest.json")
+        write = functools.partial(write_centrality_csv, table, layout=args.layout)
+    _write_output(
+        args,
+        {"measures": measures, "alpha": args.alpha, "layout": args.layout,
+         "format": args.format},
+        args.graph, write,
+    )
     if args.verbose and "pagerank" in measures:
         print(f"pagerank converged in {iterations} iterations; raw update per vertex:")
         for word in sorted(raw):
-            print(f"  {word}\t{raw[word]:.12g}")
+            print(f"  {word}\t{format_number(raw[word])}")
     return EXIT_OK
 
 
@@ -260,7 +271,14 @@ def _cell_is_complete(cell_dir: str) -> Optional[dict]:
         meta = load_manifest(meta_path)
     except (OSError, ValueError):
         return None
-    if not isinstance(meta, dict) or "row" not in meta or not isinstance(meta.get("files"), dict):
+    row = meta.get("row") if isinstance(meta, dict) else None
+    if (
+        not isinstance(row, dict)
+        or set(row) != set(summary_columns())
+        or not all(isinstance(value, str) for value in row.values())
+        or meta.get("status") not in ("ok", "empty", "error")
+        or not isinstance(meta.get("files"), dict)
+    ):
         return None
     for name, digest in meta["files"].items():
         path = os.path.join(cell_dir, name)
@@ -304,7 +322,6 @@ def _write_cell(cell, out_dir: str) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     try:
         ws_values, ms_values = _parse_grid_spec(args.grid)
     except ValueError as exc:
@@ -315,7 +332,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise NoRecords("cannot sweep zero records")
 
     manifest = _new_manifest(
-        "sweep",
+        args,
         {
             "grid": args.grid,
             "ws_values": list(ws_values),
@@ -325,7 +342,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "resume": bool(args.resume),
             "sd_convention": SD_CONVENTION,
         },
-        seed,
     )
     # a cell is reused only when the key file lists it under everything the
     # cell depends on; a different key distrusts every cell in the directory
@@ -338,33 +354,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     trusted = _trusted_cells(args.out, resume_key)
     grid = [(ws, ms) for ws in ws_values for ms in ms_values]
-    cached: dict[tuple[int, int], dict] = {}
-    pending: list[tuple[int, int]] = []
+    metas: dict[tuple[int, int], dict] = {}
     for ws, ms in grid:
         name = cell_dir_name(ws, ms)
-        resumable = args.resume and name in trusted
-        meta = _cell_is_complete(os.path.join(args.out, name)) if resumable else None
-        if meta is not None:
-            cached[(ws, ms)] = meta
-        else:
-            pending.append((ws, ms))
+        if args.resume and name in trusted:
+            meta = _cell_is_complete(os.path.join(args.out, name))
+            if meta is not None:
+                metas[(ws, ms)] = meta
+    pending = [key for key in grid if key not in metas]
     _write_resume_key(args.out, resume_key, trusted)
 
-    params = PageRankParams(alpha=args.alpha)
-    computed: dict[tuple[int, int], dict] = {}
     if pending:
+        params = PageRankParams(alpha=args.alpha)
         for cell in evaluate_cells(corpus, pending, params, jobs=args.jobs):
-            computed[(cell.ws, cell.ms)] = _write_cell(cell, args.out)
+            metas[(cell.ws, cell.ms)] = _write_cell(cell, args.out)
         _write_resume_key(args.out, resume_key, trusted | {cell_dir_name(*c) for c in pending})
 
-    rows = []
-    statuses = []
-    for key in grid:
-        meta = cached.get(key) or computed[key]
-        rows.append(meta["row"])
-        statuses.append(meta["status"])
     summary_path = os.path.join(args.out, "grid_summary.csv")
-    write_grid_summary(rows, summary_path)
+    write_grid_summary([metas[key]["row"] for key in grid], summary_path)
 
     # digest only files this run owns, so stray content in a reused output
     # directory cannot change the manifest
@@ -376,7 +383,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     manifest.outputs = dict(sorted(manifest.outputs.items()))
     manifest.write(os.path.join(args.out, "manifest.json"))
 
-    n_failed = sum(1 for s in statuses if s == "error")
+    n_failed = sum(1 for key in grid if metas[key]["status"] == "error")
     print(f"sweep: {len(grid)} cells, {n_failed} failed, output in {args.out}")
     if n_failed == len(grid):
         return _fail(EXIT_EMPTY, "all cells failed")
@@ -384,7 +391,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     if (args.ws is None) != (args.ms is None):
         raise _UsageError("--ws and --ms must be given together")
     corpus = load_corpus(args.corpus, args.input_format)
@@ -397,13 +403,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             raise EmptyGraph(f"empty graph at ws={args.ws} ms={args.ms}")
         ldc_scores = dict(ldc_vector(graph, jobs=args.jobs).scores)
 
-    manifest = _new_manifest(
-        "stats",
-        {"ws": args.ws, "ms": args.ms, "format": args.format,
-         "input_format": args.input_format},
-        seed,
-    )
-    manifest.add_input(args.corpus)
     if args.format == "json":
         payload = {}
         for word in sorted(stats):
@@ -412,38 +411,37 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             if ldc_scores is not None:
                 entry["ldc"] = ldc_scores.get(word)
             payload[word] = entry
-        _write_json(payload, args.out)
+        write = functools.partial(_write_json, payload)
     else:
-        write_stats_csv(stats, args.out, ldc_scores)
-    manifest.add_output(args.out)
-    manifest.write(f"{args.out}.manifest.json")
+        write = functools.partial(write_stats_csv, stats, ldc_scores=ldc_scores)
+    _write_output(
+        args,
+        {"ws": args.ws, "ms": args.ms, "format": args.format,
+         "input_format": args.input_format},
+        args.corpus, write,
+    )
     print(f"wrote {args.out}: {len(stats)} words")
     return EXIT_OK
 
 
 def _cmd_permtest(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     corpus = load_corpus(args.corpus, args.input_format)
     config = PermutationConfig(
         ws=args.ws,
         ms=args.ms,
         target=args.target,
         repetitions=args.n,
-        seed=seed,
+        seed=args.seed,
         alpha=args.alpha,
         alternative=args.alternative,
     )
     outcome = permutation_test(corpus, config, jobs=args.jobs)
-    manifest = _new_manifest(
-        "permtest",
+    _write_output(
+        args,
         {"ws": args.ws, "ms": args.ms, "target": args.target, "n": args.n,
          "alpha": args.alpha, "alternative": args.alternative},
-        seed,
+        args.corpus, functools.partial(_write_json, outcome.to_dict()),
     )
-    manifest.add_input(args.corpus)
-    _write_json(outcome.to_dict(), args.out)
-    manifest.add_output(args.out)
-    manifest.write(f"{args.out}.manifest.json")
     print(
         f"actual rho = {outcome.actual_rho:.6g}, permutation p = {outcome.p_value:.6g} "
         f"({outcome.n_effective}/{outcome.repetitions} repetitions)"
@@ -459,14 +457,18 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"ldcnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    # each subcommand takes --seed, and --jobs or --input-format only if it reads them
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)")
-    common.add_argument("--jobs", type=int, default=1, help="worker process count")
-    common.add_argument("--input-format", choices=("csv", "osf-json"), default="csv",
-                        help="corpus file layout")
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--jobs", type=_jobs_count, default=1,
+                        help="worker processes, N >= 1 (at most one per task)")
+    read_corpus = argparse.ArgumentParser(add_help=False)
+    read_corpus.add_argument("--input-format", choices=("csv", "osf-json"), default="csv",
+                             help="corpus file layout")
 
-    p = sub.add_parser("build", parents=[common],
+    p = sub.add_parser("build", parents=[seeded, read_corpus],
                        help="build a semantic graph from a transcript corpus")
     p.add_argument("corpus")
     p.add_argument("--ws", type=int, required=True, help="window size (max positional gap)")
@@ -474,7 +476,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--out", required=True, help="output graph CSV path")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("centrality", parents=[common],
+    p = sub.add_parser("centrality", parents=[seeded, pooled],
                        help="compute centrality measures for a graph CSV")
     p.add_argument("graph")
     p.add_argument("--measure", default="all",
@@ -487,7 +489,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_centrality)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[seeded, pooled, read_corpus],
                        help="evaluate a ws x ms grid and export per-cell results")
     p.add_argument("corpus")
     p.add_argument("--grid", default="paper",
@@ -499,7 +501,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("stats", parents=[common],
+    p = sub.add_parser("stats", parents=[seeded, pooled, read_corpus],
                        help="export per-word retrieval statistics and covariates")
     p.add_argument("corpus")
     p.add_argument("--ws", type=int, default=None,
@@ -509,7 +511,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("permtest", parents=[common],
+    p = sub.add_parser("permtest", parents=[seeded, pooled, read_corpus],
                        help="permutation significance test for the detour score")
     p.add_argument("corpus")
     p.add_argument("--ws", type=int, required=True)
@@ -532,6 +534,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.seed = _resolve_seed(args.seed)
+        args.started_at = utc_now()
         return args.func(args)
     except tuple(error for error, _ in _EXIT_CODES) as exc:
         code = next(code for error, code in _EXIT_CODES if isinstance(exc, error))

@@ -39,7 +39,7 @@ from .errors import (
     NoRecords,
 )
 from .graph import WeightedDigraph
-from .textio import PathOrFile, open_text
+from .textio import PathOrFile, open_text, write_csv
 
 CORPUS_CSV_HEADER = ("subject", "word", "onset_seconds")
 
@@ -199,12 +199,9 @@ def parse_corpus(source: PathOrFile) -> list[FluencyRecord]:
 
 def emit_corpus(records: Sequence[FluencyRecord], dest: PathOrFile) -> None:
     """Write records back to transcript CSV; onsets keep full precision."""
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CORPUS_CSV_HEADER)
-        for record in records:
-            for word, onset in record.entries:
-                writer.writerow((record.subject_id, word, repr(onset)))
+    rows = ((record.subject_id, word, repr(onset))
+            for record in records for word, onset in record.entries)
+    write_csv(dest, CORPUS_CSV_HEADER, rows)
 
 
 def parse_corpus_osf(source: PathOrFile) -> list[FluencyRecord]:

@@ -33,7 +33,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import EmptyGraph, MalformedLine, UnknownVertex
-from .textio import PathOrFile, open_text
+from .textio import PathOrFile, open_text, write_csv
 
 Arc = tuple[str, str, float]
 
@@ -257,11 +257,7 @@ class WeightedDigraph:
         Weights are emitted with ``repr`` so that parse/emit round-trips are
         bit-exact.
         """
-        with open_text(dest, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(GRAPH_CSV_HEADER)
-            for u, v, w in self.arcs():
-                writer.writerow((u, v, repr(w)))
+        write_csv(dest, GRAPH_CSV_HEADER, ((u, v, repr(w)) for u, v, w in self.arcs()))
 
     @classmethod
     def from_csv(cls, source: PathOrFile) -> "WeightedDigraph":

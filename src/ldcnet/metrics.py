@@ -7,14 +7,13 @@ record and "paths containing the word" coincides with "occurrences".
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .corpus import Corpus, EncodedCorpus, encode
 from .errors import NoEligibleOccurrence, NoRecords
-from .textio import PathOrFile, open_text
+from .textio import PathOrFile, format_number, write_csv
 
 STATS_CSV_HEADER = (
     "word",
@@ -146,22 +145,12 @@ def write_stats_csv(
     the joined table the downstream regressions consume.
     """
     header = STATS_CSV_HEADER if ldc_scores is None else STATS_CSV_HEADER + ("ldc",)
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for word in sorted(stats):
-            s = stats[word]
-            row = [
-                s.word,
-                str(s.frequency),
-                format(s.log_frequency, ".12g"),
-                format(s.avg_location, ".12g"),
-                "" if s.dt_to is None else format(s.dt_to, ".12g"),
-                "" if s.dt_from is None else format(s.dt_from, ".12g"),
-                str(s.n_to),
-                str(s.n_from),
-            ]
-            if ldc_scores is not None:
-                value = ldc_scores.get(word)
-                row.append("" if value is None else format(value, ".12g"))
-            writer.writerow(row)
+    rows = []
+    for word in sorted(stats):
+        s = stats[word]
+        numbers = (s.log_frequency, s.avg_location, s.dt_to, s.dt_from)
+        row = [s.word, str(s.frequency), *map(format_number, numbers), str(s.n_to), str(s.n_from)]
+        if ldc_scores is not None:
+            row.append(format_number(ldc_scores.get(word)))
+        rows.append(row)
+    write_csv(dest, header, rows)

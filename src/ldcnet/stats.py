@@ -7,7 +7,6 @@ work can fan out across processes without changing any result.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import math
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .graph import WeightedDigraph
 from .metrics import covariates
-from .textio import PathOrFile, open_text
+from .textio import PathOrFile, format_number, write_csv
 
 #: Correlated variables per grid cell: the seven measures plus covariates.
 VARIABLES = MEASURES + ("log_frequency", "avg_location")
@@ -318,7 +317,7 @@ def evaluate_cells(
     if jobs <= 1 or len(cells) <= 1:
         return [evaluate_cell(corpus, ws, ms, pagerank_params) for ws, ms in cells]
     tasks = [(corpus, ws, ms, pagerank_params) for ws, ms in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_cell_task, tasks))
 
 
@@ -373,6 +372,12 @@ def summary_columns() -> list[str]:
     ]
 
 
+def _published_rho(cell: GridResult, a: str, b: str) -> str:
+    """The pair's rho as a published number, blank where it is undefined."""
+    entry = table_entry(cell, a, b)
+    return format_number(None if entry is None else entry.rho)
+
+
 def summary_row(cell: GridResult) -> dict[str, str]:
     row = {
         "ws": str(cell.ws),
@@ -381,43 +386,28 @@ def summary_row(cell: GridResult) -> dict[str, str]:
         "status": cell.status if cell.error is None else f"error: {cell.error}",
     }
     for a, b in variable_pairs():
-        entry = table_entry(cell, a, b)
-        row[f"rho_{a}__{b}"] = "" if entry is None else format(entry.rho, ".12g")
+        row[f"rho_{a}__{b}"] = _published_rho(cell, a, b)
     return row
 
 
 def write_grid_summary(rows: Iterable[Mapping[str, str]], dest: PathOrFile) -> None:
     """Top-level grid summary: one :func:`summary_row` per cell in sweep order."""
-    with open_text(dest, "w") as fh:
-        writer = csv.DictWriter(fh, fieldnames=summary_columns(), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    columns = summary_columns()
+    write_csv(dest, columns, ([row[c] for c in columns] for row in rows))
 
 
 def write_spearman_csv(cell: GridResult, dest: PathOrFile) -> None:
     """Square correlation matrix over all nine variables; blanks where undefined."""
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("variable",) + VARIABLES)
-        for a in VARIABLES:
-            row: list[str] = [a]
-            for b in VARIABLES:
-                if a == b:
-                    row.append("1")
-                    continue
-                entry = table_entry(cell, a, b)
-                row.append("" if entry is None else format(entry.rho, ".12g"))
-            writer.writerow(row)
+    rows = ([a] + ["1" if a == b else _published_rho(cell, a, b) for b in VARIABLES]
+            for a in VARIABLES)
+    write_csv(dest, ("variable",) + VARIABLES, rows)
 
 
 def write_distance_csv(cell: GridResult, dest: PathOrFile) -> None:
     """Square 1 - |rho| matrix over the seven measures."""
     labels, rows = correlation_distance_matrix(cell)
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("measure",) + labels)
-        for label, row in zip(labels, rows):
-            writer.writerow([label] + [format(v, ".12g") for v in row])
+    write_csv(dest, ("measure",) + labels,
+              ([label] + [format_number(v) for v in row] for label, row in zip(labels, rows)))
 
 
 # -- permutation test --------------------------------------------------------
@@ -570,7 +560,7 @@ def permutation_test(
         draws = [_permutation_rep(task) for task in tasks]
     else:
         chunk = max(1, config.repetitions // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             draws = list(pool.map(_permutation_rep, tasks, chunksize=chunk))
 
     null = [rho for rho in draws if rho is not None]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import subprocess
@@ -7,7 +8,9 @@ import pytest
 
 import ldcnet.centrality
 import ldcnet.cli
+import ldcnet.manifest
 from ldcnet.cli import main
+from ldcnet.graph import WeightedDigraph
 from ldcnet.errors import (
     EmptyGraph,
     MalformedLine,
@@ -334,6 +337,31 @@ class TestSweep:
         assert (load_manifest(resumed / "manifest.json")["outputs"]
                 == load_manifest(clean / "manifest.json")["outputs"])
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda meta: meta.update(row=list(meta["row"].values())),
+            lambda meta: meta["row"].update(extra="1"),
+            lambda meta: meta["row"].popitem(),
+            lambda meta: meta.pop("status"),
+        ],
+        ids=["row-is-a-list", "row-with-an-extra-key", "row-lacking-a-column", "no-status"],
+    )
+    def test_resume_recomputes_a_cell_whose_metadata_is_damaged(self, rich_corpus, tmp_path,
+                                                                damage, capsys):
+        grid = ["--grid", "ws=1..2,ms=3"]
+        clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+        assert main(["sweep", rich_corpus, *grid, "-o", str(clean)]) == 0
+        assert main(["sweep", rich_corpus, *grid, "-o", str(resumed)]) == 0
+        cell_json = resumed / "ws2_ms3" / "cell.json"
+        meta = json.loads(cell_json.read_text())
+        damage(meta)
+        cell_json.write_text(json.dumps(meta))
+        assert main(["sweep", rich_corpus, *grid, "-o", str(resumed), "--resume"]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert (load_manifest(resumed / "manifest.json")["outputs"]
+                == load_manifest(clean / "manifest.json")["outputs"])
+
 
 class TestStatsCommand:
     def test_schema(self, boundary_corpus, tmp_path):
@@ -435,6 +463,73 @@ def test_exit_code_table(exc, code, tmp_path, monkeypatch, capsys):
     assert main(["build", "corpus.csv", "--ws", "1", "--ms", "1",
                  "-o", str(tmp_path / "g.csv")]) == code
     assert str(exc) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "corpus.csv", "--ws", "1", "--ms", "1", "--jobs", "2"],
+        ["centrality", "graph.csv", "--input-format", "csv"],
+    ],
+    ids=["build-jobs", "centrality-input-format"],
+)
+def test_flag_a_command_does_not_read_exits_1(argv, tmp_path, capsys):
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centrality", "graph.csv"],
+        ["sweep", "corpus.csv"],
+        ["stats", "corpus.csv"],
+        ["permtest", "corpus.csv", "--ws", "1", "--ms", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_jobs_below_1_exits_1(argv, jobs, tmp_path, capsys):
+    assert main(argv + ["--jobs", jobs, "-o", str(tmp_path / "out")]) == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "centrality", "sweep", "stats", "permtest"])
+def test_manifest_started_at_is_taken_before_the_work(command, rich_corpus, tmp_path,
+                                                      monkeypatch):
+    graph = tmp_path / "graph.csv"
+    random_graph(random.Random(5), 8).to_csv(graph)
+    ticks = itertools.count()
+
+    def stamp():
+        return f"t{next(ticks)}"
+
+    def after_a_stamp(read):
+        def reading(*args, **kwargs):
+            stamp()
+            return read(*args, **kwargs)
+        return reading
+
+    # reading the input takes a value too, so a start stamped after the work
+    # would not be the first value
+    monkeypatch.setattr(ldcnet.cli, "utc_now", stamp)
+    monkeypatch.setattr(ldcnet.manifest, "utc_now", stamp)
+    monkeypatch.setattr(ldcnet.cli, "load_corpus", after_a_stamp(ldcnet.cli.load_corpus))
+    monkeypatch.setattr(WeightedDigraph, "from_csv",
+                        staticmethod(after_a_stamp(WeightedDigraph.from_csv)))
+    argv = {
+        "build": [rich_corpus, "--ws", "2", "--ms", "3"],
+        "centrality": [str(graph)],
+        "sweep": [rich_corpus, "--grid", "ws=2,ms=3"],
+        "stats": [rich_corpus],
+        "permtest": [rich_corpus, "--ws", "2", "--ms", "3", "--n", "5"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "-o", str(out)]) == 0
+    manifest = load_manifest(out / "manifest.json" if command == "sweep"
+                             else f"{out}.manifest.json")
+    assert manifest["started_at"] == "t0"
+    assert manifest["finished_at"] == "t2"
 
 
 class TestEntrypoint:

@@ -16,6 +16,7 @@ from ldcnet import (
     permutation_test,
     spearman,
 )
+from ldcnet.centrality import ldc_vector
 from ldcnet.corpus import EncodedCorpus, FluencyRecord, encode, shuffle_records
 from ldcnet.errors import (
     InsufficientData,
@@ -42,7 +43,7 @@ from ldcnet.stats import (
 )
 
 import oracles
-from corpora import make_record, random_records
+from corpora import complete_graph, make_record, random_records
 
 
 @pytest.fixture
@@ -488,3 +489,50 @@ class TestPermutationTest:
             PermutationConfig(ws=1, ms=1, repetitions=0)
         with pytest.raises(ValueError):
             PermutationConfig(ws=1, ms=1, alternative="both")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts asked of every pool; each pool runs its map in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("ldcnet.centrality.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("ldcnet.stats.ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestPoolSize:
+    """A pool never asks for more workers than it has tasks."""
+
+    def test_sweep_opens_one_worker_per_cell(self, pool_sizes):
+        records = random_records(random.Random(17), n_subjects=15, list_len=7, vocab_size=7)
+        pooled = grid_sweep(records, (1,), (3, 4), jobs=16)
+        assert [summary_row(c) for c in pooled] == [
+            summary_row(c) for c in grid_sweep(records, (1,), (3, 4))
+        ]
+        assert pool_sizes == [2]
+
+    def test_permutation_test_opens_one_worker_per_repetition(self, pool_sizes):
+        records = random_records(random.Random(37), n_subjects=15, list_len=8, vocab_size=7)
+        config = PermutationConfig(ws=2, ms=3, target="dt_to", repetitions=3, seed=9)
+        assert permutation_test(records, config, jobs=16) == permutation_test(records, config)
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("n, jobs, size", [(3, 16, 3), (10, 4, 4), (10, 16, 10)])
+    def test_ldc_vector_opens_one_worker_per_piece(self, pool_sizes, n, jobs, size):
+        graph = complete_graph(n)
+        assert ldc_vector(graph, jobs=jobs) == ldc_vector(graph)
+        assert pool_sizes == [size]
