@@ -78,6 +78,7 @@ class NeighborhoodContext:
     maximum arc weight. Both are ``float64`` arrays, ``inf`` when the target
     is unreachable, from the one shortest-path kernel (csgraph Dijkstra),
     whose lengths are exact minima of left-to-right float sums.
+    ``without_distances`` is read-only: the graph's detour stack holds it.
     ``with_matrix``/``without_matrix`` are the same tables as tuples of rows,
     None for unreachable, built only when read.
     """
@@ -104,20 +105,17 @@ def build_context(graph: WeightedDigraph, vertex: str, r: float) -> Neighborhood
     ``vertex`` in either direction. Both matrices are computed over full
     graph paths (not paths confined to the neighborhood); the second one
     runs on the reweighted graph where arcs into or out of ``vertex`` are
-    inflated to the maximum arc weight, in one kernel call for all members.
+    inflated to the maximum arc weight. The graph computes that one for a
+    stack of consecutive centres in one kernel call, so walking the centres
+    in index order computes each stack once.
     """
-    center = graph._vertex_index(vertex)
-    members = graph._neighborhood(center, r)
-    arcs = graph._arcs_csr()
-    touches = arcs.indices == center
-    touches[arcs.indptr[center] : arcs.indptr[center + 1]] = True
-    inflated = np.where(touches, graph.max_arc_weight, arcs.data)
+    members, without = graph._detour(graph._vertex_index(vertex), r)
     return NeighborhoodContext(
         center=vertex,
         r=r,
         members=tuple(graph.vertices[i] for i in members.tolist()),
         with_distances=graph._apsp_table()[np.ix_(members, members)],
-        without_distances=graph._distances(members, inflated)[:, members],
+        without_distances=without,
         max_weight=graph.max_arc_weight,
     )
 

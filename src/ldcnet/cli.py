@@ -244,6 +244,9 @@ def _cmd_centrality(args: argparse.Namespace) -> int:
 #: from. It is not digested into the manifest, so it never changes ``outputs``.
 RESUME_KEY_FILE = "resume_key.json"
 
+#: The tables a cell may write, in the order it writes them.
+CELL_TABLES = ("graph.csv", "centrality.csv", "spearman.csv", "distance.csv")
+
 
 def _trusted_cells(out_dir: str, key: dict) -> set[str]:
     """Cell directories the key file records as computed under ``key``."""
@@ -278,6 +281,7 @@ def _cell_is_complete(cell_dir: str) -> Optional[dict]:
         or not all(isinstance(value, str) for value in row.values())
         or meta.get("status") not in ("ok", "empty", "error")
         or not isinstance(meta.get("files"), dict)
+        or not set(meta["files"]) <= set(CELL_TABLES)
     ):
         return None
     for name, digest in meta["files"].items():
@@ -291,7 +295,7 @@ def _write_cell(cell, out_dir: str) -> dict:
     """Write one cell's files and its cell.json; returns the metadata dict."""
     cell_dir = os.path.join(out_dir, cell_dir_name(cell.ws, cell.ms))
     os.makedirs(cell_dir, exist_ok=True)
-    for name in ("graph.csv", "centrality.csv", "spearman.csv", "distance.csv"):
+    for name in CELL_TABLES:
         stale = os.path.join(cell_dir, name)
         if os.path.isfile(stale):
             os.remove(stale)
@@ -305,7 +309,7 @@ def _write_cell(cell, out_dir: str) -> dict:
             write_distance_csv(cell, os.path.join(cell_dir, "distance.csv"))
         except InsufficientData as exc:
             notes.append(f"distance matrix skipped: {exc}")
-        for name in ("graph.csv", "centrality.csv", "spearman.csv", "distance.csv"):
+        for name in CELL_TABLES:
             path = os.path.join(cell_dir, name)
             if os.path.isfile(path):
                 files[name] = file_digest(path)
@@ -373,12 +377,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     summary_path = os.path.join(args.out, "grid_summary.csv")
     write_grid_summary([metas[key]["row"] for key in grid], summary_path)
 
-    # digest only files this run owns, so stray content in a reused output
-    # directory cannot change the manifest
+    # only the files this run owns, so stray content in a reused output
+    # directory cannot change the manifest: each cell's tables as its
+    # cell.json lists them (digested when written, checked on --resume),
+    # and cell.json itself
     for ws, ms in grid:
         cell_dir = os.path.join(args.out, cell_dir_name(ws, ms))
-        for name in sorted(os.listdir(cell_dir)):
-            manifest.add_output(os.path.join(cell_dir, name), root=args.out)
+        for name, digest in metas[(ws, ms)]["files"].items():
+            manifest.add_output(os.path.join(cell_dir, name), root=args.out, digest=digest)
+        manifest.add_output(os.path.join(cell_dir, "cell.json"), root=args.out)
     manifest.add_output(summary_path, root=args.out)
     manifest.outputs = dict(sorted(manifest.outputs.items()))
     manifest.write(os.path.join(args.out, "manifest.json"))

@@ -2,12 +2,19 @@
 
 The graph is immutable after construction: every operation below is a pure
 read, so a single instance can be shared freely across worker processes.
+What it caches (the all-pairs table, the CSR skeletons, the current stack of
+detour tables) is derived from the arcs and never changes an answer.
 Vertex labels are interned strings; each vertex receives a stable integer
 index (its lexicographic rank at construction time) and all internal tables
 are indexed by that integer.
 
 Every shortest-path length comes from one kernel, :meth:`WeightedDigraph._distances`,
-which runs ``scipy.sparse.csgraph.dijkstra`` over the arcs in CSR form. A
+which runs ``scipy.sparse.csgraph.dijkstra`` over disjoint copies of the arcs
+in one block-diagonal CSR matrix, each copy with its own weights. The
+all-pairs table is one copy with the original weights; the detour tables
+stack one copy per centre, each with that centre's arcs inflated, so a small
+graph pays csgraph's fixed per-call cost once for many centres. A source
+never leaves its copy, so its row equals a call on that copy alone. A
 Dijkstra distance is the minimum, over paths, of the left-to-right float sum
 of the arc weights: rounding is monotone, so extending the shortest prefix
 never loses to extending a longer one. That minimum does not depend on the
@@ -19,10 +26,8 @@ kernel call, ``inf`` where unreachable; every reader works on it. Totals over
 it add strictly left to right (``np.cumsum(...)[-1]``), never pairwise
 (``np.sum``) or compensated (builtin ``sum`` from Python 3.12).
 """
-
 from __future__ import annotations
 
-import copy
 import csv
 import math
 import sys
@@ -40,6 +45,11 @@ Arc = tuple[str, str, float]
 GRAPH_CSV_HEADER = ("source", "target", "weight")
 
 _INF = math.inf
+
+#: Most vertices one stacked detour call holds: a graph of V vertices gets the
+#: detour tables of ``min(V, max(1, _STACK_VERTICES // V))`` centres per kernel
+#: call, so above 64 vertices every centre has a call of its own.
+_STACK_VERTICES = 128
 
 
 def finite_or_zero(table: np.ndarray) -> np.ndarray:
@@ -110,8 +120,17 @@ class WeightedDigraph:
         self._adj: list[tuple[tuple[int, float], ...]] = [tuple(sorted(row)) for row in out]
         self._radj: list[tuple[tuple[int, float], ...]] = [tuple(sorted(row)) for row in rin]
         self._max_weight: float = max(weights.values()) if weights else 0.0
+        # the arcs in vertex-index order: source, target and weight of each
+        self._tails = np.repeat(np.arange(n, dtype=np.int32), [len(row) for row in self._adj])
+        self._heads = np.array([j for row in self._adj for j, _ in row], dtype=np.int32)
+        self._weights = np.array([w for row in self._adj for _, w in row], dtype=np.float64)
         self._apsp: Optional[np.ndarray] = None
-        self._csr: Optional[csr_matrix] = None
+        self._skeletons: dict[int, csr_matrix] = {}
+        self._stack: Optional[tuple[float, dict[int, tuple[np.ndarray, np.ndarray]]]] = None
+
+    def __getstate__(self) -> dict:
+        # a graph sent to or from a worker leaves its detour stack behind
+        return {**self.__dict__, "_stack": None}
 
     # -- basic queries ------------------------------------------------------
 
@@ -172,7 +191,7 @@ class WeightedDigraph:
         same floats as the row of :meth:`apsp`.
         """
         src = self._vertex_index(source)
-        dist = self._distances([src])[0].tolist()
+        dist = self._distances([src], self._weights[None])[0].tolist()
         return {
             name: (None if dist[i] == _INF else dist[i]) for i, name in enumerate(self._names)
         }
@@ -184,42 +203,78 @@ class WeightedDigraph:
     def _apsp_table(self) -> np.ndarray:
         """All-pairs lengths (``inf`` when unreachable), one kernel call, cached read-only."""
         if self._apsp is None:
-            self._apsp = self._distances(range(self.vertex_count))
+            self._apsp = self._distances(range(self.vertex_count), self._weights[None])
             self._apsp.flags.writeable = False
         return self._apsp
 
-    def _arcs_csr(self) -> csr_matrix:
-        """The arcs as a CSR matrix, row = source index; built once and cached.
+    def _skeleton(self, copies: int) -> csr_matrix:
+        """``copies`` disjoint copies of the arcs as one block-diagonal CSR matrix; cached.
 
-        Arcs are stored in vertex-index order, so the out-arcs of vertex ``i``
-        are ``data[indptr[i]:indptr[i + 1]]``. Zero-weight arcs are explicit
-        entries, which csgraph keeps as arcs.
+        Vertex ``v`` of copy ``i`` is row and column ``i * V + v``. Each copy
+        stores its arcs in vertex-index order, copy after copy, so ``data``
+        is the copies' weight rows laid end to end. Only the index arrays
+        are kept: every kernel call sets ``data``. Zero-weight arcs are
+        explicit entries, which csgraph keeps as arcs.
         """
-        if self._csr is None:
+        skeleton = self._skeletons.get(copies)
+        if skeleton is None:
             n = self.vertex_count
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum([len(row) for row in self._adj], out=indptr[1:])
-            indices = np.array([j for row in self._adj for j, _ in row], dtype=np.int32)
-            data = np.array([w for row in self._adj for _, w in row], dtype=np.float64)
-            self._csr = csr_matrix((data, indices, indptr), shape=(n, n))
-        return self._csr
+            indptr = np.zeros(copies * n + 1, dtype=np.int32)
+            np.cumsum(np.tile(np.bincount(self._tails, minlength=n), copies), out=indptr[1:])
+            offsets = np.arange(0, copies * n, n, dtype=np.int32)[:, None]
+            indices = (self._heads + offsets).ravel()
+            data = np.tile(self._weights, copies)
+            skeleton = csr_matrix((data, indices, indptr), shape=(copies * n, copies * n))
+            self._skeletons[copies] = skeleton
+        return skeleton
 
-    def _distances(
-        self, sources: Sequence[int], weights: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """The shortest-path kernel: one row of lengths per source index.
+    def _distances(self, sources: Sequence[int], weights: np.ndarray) -> np.ndarray:
+        """The shortest-path kernel over ``len(weights)`` disjoint copies of the graph.
 
-        ``weights``, when given, replaces the arc weights (in the order of
-        :meth:`_arcs_csr`'s ``data``) for this call only. Unreachable targets
-        are ``inf``.
+        ``weights[i]`` holds copy ``i``'s arc weights in vertex-index arc
+        order, and source ``i * V + v`` is vertex ``v`` of copy ``i``. Returns
+        one row of lengths per source over the vertices of every copy,
+        ``inf`` when unreachable. A source never leaves its copy, so within
+        it the row equals a call on that copy alone, bit for bit.
         """
-        arcs = self._arcs_csr()
-        if weights is not None:
-            # a shallow copy shares the cached index arrays and skips the
-            # constructor's format checks, a fixed cost that small graphs feel
-            arcs = copy.copy(arcs)
-            arcs.data = weights
+        arcs = self._skeleton(len(weights))
+        arcs.data = weights.ravel()
         return dijkstra(arcs, directed=True, indices=sources)
+
+    def _detour(self, center: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """``center``'s neighbourhood and its member-to-member detour lengths.
+
+        The lengths are shortest paths on the graph in which every arc into
+        or out of ``center`` costs the maximum arc weight, one row per
+        member, read-only. One kernel call computes them for a stack of
+        consecutive centres, one copy each (see :data:`_STACK_VERTICES`).
+        The graph keeps only the current stack, keyed on ``r`` and its
+        centres; on a miss it computes the stack that starts at ``center``.
+        """
+        stack = self._stack
+        if stack is None or stack[0] != r or center not in stack[1]:
+            stack = self._stack = (r, self._stacked_detours(center, r))
+        return stack[1][center]
+
+    def _stacked_detours(self, first: int, r: float) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """:meth:`_detour` for ``first`` and the centres after it, in one kernel call."""
+        n = self.vertex_count
+        copies = min(n, max(1, _STACK_VERTICES // n))
+        # copy i inflates centre first + i; a centre past the last vertex touches no arc
+        ends = np.arange(first, first + copies)[:, None]
+        touches = (self._tails == ends) | (self._heads == ends)
+        weights = np.where(touches, self._max_weight, self._weights)
+        centres = range(first, min(n, first + copies))
+        members = [self._neighborhood(c, r) for c in centres]
+        columns = [i * n + m for i, m in enumerate(members)]  # members in their copy
+        rows = self._distances(np.concatenate(columns), weights)
+        stack, start = {}, 0
+        for c, m, cols in zip(centres, members, columns):
+            table = rows[start : start + len(m), cols]
+            table.flags.writeable = False
+            stack[c] = (m, table)
+            start += len(m)
+        return stack
 
     def mean_pairwise_distance(self) -> float:
         """Sum of all finite ordered-pair distances divided by the vertex count.

@@ -48,9 +48,16 @@ class RunManifest:
         digest = self.inputs[str(path)] = file_digest(path)
         return digest
 
-    def add_output(self, path: str | os.PathLike, root: Optional[str] = None) -> None:
+    def add_output(
+        self, path: str | os.PathLike, root: Optional[str] = None, digest: Optional[str] = None
+    ) -> None:
+        """Record an output file under its path relative to ``root``.
+
+        ``digest``, when given, is the file's digest already taken by the
+        caller, so the file is not read again.
+        """
         key = os.path.relpath(path, root) if root else str(path)
-        self.outputs[key] = file_digest(path)
+        self.outputs[key] = digest if digest is not None else file_digest(path)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from corpora import (
     kernel_edge_graphs,
     random_graph,
     scale_weights,
+    tie_heavy_graph,
 )
 
 
@@ -127,6 +129,97 @@ class TestBuildContext:
                     for a, b in zip(wr, wor):
                         if a is not None and b is not None:
                             assert a <= b + 1e-12
+
+
+def assert_contexts_match_reference(g, r, order):
+    for v in order:
+        ctx = build_context(g, v, r)
+        got = (ctx.members, ctx.with_matrix, ctx.without_matrix)
+        assert got == oracles.reference_context(g, v, r), v
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The copy count of every shortest-path kernel call made while the test runs."""
+    calls = []
+    kernel = WeightedDigraph._distances
+
+    def counted(self, sources, weights):
+        calls.append(len(weights))
+        return kernel(self, sources, weights)
+
+    monkeypatch.setattr(WeightedDigraph, "_distances", counted)
+    return calls
+
+
+class TestStackedKernel:
+    """One kernel call computes the detour tables of a stack of centres.
+
+    Each centre gets a disjoint copy of the graph with its arcs inflated, so
+    every table must equal a heap Dijkstra on that centre's reweighted graph
+    alone, with ``==``, whatever the stack it came from.
+    """
+
+    # (vertices, centres per stack): one copy per stack above 64 vertices,
+    # several copies with a short tail stack, and every centre in one stack
+    SHAPES = [(66, 1), (40, 3), (12, 10), (10, 10)]
+
+    @pytest.mark.parametrize("n, copies", SHAPES)
+    def test_one_kernel_call_per_stack(self, n, copies, kernel_calls):
+        g = random_graph(random.Random(n), n, p=0.2)
+        r = g.mean_pairwise_distance()
+        del kernel_calls[:]  # the all-pairs table is one call of one copy
+        ldc_vector(g, r)
+        assert kernel_calls == [copies] * math.ceil(n / copies)
+
+    @pytest.mark.parametrize("n, copies", SHAPES)
+    def test_every_stack_shape_equals_the_reference(self, n, copies):
+        rng = random.Random(100 + n)
+        for g in (random_graph(rng, n, p=0.15), tie_heavy_graph(rng, n, p=0.15)):
+            # above 64 vertices every centre is its own stack; a few suffice
+            order = g.vertices if copies > 1 else g.vertices[::13]
+            for r in (g.mean_pairwise_distance(), math.inf):
+                assert_contexts_match_reference(g, r, order)
+
+    def test_zero_weight_and_edge_graphs_equal_the_reference(self):
+        rng = random.Random(71)
+        for g in kernel_edge_graphs(rng):
+            for r in (rng.uniform(0.5, 4.0), math.inf):
+                assert_contexts_match_reference(g, r, g.vertices)
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_any_centre_order_gives_the_contexts_of_index_order(self, n):
+        rng = random.Random(n)
+        g = tie_heavy_graph(rng, n, p=0.2)
+        r = g.mean_pairwise_distance()
+        expected = {v: build_context(g, v, r).without_matrix for v in g.vertices}
+        shuffled = list(g.vertices)
+        rng.shuffle(shuffled)
+        for order in (g.vertices[::-1], shuffled):
+            fresh = WeightedDigraph(g.arcs(), vertices=g.vertices)
+            assert {v: build_context(fresh, v, r).without_matrix for v in order} == expected
+        assert_contexts_match_reference(g, r, shuffled[:5])
+
+    def test_a_second_threshold_recomputes_the_stack(self, kernel_calls):
+        g = tie_heavy_graph(random.Random(5), 12, p=0.3)
+        small, large = g.mean_pairwise_distance() / 2, math.inf
+        first = g.vertices[0]
+        for r in (small, large, small):
+            del kernel_calls[:]
+            ctx = build_context(g, first, r)
+            assert kernel_calls == [10]
+            assert (ctx.members, ctx.without_matrix) == oracles.reference_context(g, first, r)[::2]
+        assert len(build_context(g, first, large).members) > len(
+            build_context(g, first, small).members)
+
+    def test_pickled_graph_leaves_its_stack_behind(self):
+        g = random_graph(random.Random(3), 10, p=0.4)
+        scores = ldc_vector(g).scores
+        assert g._stack is not None
+        assert g.__getstate__()["_stack"] is None
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy._stack is None
+        assert ldc_vector(copy).scores == scores
 
 
 class TestLdc:

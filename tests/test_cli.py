@@ -363,6 +363,51 @@ class TestSweep:
                 == load_manifest(clean / "manifest.json")["outputs"])
 
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    def test_stray_file_stays_out_of_the_manifest(self, rich_corpus, tmp_path, resume):
+        grid = ["--grid", "ws=1..2,ms=3"]
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert main(["sweep", rich_corpus, *grid, "-o", str(clean)]) == 0
+        if resume:
+            assert main(["sweep", rich_corpus, *grid, "-o", str(out)]) == 0
+        (out / "ws2_ms3").mkdir(parents=True, exist_ok=True)
+        (out / "ws2_ms3" / "stray.txt").write_text("not written by the sweep\n")
+        argv = ["sweep", rich_corpus, *grid, "-o", str(out)] + (["--resume"] if resume else [])
+        assert main(argv) == 0
+        assert (load_manifest(out / "manifest.json")["outputs"]
+                == load_manifest(clean / "manifest.json")["outputs"])
+
+    def test_resume_recomputes_a_cell_that_lists_a_foreign_file(self, rich_corpus, tmp_path):
+        grid = ["--grid", "ws=1..2,ms=3"]
+        clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+        assert main(["sweep", rich_corpus, *grid, "-o", str(clean)]) == 0
+        assert main(["sweep", rich_corpus, *grid, "-o", str(resumed)]) == 0
+        stray = resumed / "ws2_ms3" / "stray.txt"
+        stray.write_text("not written by the sweep\n")
+        cell_json = resumed / "ws2_ms3" / "cell.json"
+        meta = json.loads(cell_json.read_text())
+        meta["files"]["stray.txt"] = ldcnet.manifest.file_digest(stray)
+        cell_json.write_text(json.dumps(meta))
+        assert main(["sweep", rich_corpus, *grid, "-o", str(resumed), "--resume"]) == 0
+        assert (load_manifest(resumed / "manifest.json")["outputs"]
+                == load_manifest(clean / "manifest.json")["outputs"])
+
+    def test_each_output_is_digested_once(self, rich_corpus, tmp_path, monkeypatch):
+        digested = []
+        digest = ldcnet.manifest.file_digest
+
+        def counted(path):
+            digested.append(str(path))
+            return digest(path)
+
+        monkeypatch.setattr(ldcnet.cli, "file_digest", counted)
+        monkeypatch.setattr(ldcnet.manifest, "file_digest", counted)
+        out = tmp_path / "once"
+        assert main(["sweep", rich_corpus, "--grid", "ws=1..2,ms=3..4", "-o", str(out)]) == 0
+        outputs = load_manifest(out / "manifest.json")["outputs"]
+        assert sorted(digested) == sorted([rich_corpus] + [str(out / k) for k in outputs])
+
+
 class TestStatsCommand:
     def test_schema(self, boundary_corpus, tmp_path):
         out = tmp_path / "words.csv"
