@@ -163,11 +163,13 @@ def ldc_vector(
     if r is None:
         r = graph.mean_pairwise_distance()
     names = graph.vertices
-    if jobs <= 1 or len(names) < 2:
+    # a piece holds whole detour stacks, so no stack is computed in two workers
+    stack = graph._stack_size()
+    chunk = stack * math.ceil(len(names) / (max(jobs, 1) * stack))
+    pieces = [names[i : i + chunk] for i in range(0, len(names), chunk)]
+    if len(pieces) == 1:
         scores = _ldc_scores_for((graph, r, names))
     else:
-        chunk = max(1, math.ceil(len(names) / jobs))
-        pieces = [names[i : i + chunk] for i in range(0, len(names), chunk)]
         with ProcessPoolExecutor(max_workers=min(jobs, len(pieces))) as pool:
             parts = list(pool.map(_ldc_scores_for, [(graph, r, piece) for piece in pieces]))
         scores = [s for part in parts for s in part]

@@ -330,6 +330,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ws_values, ms_values = _parse_grid_spec(args.grid)
     except ValueError as exc:
         raise _UsageError(f"bad --grid value: {exc}") from None
+    grid = [(ws, ms) for ws in ws_values for ms in ms_values]
+    # every parameter is checked before the output directory is touched
+    params = PageRankParams(alpha=args.alpha)
+    for ws, ms in grid:
+        DistanceFunctionParams(ws, ms)
     corpus = load_corpus(args.corpus, args.input_format)
     if not corpus:
         # before the output directory is made; evaluate_cells would be too late
@@ -357,7 +362,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     }
     os.makedirs(args.out, exist_ok=True)
     trusted = _trusted_cells(args.out, resume_key)
-    grid = [(ws, ms) for ws in ws_values for ms in ms_values]
     metas: dict[tuple[int, int], dict] = {}
     for ws, ms in grid:
         name = cell_dir_name(ws, ms)
@@ -369,7 +373,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _write_resume_key(args.out, resume_key, trusted)
 
     if pending:
-        params = PageRankParams(alpha=args.alpha)
         for cell in evaluate_cells(corpus, pending, params, jobs=args.jobs):
             metas[(cell.ws, cell.ms)] = _write_cell(cell, args.out)
         _write_resume_key(args.out, resume_key, trusted | {cell_dir_name(*c) for c in pending})

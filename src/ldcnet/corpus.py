@@ -7,12 +7,12 @@ layout: a JSON object mapping each subject id to parallel ``words`` and
 ``timestamps`` lists.
 
 Each format has one row validator, which checks and converts every row once.
-It feeds both the :class:`FluencyRecord` lists of ``parse_corpus`` and
-``parse_corpus_osf`` and, through ``load_corpus``, an :class:`EncodedCorpus`
-built straight from the rows: words interned to ids, each record collapsed
-once, the records still readable as a sequence. The commands run on that
-encoded corpus from the parser to the correlation table and the
-permutation draws.
+It feeds ``load_corpus``, which interns the rows straight into an
+:class:`EncodedCorpus`: words as ids, each record collapsed once, the records
+still readable as a sequence. ``parse_corpus`` and ``parse_corpus_osf`` are
+the list of its records. The commands run on that encoded corpus from the
+parser to the correlation table and the permutation draws, and
+``shuffle_records`` shuffles ids, whatever kind of corpus it is given.
 
 Graph construction follows the windowed median-traversal-time rule: an arc
 (a, b) exists when strictly more than ``ms`` subjects produced ``b`` within
@@ -176,25 +176,13 @@ def _osf_rows(fh: IO[str]) -> Rows:
 _ROW_READERS: dict[str, Callable[[IO[str]], Rows]] = {"csv": _csv_rows, "osf-json": _osf_rows}
 
 
-def _read_rows(source: PathOrFile, input_format: str) -> Rows:
-    reader = _ROW_READERS.get(input_format)
-    if reader is None:
-        raise ValueError(f"unknown corpus format {input_format!r}")
-    with open_text(source, "r") as fh:
-        return reader(fh)
-
-
-def _records(rows: Rows) -> list[FluencyRecord]:
-    return [FluencyRecord(subject, tuple(zip(words, onsets))) for subject, words, onsets in rows]
-
-
 def parse_corpus(source: PathOrFile) -> list[FluencyRecord]:
     """Parse transcript CSV into one record per subject, in file order.
 
     Raises MalformedLine for format violations and NonMonotoneTimestamp when
     a subject's onsets fail to increase strictly.
     """
-    return _records(_read_rows(source, "csv"))
+    return list(load_corpus(source, "csv"))
 
 
 def emit_corpus(records: Sequence[FluencyRecord], dest: PathOrFile) -> None:
@@ -206,7 +194,7 @@ def emit_corpus(records: Sequence[FluencyRecord], dest: PathOrFile) -> None:
 
 def parse_corpus_osf(source: PathOrFile) -> list[FluencyRecord]:
     """Load the released-data layout: {subject: {"words": [...], "timestamps": [...]}}."""
-    return _records(_read_rows(source, "osf-json"))
+    return list(load_corpus(source, "osf-json"))
 
 
 def load_corpus(path: PathOrFile, input_format: str = "csv") -> EncodedCorpus:
@@ -216,10 +204,15 @@ def load_corpus(path: PathOrFile, input_format: str = "csv") -> EncodedCorpus:
     file's :class:`FluencyRecord` objects, in file order, that the graph,
     covariates and permutation code take as is. The format's row validator
     feeds the encoding directly, and a record is built only when one is read
-    from the sequence. ``list(load_corpus(...))`` equals
-    :func:`parse_corpus` or :func:`parse_corpus_osf` of the same file.
+    from the sequence; :func:`parse_corpus` and :func:`parse_corpus_osf` are
+    ``list(load_corpus(...))``.
     """
-    return EncodedCorpus._from_ids(*_intern(_read_rows(path, input_format)))
+    reader = _ROW_READERS.get(input_format)
+    if reader is None:
+        raise ValueError(f"unknown corpus format {input_format!r}")
+    with open_text(path, "r") as fh:
+        rows = reader(fh)
+    return EncodedCorpus(*_intern(rows))
 
 
 def normalize_record(record: FluencyRecord) -> FluencyRecord:
@@ -261,12 +254,13 @@ def _intern(
 class EncodedCorpus(Sequence[FluencyRecord]):
     """A corpus with its words interned to ids and each record collapsed once.
 
-    It is built from a record list (``encode(records)``), from the parser's
-    checked rows (:func:`load_corpus`) or by :func:`shuffle_records`, each
-    way ending in ``_set``, and every graph, covariates table and
-    permutation draw made from it shares that one pass: :func:`build_graph`
-    and :func:`ldcnet.metrics.covariates` take it in place of the records and
-    give the same results.
+    The constructor takes interned records (each record's subject, the word
+    table, each record's ids and onsets) and makes the one collapse pass.
+    :func:`encode` interns a record list, :func:`load_corpus` the parser's
+    checked rows, and :func:`shuffle_records` passes permuted ids; every
+    graph, covariates table and permutation draw made from a corpus shares
+    its pass: :func:`build_graph` and :func:`ldcnet.metrics.covariates` take
+    it in place of the records and give the same results.
 
     It is also a read-only sequence of its records: ``corpus[k]`` builds the
     :class:`FluencyRecord` of record ``k`` from the ids, so code written for
@@ -285,29 +279,13 @@ class EncodedCorpus(Sequence[FluencyRecord]):
     a corpus sent to a worker carries only the encoding.
     """
 
-    def __init__(self, records: Sequence[FluencyRecord]):
-        self._set(*_intern([(r.subject_id, r.words, r.onsets) for r in records]))
-
-    @classmethod
-    def _from_ids(
-        cls,
-        subjects: tuple[str, ...],
-        words: tuple[str, ...],
-        raw_ids: list[list[int]],
-        raw_onsets: list[tuple[float, ...]],
-    ) -> EncodedCorpus:
-        """The corpus of interned records, built without going through records."""
-        corpus = cls.__new__(cls)
-        corpus._set(subjects, words, raw_ids, raw_onsets)
-        return corpus
-
-    def _set(
+    def __init__(
         self,
         subjects: tuple[str, ...],
         words: tuple[str, ...],
         raw_ids: list[list[int]],
         raw_onsets: list[tuple[float, ...]],
-    ) -> None:
+    ):
         self.subjects = subjects
         self.words = words
         self.raw_ids = raw_ids
@@ -340,20 +318,6 @@ class EncodedCorpus(Sequence[FluencyRecord]):
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "covariates_table": None, "_window": None}
-
-    def _shuffled(self, rng: random.Random) -> EncodedCorpus:
-        """A copy whose records' words are permuted by ``rng``, onsets in place.
-
-        Records are shuffled in order with one ``rng.shuffle`` each, as
-        :func:`shuffle_records` does on the record list; the copy keeps this
-        corpus's word ids.
-        """
-        shuffled = []
-        for raw in self.raw_ids:
-            ids = raw.copy()
-            rng.shuffle(ids)
-            shuffled.append(ids)
-        return EncodedCorpus._from_ids(self.subjects, self.words, shuffled, self.raw_onsets)
 
     def pair_medians(self, ws: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(counts, sources, targets, medians)`` of every id pair at most ``ws`` apart.
@@ -414,7 +378,7 @@ def encode(records: Corpus) -> EncodedCorpus:
     """The :class:`EncodedCorpus` of ``records``; an encoded corpus is returned as is."""
     if isinstance(records, EncodedCorpus):
         return records
-    return EncodedCorpus(records)
+    return EncodedCorpus(*_intern([(r.subject_id, r.words, r.onsets) for r in records]))
 
 
 def build_graph(records: Corpus, params: DistanceFunctionParams) -> WeightedDigraph:
@@ -448,17 +412,19 @@ def shuffle_records(records: Corpus, seed: int) -> Corpus:
     """Permute each record's words uniformly while its onsets stay in place.
 
     Word counts and word multisets are preserved; output is deterministic
-    under ``seed``. An :class:`EncodedCorpus` gives a shuffled encoded
-    corpus, drawn with the same random calls as its record list, so the two
-    give the same graphs and covariates.
+    under ``seed``. The records are encoded, and each record's ids are
+    shuffled in record order, one ``rng.shuffle`` each; a shuffle's random
+    calls depend only on the length, so this is the draw a shuffle of each
+    record's word list makes. An :class:`EncodedCorpus` gives the shuffled
+    encoded corpus, with the same word ids; a record list gives the list of
+    its records.
     """
+    corpus = encode(records)
     rng = random.Random(seed)
-    if isinstance(records, EncodedCorpus):
-        return records._shuffled(rng)
     shuffled = []
-    for record in records:
-        words = list(record.words)
-        rng.shuffle(words)
-        entries = tuple(zip(words, record.onsets))
-        shuffled.append(FluencyRecord(record.subject_id, entries))
-    return shuffled
+    for raw in corpus.raw_ids:
+        ids = raw.copy()
+        rng.shuffle(ids)
+        shuffled.append(ids)
+    result = EncodedCorpus(corpus.subjects, corpus.words, shuffled, corpus.raw_onsets)
+    return result if isinstance(records, EncodedCorpus) else list(result)

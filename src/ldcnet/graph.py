@@ -256,10 +256,15 @@ class WeightedDigraph:
             stack = self._stack = (r, self._stacked_detours(center, r))
         return stack[1][center]
 
+    def _stack_size(self) -> int:
+        """Centres per stacked detour call (see :data:`_STACK_VERTICES`)."""
+        n = self.vertex_count
+        return min(n, max(1, _STACK_VERTICES // n))
+
     def _stacked_detours(self, first: int, r: float) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """:meth:`_detour` for ``first`` and the centres after it, in one kernel call."""
         n = self.vertex_count
-        copies = min(n, max(1, _STACK_VERTICES // n))
+        copies = self._stack_size()
         # copy i inflates centre first + i; a centre past the last vertex touches no arc
         ends = np.arange(first, first + copies)[:, None]
         touches = (self._tails == ends) | (self._heads == ends)

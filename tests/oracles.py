@@ -4,16 +4,18 @@ Everything here deliberately avoids the library's shortest-path machinery:
 distances come from Floyd-Warshall over a dense matrix or from a pure-Python
 heap Dijkstra, path counts from exhaustive simple-path enumeration, ranks
 from an O(n^2) scan, and the population variance from exact fractions.
-Graphs and covariates are rebuilt record by record from ``FluencyRecord``
-objects, without the encoded corpus.
+Graphs, covariates and shuffles are rebuilt record by record from
+``FluencyRecord`` objects, without the encoded corpus.
 """
 
 import math
+import random
 import statistics
 from fractions import Fraction
 from heapq import heappop, heappush
 
 from ldcnet import (
+    FluencyRecord,
     RetrievalStats,
     WeightedDigraph,
     collapse_first_occurrence,
@@ -440,3 +442,14 @@ def reference_covariates(records):
             n_from=n_from,
         )
     return stats
+
+
+def reference_shuffle(records, seed):
+    """Each record's word list shuffled in place, one ``rng.shuffle`` per record in order."""
+    rng = random.Random(seed)
+    shuffled = []
+    for record in records:
+        words = list(record.words)
+        rng.shuffle(words)
+        shuffled.append(FluencyRecord(record.subject_id, tuple(zip(words, record.onsets))))
+    return shuffled

@@ -269,9 +269,10 @@ class TestLdc:
             scaled_order = sorted(scaled, key=lambda v: (scaled[v], v))
             assert order == scaled_order
 
-    def test_parallel_matches_sequential_bitwise(self):
+    @pytest.mark.parametrize("n", [9, 30])  # one stack, and pieces of several stacks
+    def test_parallel_matches_sequential_bitwise(self, n):
         rng = random.Random(43)
-        g = random_graph(rng, 9, p=0.5)
+        g = random_graph(rng, n, p=0.5)
         sequential = ldc_vector(g, jobs=1).scores
         parallel = ldc_vector(g, jobs=2).scores
         assert sequential == parallel

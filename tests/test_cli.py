@@ -270,6 +270,18 @@ class TestSweep:
         assert main(["sweep", boundary_corpus, "--grid", "bogus",
                      "-o", str(tmp_path / "g")]) == 1
 
+    @pytest.mark.parametrize("bad", [["--alpha", "1.5"], ["--grid", "ws=0,ms=3"]])
+    def test_usage_error_leaves_the_output_directory_alone(self, rich_corpus, tmp_path, bad):
+        out = tmp_path / "kept"
+        grid = ["--grid", "ws=1..2,ms=3"]
+        assert main(["sweep", rich_corpus, *grid, "-o", str(out)]) == 0
+        key = read(out / "resume_key.json")
+        assert main(["sweep", rich_corpus, *grid, "-o", str(out), "--resume", *bad]) == 1
+        assert read(out / "resume_key.json") == key
+        fresh = tmp_path / "fresh"
+        assert main(["sweep", rich_corpus, *grid, "-o", str(fresh), *bad]) == 1
+        assert not fresh.exists()
+
     def test_cell_files_present(self, rich_corpus, tmp_path):
         out = tmp_path / "cells"
         main(["sweep", rich_corpus, "--grid", "ws=2..3,ms=3", "-o", str(out)])

@@ -166,6 +166,7 @@ class TestLoadCorpus:
                 corpus = load_corpus(str(path), input_format)
                 assert isinstance(corpus, EncodedCorpus)
                 parsed = parse(str(path))
+                assert type(parsed) is list
                 expected = encode(parsed)
                 assert corpus.words == expected.words
                 assert encoding_state(corpus) == encoding_state(expected)
@@ -438,6 +439,21 @@ class TestShuffleRecords:
             assert before.onsets == after.onsets
             assert sorted(before.words) == sorted(after.words)
 
+    def test_equals_the_reference_shuffle(self):
+        for records in oracle_corpora(count=60):
+            records = records + [
+                FluencyRecord("empty", ()),
+                make_record("one", ["v00"]),
+                make_record("repeats", ["v01", "v01", "v02", "v01"]),
+            ]
+            corpus = encode(records)
+            for seed in range(25):
+                reference = oracles.reference_shuffle(records, seed)
+                from_list = shuffle_records(records, seed)
+                assert type(from_list) is list
+                assert from_list == reference
+                assert list(shuffle_records(corpus, seed)) == reference
+
     def test_deterministic_under_seed(self):
         rng = random.Random(29)
         records = random_records(rng, n_subjects=5, list_len=6)
@@ -463,10 +479,11 @@ class TestShuffleRecords:
 
         for seed in range(50):
             from_ids = shuffle_records(corpus, seed)
-            from_records = encode(shuffle_records(records, seed))
+            reference = oracles.reference_shuffle(records, seed)
+            from_records = encode(reference)
             assert isinstance(from_ids, EncodedCorpus)
             assert encoding_state(from_ids) == encoding_state(from_records)
-            assert list(from_ids) == shuffle_records(records, seed)
+            assert list(from_ids) == reference
             for ws in (1, 2, 3):
                 for ms in (1, 2):
                     params = DistanceFunctionParams(ws=ws, ms=ms)

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 import random
 import statistics
 import sys
@@ -9,6 +10,7 @@ import pytest
 from ldcnet import (
     GridResult,
     PermutationConfig,
+    WeightedDigraph,
     correlation_distance_matrix,
     covariates,
     exclude_outliers,
@@ -17,7 +19,8 @@ from ldcnet import (
     spearman,
 )
 from ldcnet.centrality import ldc_vector
-from ldcnet.corpus import EncodedCorpus, FluencyRecord, encode, shuffle_records
+import ldcnet.corpus as corpus_module
+from ldcnet.corpus import FluencyRecord, encode, shuffle_records
 from ldcnet.errors import (
     InsufficientData,
     LdcnetError,
@@ -43,20 +46,20 @@ from ldcnet.stats import (
 )
 
 import oracles
-from corpora import complete_graph, make_record, random_records
+from corpora import complete_graph, make_record, random_graph, random_records
 
 
 @pytest.fixture
 def encode_calls(monkeypatch):
-    """Counts every corpus encoding, i.e. every pass that collapses the records."""
+    """Counts every corpus encoding, i.e. every pass that interns the records."""
     calls = []
-    original = EncodedCorpus.__init__
+    original = corpus_module._intern
 
-    def counting(self, records):
-        calls.append(len(records))
-        original(self, records)
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
 
-    monkeypatch.setattr(EncodedCorpus, "__init__", counting)
+    monkeypatch.setattr(corpus_module, "_intern", counting)
     return calls
 
 
@@ -449,10 +452,11 @@ class TestPermutationTest:
             except LdcnetError as exc:
                 return type(exc)
 
+        corpus = encode(records)
         for seed in range(12):
-            shuffled = shuffle_records(records, seed)
+            shuffled = oracles.reference_shuffle(records, seed)
             for target in ("dt_to", "dt_from"):
-                assert outcome(encode(shuffled), target) == outcome(shuffled, target)
+                assert outcome(shuffle_records(corpus, seed), target) == outcome(shuffled, target)
 
     def test_one_collapse_per_draw(self, encode_calls, monkeypatch):
         rng = random.Random(47)
@@ -493,7 +497,10 @@ class TestPermutationTest:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Worker counts asked of every pool; each pool runs its map in this process."""
+    """Worker counts asked of every pool; each pool runs its map in this process.
+
+    Every task is pickled and loaded first, as on its way to a worker.
+    """
     sizes = []
 
     class RecordingPool:
@@ -507,7 +514,7 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+            return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
 
     monkeypatch.setattr("ldcnet.centrality.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("ldcnet.stats.ProcessPoolExecutor", RecordingPool)
@@ -531,8 +538,37 @@ class TestPoolSize:
         assert permutation_test(records, config, jobs=16) == permutation_test(records, config)
         assert pool_sizes == [3]
 
-    @pytest.mark.parametrize("n, jobs, size", [(3, 16, 3), (10, 4, 4), (10, 16, 10)])
-    def test_ldc_vector_opens_one_worker_per_piece(self, pool_sizes, n, jobs, size):
+    # a piece is whole stacks: one stack of 3 or 10 centres opens no pool,
+    # 30 vertices make stacks of 4 and 70 vertices stacks of 1
+    @pytest.mark.parametrize("n, jobs, sizes", [
+        (3, 16, []), (10, 4, []), (30, 4, [4]), (30, 16, [8]), (70, 16, [14]),
+    ])
+    def test_ldc_vector_opens_one_worker_per_piece(self, pool_sizes, n, jobs, sizes):
         graph = complete_graph(n)
         assert ldc_vector(graph, jobs=jobs) == ldc_vector(graph)
-        assert pool_sizes == [size]
+        assert pool_sizes == sizes
+
+    @pytest.mark.parametrize("seed, n, jobs, sizes", [
+        (43, 9, 2, []),  # one stack of 9 centres
+        (31, 30, 2, [2]),  # stacks of 4 centres; pieces of 16 and 14
+        (31, 30, 3, [3]),  # pieces of 12, 12 and 6
+        (31, 30, 16, [8]),  # one stack per piece
+    ])
+    def test_ldc_vector_pieces_run_the_sources_of_one_pass(self, pool_sizes, monkeypatch,
+                                                           seed, n, jobs, sizes):
+        sources = []
+        kernel = WeightedDigraph._distances
+
+        def counted(self, indices, weights):
+            sources.append(len(indices))
+            return kernel(self, indices, weights)
+
+        monkeypatch.setattr(WeightedDigraph, "_distances", counted)
+
+        def run(jobs):
+            del sources[:]
+            scores = ldc_vector(random_graph(random.Random(seed), n, p=0.5), jobs=jobs)
+            return sum(sources), scores
+
+        assert run(jobs) == run(1)
+        assert pool_sizes == sizes
