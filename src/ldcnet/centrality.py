@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
 from operator import add
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -149,6 +149,20 @@ def ldc(graph: WeightedDigraph, vertex: str, r: Optional[float] = None) -> float
     return ldc_from_context(build_context(graph, vertex, r))
 
 
+def fan_out(fn: Callable, tasks: Sequence, jobs: int) -> Iterator:
+    """``fn(task)`` for each task, yielded in order: the package's one worker pool.
+
+    ``jobs <= 1`` or one task runs in this process. Otherwise ``min(jobs, len(tasks))``
+    workers take runs of ``max(1, len(tasks) // (workers * 4))`` tasks, sent in one pickle.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
+        return
+    workers = min(jobs, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+
+
 def _ldc_scores_for(args: tuple[WeightedDigraph, float, Sequence[str]]) -> list[float]:
     graph, r, names = args
     return [ldc_from_context(build_context(graph, v, r)) for v in names]
@@ -163,29 +177,20 @@ def ldc_vector(
     if r is None:
         r = graph.mean_pairwise_distance()
     names = graph.vertices
-    # a piece holds whole detour stacks, so no stack is computed in two workers
+    # one task per detour stack, so no stack is computed twice
     stack = graph._stack_size()
-    chunk = stack * math.ceil(len(names) / (max(jobs, 1) * stack))
-    pieces = [names[i : i + chunk] for i in range(0, len(names), chunk)]
-    if len(pieces) == 1:
-        scores = _ldc_scores_for((graph, r, names))
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pieces))) as pool:
-            parts = list(pool.map(_ldc_scores_for, [(graph, r, piece) for piece in pieces]))
-        scores = [s for part in parts for s in part]
+    tasks = [(graph, r, names[i : i + stack]) for i in range(0, len(names), stack)]
+    scores = [s for part in fan_out(_ldc_scores_for, tasks, jobs) for s in part]
     return CentralityVector("ldc", dict(zip(names, scores)))
 
 
 def degree(graph: WeightedDigraph, direction: str) -> CentralityVector:
     """Arc counts per vertex; ``direction`` is "in" or "out"."""
-    if direction == "in":
-        rows = graph._radj
-    elif direction == "out":
-        rows = graph._adj
-    else:
+    if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    scores = {name: float(len(rows[i])) for i, name in enumerate(graph.vertices)}
-    return CentralityVector(f"{direction}_degree", scores)
+    ends = graph._heads if direction == "in" else graph._tails
+    counts = np.bincount(ends, minlength=graph.vertex_count).tolist()
+    return CentralityVector(f"{direction}_degree", dict(zip(graph.vertices, map(float, counts))))
 
 
 def closeness(graph: WeightedDigraph) -> CentralityVector:
@@ -214,10 +219,9 @@ def triangles(graph: WeightedDigraph) -> CentralityVector:
     """
     n = graph.vertex_count
     nbrs: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j, _ in graph._adj[i]:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
+    for i, j in zip(graph._tails.tolist(), graph._heads.tolist()):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
     scores: dict[str, float] = {}
     for i, name in enumerate(graph.vertices):
         count = 0
@@ -240,9 +244,12 @@ def _pagerank_iterate(
     n = graph.vertex_count
     if n == 0:
         raise EmptyGraph("pagerank needs at least 1 vertex")
-    out_deg = [len(row) for row in graph._adj]
+    out_deg = np.bincount(graph._tails, minlength=n).tolist()
     dangling_vertices = [u for u in range(n) if out_deg[u] == 0]
-    in_sources = [[u for u, _ in row] for row in graph._radj]
+    # the arcs are sorted by (tail, head), so each head lists its tails in order
+    in_sources: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(graph._tails.tolist(), graph._heads.tolist()):
+        in_sources[v].append(u)
     x = [1.0 / n] * n
     teleport = (1.0 - params.alpha) / n
     # totals add left to right: builtin sum compensates floats from Python 3.12
@@ -288,7 +295,9 @@ def betweenness(graph: WeightedDigraph) -> CentralityVector:
     n = graph.vertex_count
     if n < 3:
         raise EmptyGraph("betweenness needs at least 3 vertices")
-    adj = graph._adj
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in zip(graph._tails.tolist(), graph._heads.tolist(), graph._weights.tolist()):
+        adj[u].append((v, w))
     bc = [0.0] * n
     for s in range(n):
         dist = [_INF] * n

@@ -6,7 +6,8 @@ What it caches (the all-pairs table, the CSR skeletons, the current stack of
 detour tables) is derived from the arcs and never changes an answer.
 Vertex labels are interned strings; each vertex receives a stable integer
 index (its lexicographic rank at construction time) and all internal tables
-are indexed by that integer.
+are indexed by that integer. The arcs are kept once, as three arrays sorted
+by (tail, head): tails, heads and weights; every reader works from them.
 
 Every shortest-path length comes from one kernel, :meth:`WeightedDigraph._distances`,
 which runs ``scipy.sparse.csgraph.dijkstra`` over disjoint copies of the arcs
@@ -19,7 +20,9 @@ Dijkstra distance is the minimum, over paths, of the left-to-right float sum
 of the arc weights: rounding is monotone, so extending the shortest prefix
 never loses to extending a longer one. That minimum does not depend on the
 order in which the priority queue settles ties, so every result is exact,
-reproducible and independent of arc insertion order.
+reproducible and independent of arc insertion order. Betweenness alone runs
+its own Dijkstra, for path counts: it needs its heap's settle order, which
+zero-weight arcs can make differ from an order read off the table.
 
 The all-pairs table is one cached, read-only ``float64`` array from a single
 kernel call, ``inf`` where unreachable; every reader works on it. Totals over
@@ -110,20 +113,11 @@ class WeightedDigraph:
 
         self._names: tuple[str, ...] = tuple(sorted(names))
         self._index: dict[str, int] = {name: i for i, name in enumerate(self._names)}
-        n = len(self._names)
-        out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        rin: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for (u, v), w in weights.items():
-            ui, vi = self._index[u], self._index[v]
-            out[ui].append((vi, w))
-            rin[vi].append((ui, w))
-        self._adj: list[tuple[tuple[int, float], ...]] = [tuple(sorted(row)) for row in out]
-        self._radj: list[tuple[tuple[int, float], ...]] = [tuple(sorted(row)) for row in rin]
+        arcs = sorted((self._index[u], self._index[v], w) for (u, v), w in weights.items())
+        self._tails = np.array([u for u, _, _ in arcs], dtype=np.int32)
+        self._heads = np.array([v for _, v, _ in arcs], dtype=np.int32)
+        self._weights = np.array([w for _, _, w in arcs], dtype=np.float64)
         self._max_weight: float = max(weights.values()) if weights else 0.0
-        # the arcs in vertex-index order: source, target and weight of each
-        self._tails = np.repeat(np.arange(n, dtype=np.int32), [len(row) for row in self._adj])
-        self._heads = np.array([j for row in self._adj for j, _ in row], dtype=np.int32)
-        self._weights = np.array([w for row in self._adj for _, w in row], dtype=np.float64)
         self._apsp: Optional[np.ndarray] = None
         self._skeletons: dict[int, csr_matrix] = {}
         self._stack: Optional[tuple[float, dict[int, tuple[np.ndarray, np.ndarray]]]] = None
@@ -144,7 +138,7 @@ class WeightedDigraph:
 
     @property
     def arc_count(self) -> int:
-        return sum(len(row) for row in self._adj)
+        return self._heads.size
 
     @property
     def max_arc_weight(self) -> float:
@@ -156,24 +150,20 @@ class WeightedDigraph:
 
     def arcs(self) -> Iterator[Arc]:
         """All arcs as (source, target, weight), sorted by vertex index."""
-        for i, row in enumerate(self._adj):
-            u = self._names[i]
-            for j, w in row:
-                yield (u, self._names[j], w)
+        names = self._names
+        for u, v, w in zip(self._tails.tolist(), self._heads.tolist(), self._weights.tolist()):
+            yield (names[u], names[v], w)
 
     def weight(self, source: str, target: str) -> Optional[float]:
-        si = self._vertex_index(source)
-        ti = self._vertex_index(target)
-        for j, w in self._adj[si]:
-            if j == ti:
-                return w
-        return None
+        tail, head = self._vertex_index(source), self._vertex_index(target)
+        arc = np.flatnonzero((self._tails == tail) & (self._heads == head))
+        return float(self._weights[arc[0]]) if arc.size else None
 
     def out_degree(self, vertex: str) -> int:
-        return len(self._adj[self._vertex_index(vertex)])
+        return int(np.count_nonzero(self._tails == self._vertex_index(vertex)))
 
     def in_degree(self, vertex: str) -> int:
-        return len(self._radj[self._vertex_index(vertex)])
+        return int(np.count_nonzero(self._heads == self._vertex_index(vertex)))
 
     def _vertex_index(self, vertex: str) -> int:
         try:

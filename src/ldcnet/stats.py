@@ -12,14 +12,13 @@ import itertools
 import math
 import statistics as pystats
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.stats import t as t_dist
 
-from .centrality import MEASURES, CentralityVector, PageRankParams, compute_all, ldc_vector
+from .centrality import MEASURES, CentralityVector, PageRankParams, compute_all, fan_out, ldc_vector
 from .corpus import (
     Corpus,
     DistanceFunctionParams,
@@ -305,20 +304,16 @@ def evaluate_cells(
     cells: Sequence[tuple[int, int]],
     pagerank_params: Optional[PageRankParams] = None,
     jobs: int = 1,
-) -> list[GridResult]:
-    """Evaluate an explicit cell list, in order, optionally across workers.
+) -> Iterator[GridResult]:
+    """Evaluate an explicit cell list, yielding each cell in order as it is done.
 
-    The records are encoded once for every cell. Each worker task carries
-    the encoding without its memoised tables.
+    The records are encoded, and checked, once for every cell before this
+    returns. A worker's run of cells shares one copy, without memoised tables.
     """
     corpus = encode(records)
     if not corpus:
         raise NoRecords("cannot sweep zero records")
-    if jobs <= 1 or len(cells) <= 1:
-        return [evaluate_cell(corpus, ws, ms, pagerank_params) for ws, ms in cells]
-    tasks = [(corpus, ws, ms, pagerank_params) for ws, ms in cells]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_cell_task, tasks))
+    return fan_out(_cell_task, [(corpus, ws, ms, pagerank_params) for ws, ms in cells], jobs)
 
 
 def grid_sweep(
@@ -333,7 +328,7 @@ def grid_sweep(
     Cell results are independent of evaluation order and of ``jobs``.
     """
     grid = [(ws, ms) for ws in ws_values for ms in ms_values]
-    return evaluate_cells(records, grid, pagerank_params, jobs=jobs)
+    return list(evaluate_cells(records, grid, pagerank_params, jobs=jobs))
 
 
 def correlation_distance_matrix(cell: GridResult) -> tuple[tuple[str, ...], list[list[float]]]:
@@ -556,12 +551,7 @@ def permutation_test(
         (corpus, config.ws, config.ms, config.target, config.seed, rep, config.max_retries)
         for rep in range(config.repetitions)
     ]
-    if jobs <= 1 or config.repetitions == 1:
-        draws = [_permutation_rep(task) for task in tasks]
-    else:
-        chunk = max(1, config.repetitions // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            draws = list(pool.map(_permutation_rep, tasks, chunksize=chunk))
+    draws = list(fan_out(_permutation_rep, tasks, jobs))
 
     null = [rho for rho in draws if rho is not None]
     n_failed = len(draws) - len(null)

@@ -325,11 +325,12 @@ class TestDegree:
 
     def test_matches_adjacency_counts(self):
         rng = random.Random(47)
-        g = random_graph(rng, 10, p=0.4)
-        arcs = list(g.arcs())
-        for v in g.vertices:
-            assert degree(g, "out").scores[v] == sum(1 for u, _, _ in arcs if u == v)
-            assert degree(g, "in").scores[v] == sum(1 for _, t, _ in arcs if t == v)
+        # kernel_edge_graphs add an isolated vertex, zero-weight arcs and one-way pairs
+        for g in [random_graph(rng, 10, p=0.4)] + kernel_edge_graphs(rng):
+            arcs = list(g.arcs())
+            for v in g.vertices:
+                assert degree(g, "out").scores[v] == sum(1 for u, _, _ in arcs if u == v)
+                assert degree(g, "in").scores[v] == sum(1 for _, t, _ in arcs if t == v)
 
     def test_rejects_unknown_direction(self):
         with pytest.raises(ValueError):
@@ -380,8 +381,7 @@ class TestTriangles:
 
     def test_matches_triple_enumeration(self):
         rng = random.Random(61)
-        for _ in range(20):
-            g = random_graph(rng, 9, p=0.4)
+        for g in [random_graph(rng, 9, p=0.4) for _ in range(20)] + kernel_edge_graphs(rng):
             assert triangles(g).scores == oracles.brute_triangles(g)
 
     def test_invariant_under_weight_scaling(self):

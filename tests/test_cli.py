@@ -9,6 +9,7 @@ import pytest
 import ldcnet.centrality
 import ldcnet.cli
 import ldcnet.manifest
+import ldcnet.stats
 from ldcnet.cli import main
 from ldcnet.graph import WeightedDigraph
 from ldcnet.errors import (
@@ -270,7 +271,9 @@ class TestSweep:
         assert main(["sweep", boundary_corpus, "--grid", "bogus",
                      "-o", str(tmp_path / "g")]) == 1
 
-    @pytest.mark.parametrize("bad", [["--alpha", "1.5"], ["--grid", "ws=0,ms=3"]])
+    @pytest.mark.parametrize("bad", [
+        ["--alpha", "1.5"], ["--grid", "ws=0,ms=3"], ["--grid", "ws=1,ws=2,ms=3"],
+    ])
     def test_usage_error_leaves_the_output_directory_alone(self, rich_corpus, tmp_path, bad):
         out = tmp_path / "kept"
         grid = ["--grid", "ws=1..2,ms=3"]
@@ -301,6 +304,50 @@ class TestSweep:
         d1 = load_manifest(out1 / "manifest.json")["outputs"]
         d2 = load_manifest(out2 / "manifest.json")["outputs"]
         assert d1 == d2
+
+    def test_interrupted_sweep_keeps_its_finished_cells(self, rich_corpus, tmp_path,
+                                                        monkeypatch):
+        grid = ["--grid", "ws=1..2,ms=3..4"]
+        clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+        assert main(["sweep", rich_corpus, *grid, "-o", str(clean)]) == 0
+        evaluated, stop = [], [3]
+        original = ldcnet.stats.evaluate_cell
+
+        def interrupting(records, ws, ms, *rest):
+            evaluated.append((ws, ms))
+            if len(evaluated) in stop:
+                raise KeyboardInterrupt
+            return original(records, ws, ms, *rest)
+
+        monkeypatch.setattr(ldcnet.stats, "evaluate_cell", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", rich_corpus, *grid, "-o", str(resumed)])
+        del evaluated[:], stop[:]
+        assert main(["sweep", rich_corpus, *grid, "-o", str(resumed), "--resume"]) == 0
+        # the two cells finished before the interruption are reused
+        assert evaluated == [(2, 3), (2, 4)]
+        assert (load_manifest(resumed / "manifest.json")["outputs"]
+                == load_manifest(clean / "manifest.json")["outputs"])
+
+    @pytest.mark.parametrize("entry", [b'{"cell": "ws1_ms3"}\n', b'"ws1_m'],
+                             ids=["not-a-name", "torn"])
+    def test_resume_distrusts_a_key_file_with_a_bad_entry(self, rich_corpus, tmp_path,
+                                                          monkeypatch, entry):
+        grid = ["--grid", "ws=1..2,ms=3"]
+        out = tmp_path / "out"
+        assert main(["sweep", rich_corpus, *grid, "-o", str(out)]) == 0
+        with open(out / "resume_key.json", "ab") as fh:
+            fh.write(entry)
+        evaluated = []
+        original = ldcnet.stats.evaluate_cell
+
+        def counting(records, ws, ms, *rest):
+            evaluated.append((ws, ms))
+            return original(records, ws, ms, *rest)
+
+        monkeypatch.setattr(ldcnet.stats, "evaluate_cell", counting)
+        assert main(["sweep", rich_corpus, *grid, "-o", str(out), "--resume"]) == 0
+        assert evaluated == [(1, 3), (2, 3)]
 
     def test_resume_reproduces_clean_run(self, rich_corpus, tmp_path):
         clean, resumed = tmp_path / "clean", tmp_path / "resumed"
@@ -454,6 +501,24 @@ class TestStatsCommand:
         assert main(["stats", str(corpus), "--input-format", "osf-json",
                      "-o", str(out)]) == 0
         assert read(out).decode().splitlines()[1].startswith("cat,2,")
+
+
+@pytest.mark.parametrize("command, flags, manifest", [
+    ("build", ["--ws", "2", "--ms", "3"], "out.manifest.json"),
+    ("stats", [], "out.manifest.json"),
+    ("sweep", ["--grid", "ws=1..2,ms=3"], "out/manifest.json"),
+    ("permtest", ["--ws", "2", "--ms", "3", "--n", "5"], "out.manifest.json"),
+], ids=["build", "stats", "sweep", "permtest"])
+def test_manifest_records_the_input_format(command, flags, manifest, tmp_path):
+    records = random_records(random.Random(7), n_subjects=25, list_len=10, vocab_size=10)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({
+        r.subject_id: {"words": [w for w, _ in r.entries], "timestamps": [t for _, t in r.entries]}
+        for r in records
+    }))
+    assert main([command, str(corpus), *flags, "--input-format", "osf-json",
+                 "-o", str(tmp_path / "out")]) == 0
+    assert load_manifest(tmp_path / manifest)["parameters"]["input_format"] == "osf-json"
 
 
 class TestPermtest:

@@ -40,6 +40,22 @@ class TestConstruction:
         assert "z" in g
         assert g.vertex_count == 3
 
+    def test_arc_readers_match_the_arcs_given(self):
+        rng = random.Random(29)
+        for base in kernel_edge_graphs(rng):
+            given = list(base.arcs())
+            rng.shuffle(given)
+            g = WeightedDigraph(given, vertices=base.vertices)
+            rank = {name: i for i, name in enumerate(sorted(g.vertices))}
+            assert list(g.arcs()) == sorted(given, key=lambda a: (rank[a[0]], rank[a[1]]))
+            assert g.arc_count == len(given)
+            weights = {(u, v): w for u, v, w in given}
+            for u in g.vertices:
+                assert g.out_degree(u) == sum(1 for t, _ in weights if t == u)
+                assert g.in_degree(u) == sum(1 for _, h in weights if h == u)
+                for v in g.vertices:
+                    assert g.weight(u, v) == weights.get((u, v))
+
 
 class TestSssp:
     def test_chain_forward(self):

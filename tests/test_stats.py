@@ -18,7 +18,7 @@ from ldcnet import (
     permutation_test,
     spearman,
 )
-from ldcnet.centrality import ldc_vector
+from ldcnet.centrality import fan_out, ldc_vector
 import ldcnet.corpus as corpus_module
 from ldcnet.corpus import FluencyRecord, encode, shuffle_records
 from ldcnet.errors import (
@@ -496,16 +496,18 @@ class TestPermutationTest:
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Worker counts asked of every pool; each pool runs its map in this process.
+def recording_pool(monkeypatch):
+    """The one pool, recording the worker count and the chunksize each asks for.
 
-    Every task is pickled and loaded first, as on its way to a worker.
+    Each pool runs its map in this process. Every task is pickled and loaded
+    first, as on its way to a worker.
     """
-    sizes = []
 
     class RecordingPool:
+        sizes, chunksizes = [], []
+
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -514,11 +516,17 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, *iterables, chunksize=1):
+            self.chunksizes.append(chunksize)
             return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
 
     monkeypatch.setattr("ldcnet.centrality.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("ldcnet.stats.ProcessPoolExecutor", RecordingPool)
-    return sizes
+    return RecordingPool
+
+
+@pytest.fixture
+def pool_sizes(recording_pool):
+    """Worker counts asked of every pool."""
+    return recording_pool.sizes
 
 
 class TestPoolSize:
@@ -538,10 +546,10 @@ class TestPoolSize:
         assert permutation_test(records, config, jobs=16) == permutation_test(records, config)
         assert pool_sizes == [3]
 
-    # a piece is whole stacks: one stack of 3 or 10 centres opens no pool,
-    # 30 vertices make stacks of 4 and 70 vertices stacks of 1
+    # a task is one detour stack: one stack of 3 or 10 centres opens no pool,
+    # 30 vertices make 8 stacks of up to 4 and 70 vertices 70 stacks of 1
     @pytest.mark.parametrize("n, jobs, sizes", [
-        (3, 16, []), (10, 4, []), (30, 4, [4]), (30, 16, [8]), (70, 16, [14]),
+        (3, 16, []), (10, 4, []), (30, 4, [4]), (30, 16, [8]), (70, 16, [16]),
     ])
     def test_ldc_vector_opens_one_worker_per_piece(self, pool_sizes, n, jobs, sizes):
         graph = complete_graph(n)
@@ -550,9 +558,9 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("seed, n, jobs, sizes", [
         (43, 9, 2, []),  # one stack of 9 centres
-        (31, 30, 2, [2]),  # stacks of 4 centres; pieces of 16 and 14
-        (31, 30, 3, [3]),  # pieces of 12, 12 and 6
-        (31, 30, 16, [8]),  # one stack per piece
+        (31, 30, 2, [2]),  # 8 stacks of up to 4 centres, one task each
+        (31, 30, 3, [3]),
+        (31, 30, 16, [8]),  # one stack per worker
     ])
     def test_ldc_vector_pieces_run_the_sources_of_one_pass(self, pool_sizes, monkeypatch,
                                                            seed, n, jobs, sizes):
@@ -572,3 +580,60 @@ class TestPoolSize:
 
         assert run(jobs) == run(1)
         assert pool_sizes == sizes
+
+
+class TestJobsFanOut:
+    """Cells, draws and detour stacks share one fan-out and one pool rule."""
+
+    def test_fan_out_over_jobs_yields_results_in_task_order(self):
+        tasks = [-3, 1, -2, 5, -7, 0, 4, -1, 6]
+        for jobs in (1, 2, 4):
+            assert list(fan_out(abs, tasks, jobs)) == [abs(t) for t in tasks]
+
+    def test_jobs_1_fan_out_runs_each_task_as_it_is_read(self):
+        calls = []
+
+        def task(x):
+            calls.append(x)
+            return -x
+
+        results = fan_out(task, [1, 2, 3], 1)
+        assert calls == []
+        assert next(results) == -1
+        assert calls == [1]
+        assert list(results) == [-2, -3]
+
+    @pytest.mark.parametrize("jobs, tasks", [(1, 5), (4, 1), (4, 0)])
+    def test_fan_out_at_one_job_or_task_opens_no_pool(self, recording_pool, jobs, tasks):
+        assert list(fan_out(abs, range(tasks), jobs)) == list(range(tasks))
+        assert recording_pool.sizes == []
+
+    # min(jobs, tasks) workers, each taking runs of max(1, tasks // (workers * 4)) tasks
+    @pytest.mark.parametrize("work, jobs, pools", [
+        ("cells", 2, ([2], [2])),  # 16 cells
+        ("cells", 16, ([16], [1])),
+        ("draws", 2, ([2], [5])),  # 40 repetitions
+        ("draws", 3, ([3], [3])),
+        ("stacks", 4, ([4], [4])),  # 70 stacks of one centre
+        ("stacks", 2, ([2], [8])),
+    ])
+    def test_jobs_workers_and_chunksize_follow_one_rule(self, recording_pool, work, jobs,
+                                                       pools):
+        records = random_records(random.Random(19), n_subjects=15, list_len=7, vocab_size=7)
+        if work == "cells":
+            def run(jobs):
+                return [summary_row(c) for c in grid_sweep(records, (1, 2), range(3, 11),
+                                                           jobs=jobs)]
+        elif work == "draws":
+            config = PermutationConfig(ws=2, ms=3, target="dt_to", repetitions=40, seed=9)
+
+            def run(jobs):
+                return permutation_test(records, config, jobs=jobs)
+        else:
+            graph = complete_graph(70)
+
+            def run(jobs):
+                return ldc_vector(graph, jobs=jobs)
+
+        assert run(jobs) == run(1)
+        assert (recording_pool.sizes, recording_pool.chunksizes) == pools
