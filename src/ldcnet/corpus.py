@@ -153,14 +153,18 @@ def _osf_rows(fh: IO[str]) -> Rows:
             and isinstance(payload.get("timestamps"), list)
         ):
             raise MalformedLine(0, f"subject {subject!r}: need 'words' and 'timestamps' lists")
-        words = payload["words"]
+        words, stamps = payload["words"], payload["timestamps"]
         try:
-            onsets = [float(t) for t in payload["timestamps"]]
+            if any(isinstance(t, bool) for t in stamps):
+                raise TypeError  # float() would take JSON true and false as 1.0 and 0.0
+            onsets = [float(t) for t in stamps]
         except (TypeError, ValueError):
             raise MalformedLine(0, f"subject {subject!r}: non-numeric timestamp") from None
         if len(words) != len(onsets):
             raise MalformedLine(0, f"subject {subject!r}: words/timestamps length mismatch")
-        cleaned = [str(w).strip().lower() for w in words]
+        if not all(isinstance(w, str) for w in words):
+            raise MalformedLine(0, f"subject {subject!r}: non-string word")
+        cleaned = [w.strip().lower() for w in words]
         if any(not w for w in cleaned):
             raise MalformedLine(0, f"subject {subject!r}: empty word")
         if any(not 0.0 <= t <= 60.0 for t in onsets):  # also true for nan
@@ -268,10 +272,11 @@ class EncodedCorpus(Sequence[FluencyRecord]):
 
     ``words[i]`` is the word with id ``i``. For every record, empty ones
     included, ``subjects[k]`` is its subject id, ``raw_ids[k]`` the ids of
-    all its words and ``raw_onsets[k]`` their onsets. For each non-empty
-    record, in record order, ``ids`` holds the ids of its first occurrences,
-    ``onsets`` their raw onsets and ``normalized`` those onsets divided by
-    the record's raw word count.
+    all its words and ``raw_onsets[k]`` their onsets. The collapsed records
+    are flat arrays laid end to end, one entry per kept position in record
+    then position order: ``ids`` the id of each first occurrence,
+    ``record`` the index ``k`` of its record, ``onsets`` its raw onset and
+    ``normalized`` that onset divided by the record's raw word count.
 
     The corpus memoises what depends only on it: ``covariates_table``, which
     :func:`ldcnet.metrics.covariates` fills on first use, and the pair
@@ -290,20 +295,21 @@ class EncodedCorpus(Sequence[FluencyRecord]):
         self.words = words
         self.raw_ids = raw_ids
         self.raw_onsets = raw_onsets
-        self.ids: list[tuple[int, ...]] = []
-        self.onsets: list[tuple[float, ...]] = []
-        self.normalized: list[tuple[float, ...]] = []
-        for raw, times in zip(raw_ids, raw_onsets):
-            if not raw:
-                continue
-            ids = tuple(dict.fromkeys(raw))
-            # fed in reverse, each id keeps the onset of its first occurrence
-            first = dict(zip(reversed(raw), reversed(times)))
-            onsets = tuple(map(first.__getitem__, ids))
-            count = len(raw)
-            self.ids.append(ids)
-            self.onsets.append(onsets)
-            self.normalized.append(tuple(t / count for t in onsets))
+        lengths = np.fromiter(map(len, raw_ids), dtype=np.intp, count=len(raw_ids))
+        total = int(lengths.sum())
+        ids = np.fromiter(chain.from_iterable(raw_ids), dtype=np.intp, count=total)
+        onsets = np.fromiter(chain.from_iterable(raw_onsets), dtype=np.float64, count=total)
+        record = np.repeat(np.arange(lengths.size), lengths)
+        # a stable sort on (record, id) puts each record's first occurrence of
+        # an id first in its run; sorting the kept positions restores their order
+        key = record * len(words) + ids
+        order = np.argsort(key, kind="stable")
+        first = np.sort(order[np.diff(key[order], prepend=-1) != 0])
+        self.ids: np.ndarray = ids[first]
+        self.record: np.ndarray = record[first]
+        self.onsets: np.ndarray = onsets[first]
+        # the float division ``t / count`` of each record's onsets
+        self.normalized: np.ndarray = self.onsets / lengths[self.record]
         self.covariates_table: Optional[dict] = None
         self._window: Optional[tuple[int, tuple[np.ndarray, ...]]] = None
 
@@ -345,11 +351,7 @@ class EncodedCorpus(Sequence[FluencyRecord]):
         return self._window[1]
 
     def _rank_pairs(self, ws: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        lengths = np.fromiter(map(len, self.ids), dtype=np.intp, count=len(self.ids))
-        total = int(lengths.sum())
-        ids = np.fromiter(chain.from_iterable(self.ids), dtype=np.intp, count=total)
-        onsets = np.fromiter(chain.from_iterable(self.normalized), dtype=np.float64, count=total)
-        record = np.repeat(np.arange(lengths.size), lengths)
+        ids, onsets, record = self.ids, self.normalized, self.record
         keys, deltas = [], []
         for gap in range(1, ws + 1):
             same = record[gap:] == record[:-gap]
@@ -400,12 +402,15 @@ def build_graph(records: Corpus, params: DistanceFunctionParams) -> WeightedDigr
         raise NoRecords("cannot build a graph from zero records")
     counts, sources, targets, medians = corpus.pair_medians(params.ws)
     kept = int(np.count_nonzero(counts > params.ms))
-    words = corpus.words
-    return WeightedDigraph(zip(
-        map(words.__getitem__, sources[:kept].tolist()),
-        map(words.__getitem__, targets[:kept].tolist()),
-        medians[:kept].tolist(),
-    ))
+    sources, targets = sources[:kept], targets[:kept]
+    present = np.unique(np.concatenate((sources, targets))).tolist()
+    order = sorted(present, key=corpus.words.__getitem__)
+    rank = np.empty(len(corpus.words), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    tails, heads = rank[sources], rank[targets]
+    arcs = np.lexsort((heads, tails))
+    names = tuple(map(corpus.words.__getitem__, order))
+    return WeightedDigraph._from_arrays(names, tails[arcs], heads[arcs], medians[:kept][arcs])
 
 
 def shuffle_records(records: Corpus, seed: int) -> Corpus:

@@ -2,19 +2,23 @@
 
 The graph is immutable after construction: every operation below is a pure
 read, so a single instance can be shared freely across worker processes.
-What it caches (the all-pairs table, the CSR skeletons, the current stack of
+What it caches (the all-pairs table, the CSR skeleton, the current stack of
 detour tables) is derived from the arcs and never changes an answer.
 Vertex labels are interned strings; each vertex receives a stable integer
 index (its lexicographic rank at construction time) and all internal tables
 are indexed by that integer. The arcs are kept once, as three arrays sorted
 by (tail, head): tails, heads and weights; every reader works from them.
+The constructor checks every arc it is given; ``build_graph`` instead passes
+those arrays ready made to a private, unchecked array constructor, since its
+pair table already holds what the checks enforce.
 
 Every shortest-path length comes from one kernel, :meth:`WeightedDigraph._distances`,
 which runs ``scipy.sparse.csgraph.dijkstra`` over disjoint copies of the arcs
-in one block-diagonal CSR matrix, each copy with its own weights. The
-all-pairs table is one copy with the original weights; the detour tables
-stack one copy per centre, each with that centre's arcs inflated, so a small
-graph pays csgraph's fixed per-call cost once for many centres. A source
+in one block-diagonal CSR matrix, each copy with its own weights. A graph
+builds that matrix once: the detour tables stack one copy per centre, each
+with that centre's arcs inflated, so a small graph pays csgraph's fixed
+per-call cost once for many centres, and the all-pairs table and ``sssp``
+run in copy 0 with every copy carrying the original weights. A source
 never leaves its copy, so its row equals a call on that copy alone. A
 Dijkstra distance is the minimum, over paths, of the left-to-right float sum
 of the arc weights: rounding is monotone, so extending the shortest prefix
@@ -111,15 +115,44 @@ class WeightedDigraph:
             names.add(u)
             names.add(v)
 
-        self._names: tuple[str, ...] = tuple(sorted(names))
+        ordered = tuple(sorted(names))
+        index = {name: i for i, name in enumerate(ordered)}
+        arcs = sorted((index[u], index[v], w) for (u, v), w in weights.items())
+        self._set_arcs(
+            ordered,
+            np.array([u for u, _, _ in arcs], dtype=np.int32),
+            np.array([v for _, v, _ in arcs], dtype=np.int32),
+            np.array([w for _, _, w in arcs], dtype=np.float64),
+        )
+
+    @classmethod
+    def _from_arrays(
+        cls, names: tuple[str, ...], tails: np.ndarray, heads: np.ndarray, weights: np.ndarray
+    ) -> "WeightedDigraph":
+        """A graph from vertex names in label order and arcs as index arrays, unchecked.
+
+        The caller vouches for what the constructor checks: the names are
+        sorted and distinct, ``tails`` and ``heads`` are ``int32`` ranks into
+        ``names`` sorted by (tail, head) with no self-arc and no repeated
+        pair, and every weight is a finite ``float64`` >= 0. :func:`ldcnet.corpus.build_graph` holds them: a
+        collapsed record holds each id once, the pair table has one entry
+        per pair, and a median of positive gaps is finite and >= 0.
+        """
+        graph = cls.__new__(cls)
+        graph._set_arcs(names, tails, heads, weights)
+        return graph
+
+    def _set_arcs(
+        self, names: tuple[str, ...], tails: np.ndarray, heads: np.ndarray, weights: np.ndarray
+    ) -> None:
+        self._names: tuple[str, ...] = tuple(map(sys.intern, names))
         self._index: dict[str, int] = {name: i for i, name in enumerate(self._names)}
-        arcs = sorted((self._index[u], self._index[v], w) for (u, v), w in weights.items())
-        self._tails = np.array([u for u, _, _ in arcs], dtype=np.int32)
-        self._heads = np.array([v for _, v, _ in arcs], dtype=np.int32)
-        self._weights = np.array([w for _, _, w in arcs], dtype=np.float64)
-        self._max_weight: float = max(weights.values()) if weights else 0.0
+        self._tails = tails
+        self._heads = heads
+        self._weights = weights
+        self._max_weight: float = float(weights.max()) if weights.size else 0.0
         self._apsp: Optional[np.ndarray] = None
-        self._skeletons: dict[int, csr_matrix] = {}
+        self._csr: Optional[csr_matrix] = None
         self._stack: Optional[tuple[float, dict[int, tuple[np.ndarray, np.ndarray]]]] = None
 
     def __getstate__(self) -> dict:
@@ -181,7 +214,7 @@ class WeightedDigraph:
         same floats as the row of :meth:`apsp`.
         """
         src = self._vertex_index(source)
-        dist = self._distances([src], self._weights[None])[0].tolist()
+        dist = self._plain_distances([src])[0].tolist()
         return {
             name: (None if dist[i] == _INF else dist[i]) for i, name in enumerate(self._names)
         }
@@ -193,42 +226,51 @@ class WeightedDigraph:
     def _apsp_table(self) -> np.ndarray:
         """All-pairs lengths (``inf`` when unreachable), one kernel call, cached read-only."""
         if self._apsp is None:
-            self._apsp = self._distances(range(self.vertex_count), self._weights[None])
+            n = self.vertex_count
+            # a graph with no vertices has no copies to run on
+            self._apsp = self._plain_distances(range(n)) if n else np.empty((0, 0))
             self._apsp.flags.writeable = False
         return self._apsp
 
-    def _skeleton(self, copies: int) -> csr_matrix:
-        """``copies`` disjoint copies of the arcs as one block-diagonal CSR matrix; cached.
+    def _plain_distances(self, sources: Sequence[int]) -> np.ndarray:
+        """Lengths from ``sources`` over the arcs as they are, run in copy 0 of the skeleton.
+
+        Every copy carries the original weights, and a source never leaves
+        its copy, so the first ``V`` columns are the lengths on the graph.
+        """
+        return self._distances(sources, self._weights[None])[:, : self.vertex_count]
+
+    def _skeleton(self) -> csr_matrix:
+        """:meth:`_stack_size` disjoint copies of the arcs as one block-diagonal CSR matrix; cached.
 
         Vertex ``v`` of copy ``i`` is row and column ``i * V + v``. Each copy
         stores its arcs in vertex-index order, copy after copy, so ``data``
         is the copies' weight rows laid end to end. Only the index arrays
-        are kept: every kernel call sets ``data``. Zero-weight arcs are
-        explicit entries, which csgraph keeps as arcs.
+        matter: ``data`` starts as zeros and every kernel call overwrites it.
+        Zero-weight arcs are explicit entries, which csgraph keeps as arcs.
         """
-        skeleton = self._skeletons.get(copies)
-        if skeleton is None:
-            n = self.vertex_count
-            indptr = np.zeros(copies * n + 1, dtype=np.int32)
-            np.cumsum(np.tile(np.bincount(self._tails, minlength=n), copies), out=indptr[1:])
-            offsets = np.arange(0, copies * n, n, dtype=np.int32)[:, None]
+        if self._csr is None:
+            size = self._stack_size() * self.vertex_count
+            offsets = np.arange(0, size, self.vertex_count, dtype=np.int32)[:, None]
+            indptr = np.zeros(size + 1, dtype=np.int32)
+            np.cumsum(np.bincount((self._tails + offsets).ravel(), minlength=size), out=indptr[1:])
             indices = (self._heads + offsets).ravel()
-            data = np.tile(self._weights, copies)
-            skeleton = csr_matrix((data, indices, indptr), shape=(copies * n, copies * n))
-            self._skeletons[copies] = skeleton
-        return skeleton
+            data = np.zeros(indices.size)
+            self._csr = csr_matrix((data, indices, indptr), shape=(size, size))
+        return self._csr
 
     def _distances(self, sources: Sequence[int], weights: np.ndarray) -> np.ndarray:
-        """The shortest-path kernel over ``len(weights)`` disjoint copies of the graph.
+        """The shortest-path kernel over the :meth:`_stack_size` copies of the skeleton.
 
         ``weights[i]`` holds copy ``i``'s arc weights in vertex-index arc
-        order, and source ``i * V + v`` is vertex ``v`` of copy ``i``. Returns
+        order (a single row is every copy's), and source ``i * V + v`` is
+        vertex ``v`` of copy ``i``. Returns
         one row of lengths per source over the vertices of every copy,
         ``inf`` when unreachable. A source never leaves its copy, so within
         it the row equals a call on that copy alone, bit for bit.
         """
-        arcs = self._skeleton(len(weights))
-        arcs.data = weights.ravel()
+        arcs = self._skeleton()
+        arcs.data.reshape(self._stack_size(), -1)[...] = weights
         return dijkstra(arcs, directed=True, indices=sources)
 
     def _detour(self, center: int, r: float) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .corpus import Corpus, EncodedCorpus, encode
 from .errors import NoEligibleOccurrence, NoRecords
 from .textio import PathOrFile, format_number, write_csv
@@ -95,25 +97,15 @@ def covariates(records: Corpus) -> dict[str, RetrievalStats]:
 
 def _tabulate(corpus: EncodedCorpus) -> dict[str, RetrievalStats]:
     size = len(corpus.words)
-    frequency = [0] * size
-    position_sum = [0] * size
-    to_sum = [0.0] * size
-    to_count = [0] * size
-    from_sum = [0.0] * size
-    from_count = [0] * size
-    for ids, onsets in zip(corpus.ids, corpus.onsets):
-        last = len(ids) - 1
-        for position, word in enumerate(ids):
-            frequency[word] += 1
-            position_sum[word] += position + 1
-            # (sum + later) - earlier, left to right: ``sum += later - earlier``
-            # rounds differently and would change the published tables
-            if position >= 1:
-                to_sum[word] = to_sum[word] + onsets[position] - onsets[position - 1]
-                to_count[word] += 1
-            if position < last:
-                from_sum[word] = from_sum[word] + onsets[position + 1] - onsets[position]
-                from_count[word] += 1
+    ids, onsets, record = corpus.ids, corpus.onsets, corpus.record
+    index = np.arange(ids.size)
+    opens = np.maximum.accumulate(np.where(np.diff(record, prepend=-1) != 0, index, 0))
+    frequency = np.bincount(ids, minlength=size).tolist()
+    position_sum = np.bincount(ids, weights=index - opens + 1, minlength=size).tolist()
+    same = record[1:] == record[:-1]  # position i + 1 follows position i in one record
+    later, earlier = onsets[1:][same], onsets[:-1][same]
+    to_sum, to_count = _ordered_sums(ids[1:][same], later, earlier, size)
+    from_sum, from_count = _ordered_sums(ids[:-1][same], later, earlier, size)
 
     stats: dict[str, RetrievalStats] = {}
     for word_id in sorted(range(size), key=corpus.words.__getitem__):
@@ -132,6 +124,22 @@ def _tabulate(corpus: EncodedCorpus) -> dict[str, RetrievalStats]:
             n_from=n_from,
         )
     return stats
+
+
+def _ordered_sums(
+    word: np.ndarray, later: np.ndarray, earlier: np.ndarray, size: int
+) -> tuple[list[float], list[int]]:
+    """Per word id, ``(sum + later) - earlier`` over its entries in order, and their count.
+
+    ``bincount`` adds its weights in input order, so feeding it
+    ``later, -earlier`` per entry, with the word id twice, adds left to
+    right exactly as the loop ``sum = sum + later - earlier`` does
+    (``x + (-y)`` is ``x - y``). ``sum += later - earlier`` rounds
+    differently and would change the published tables.
+    """
+    weights = np.column_stack((later, -earlier)).ravel()
+    sums = np.bincount(np.repeat(word, 2), weights=weights, minlength=size)
+    return sums.tolist(), np.bincount(word, minlength=size).tolist()
 
 
 def write_stats_csv(

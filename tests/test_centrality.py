@@ -3,7 +3,9 @@ import pickle
 import random
 
 import pytest
+from scipy.sparse import csr_matrix
 
+import ldcnet.graph as graph_module
 from ldcnet import (
     MEASURES,
     PageRankParams,
@@ -168,9 +170,23 @@ class TestStackedKernel:
     def test_one_kernel_call_per_stack(self, n, copies, kernel_calls):
         g = random_graph(random.Random(n), n, p=0.2)
         r = g.mean_pairwise_distance()
-        del kernel_calls[:]  # the all-pairs table is one call of one copy
+        del kernel_calls[:]  # the all-pairs table is one call with one weight row
         ldc_vector(g, r)
         assert kernel_calls == [copies] * math.ceil(n / copies)
+
+    @pytest.mark.parametrize("n, copies", SHAPES)
+    def test_one_csr_skeleton_per_graph(self, n, copies, monkeypatch):
+        built = []
+
+        def counted(arrays, shape):
+            built.append(shape)
+            return csr_matrix(arrays, shape=shape)
+
+        monkeypatch.setattr(graph_module, "csr_matrix", counted)
+        g = random_graph(random.Random(n), n, p=0.2)
+        ldc_vector(g, g.mean_pairwise_distance())
+        g.sssp(g.vertices[-1])
+        assert built == [(copies * n, copies * n)]
 
     @pytest.mark.parametrize("n, copies", SHAPES)
     def test_every_stack_shape_equals_the_reference(self, n, copies):

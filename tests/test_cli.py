@@ -105,8 +105,13 @@ class TestBuild:
         '{"s1": {"words": ["cat", "dog"], "timestamps": [0.0, "x"]}}',
         '{"s1": {"words": ["cat", "dog"], "timestamps": [0.0, null]}}',
         '{"s1": {"words": "ab", "timestamps": [0.0, 1.0]}}',
+        '{"s1": {"words": ["cat", "dog"], "timestamps": [0.0, true]}}',
+        '{"s1": {"words": ["cat", null], "timestamps": [0.0, 1.0]}}',
+        '{"s1": {"words": ["cat", 3], "timestamps": [0.0, 1.0]}}',
+        '{"s1": {"words": ["cat", ["x"]], "timestamps": [0.0, 1.0]}}',
     ],
-    ids=["truncated", "string-timestamp", "null-timestamp", "words-not-a-list"],
+    ids=["truncated", "string-timestamp", "null-timestamp", "words-not-a-list",
+         "bool-timestamp", "null-word", "number-word", "list-word"],
 )
 def test_malformed_osf_json_exits_2(text, tmp_path, capsys):
     corpus = tmp_path / "corpus.json"

@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from ldcnet import (
@@ -16,7 +17,9 @@ from ldcnet import (
     encode,
     parse_corpus,
     shuffle_records,
+    WeightedDigraph,
 )
+from ldcnet.centrality import MEASURES, compute_all
 from ldcnet.corpus import EncodedCorpus, load_corpus, parse_corpus_osf
 from ldcnet.stats import ldc_dt_correlation
 from ldcnet.errors import (
@@ -44,14 +47,21 @@ def graph_state(graph):
     return graph.vertices, list(graph.arcs())
 
 
+def per_record(corpus, flat):
+    """A flat collapse array of ``corpus`` split into one tuple per non-empty record."""
+    cuts = np.flatnonzero(np.diff(corpus.record)) + 1
+    return [tuple(part.tolist()) for part in np.split(flat, cuts)] if flat.size else []
+
+
 def encoding_state(corpus):
     """Everything an encoded corpus holds, with each id spelled as its word."""
     def spell(rows):
         return [[corpus.words[i] for i in row] for row in rows]
 
     return (
-        corpus.subjects, spell(corpus.raw_ids), corpus.raw_onsets, spell(corpus.ids),
-        corpus.onsets, corpus.normalized,
+        corpus.subjects, spell(corpus.raw_ids), corpus.raw_onsets,
+        per_record(corpus, corpus.record), spell(per_record(corpus, corpus.ids)),
+        per_record(corpus, corpus.onsets), per_record(corpus, corpus.normalized),
     )
 
 
@@ -145,6 +155,18 @@ class TestOsfLoader:
         with pytest.raises(MalformedLine):
             parse_corpus_osf(io.StringIO(json.dumps(payload)))
 
+    @pytest.mark.parametrize("word", [None, 3, ["x"], True])
+    def test_non_string_word_rejected(self, word):
+        payload = {"s1": {"words": ["cat", word], "timestamps": [0.5, 2.0]}}
+        with pytest.raises(MalformedLine, match="'s1': non-string word"):
+            parse_corpus_osf(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize("stamp", [True, False])
+    def test_boolean_timestamp_rejected(self, stamp):
+        payload = {"s1": {"words": ["cat", "dog"], "timestamps": [0.5, stamp]}}
+        with pytest.raises(MalformedLine, match="'s1': non-numeric timestamp"):
+            parse_corpus_osf(io.StringIO(json.dumps(payload)))
+
 
 class TestLoadCorpus:
     """``load_corpus`` encodes the rows of the validator the record loaders use."""
@@ -213,6 +235,8 @@ class TestLoadCorpus:
             '{"s1": {"words": ["cat"], "timestamps": ["x"]}}',
             '{"s1": {"words": [" "], "timestamps": [1.0]}}',
             '{"s1": {"words": ["cat"], "timestamps": [NaN]}}',
+            '{"s1": {"words": ["cat"], "timestamps": [true]}}',
+            '{"s1": {"words": ["cat", null, 3, ["x"]], "timestamps": [1, 2, 3, 4]}}',
         ],
     )
     def test_same_error_as_the_record_loader(self, text):
@@ -378,9 +402,61 @@ class TestEncodedCorpus:
         assert encode(corpus) is corpus
         assert len(corpus) == 2
         assert corpus.words == ("a", "b")
-        assert corpus.ids == [(0, 1)]
-        assert corpus.onsets == [(1.0, 2.0)]
-        assert corpus.normalized == [(1.0 / 3, 2.0 / 3)]
+        assert corpus.ids.tolist() == [0, 1]
+        assert corpus.record.tolist() == [0, 0]
+        assert corpus.onsets.tolist() == [1.0, 2.0]
+        assert corpus.normalized.tolist() == [1.0 / 3, 2.0 / 3]
+
+    def test_flat_collapse_equals_collapsing_each_normalized_record(self):
+        def check(corpus):
+            kept = [k for k in range(len(corpus)) if corpus.raw_ids[k]]
+            assert per_record(corpus, corpus.record) == [
+                (k,) * len(set(corpus.raw_ids[k])) for k in kept
+            ]
+            ids = per_record(corpus, corpus.ids)
+            onsets = per_record(corpus, corpus.onsets)
+            normalized = per_record(corpus, corpus.normalized)
+            for i, k in enumerate(kept):
+                record = corpus[k]
+                expected = collapse_first_occurrence(normalize_record(record))
+                assert tuple(corpus.words[w] for w in ids[i]) == expected.words
+                assert normalized[i] == expected.onsets
+                assert onsets[i] == collapse_first_occurrence(record).onsets
+
+        for records in oracle_corpora(count=60):
+            records = [FluencyRecord("empty", ())] + records + [
+                FluencyRecord("empty too", ()),
+                make_record("one", ["v00"]),
+                make_record("repeats", ["v01", "v01", "v02", "v01"]),
+            ]
+            corpus = encode(records)
+            check(corpus)
+            for seed in range(5):
+                check(shuffle_records(corpus, seed))
+        check(encode([]))
+        check(encode([FluencyRecord("empty", ())]))
+
+    def test_array_built_graph_equals_the_checked_constructor(self):
+        def scores(graph, measure):
+            try:
+                return compute_all(graph, measures=(measure,))[measure].scores
+            except LdcnetError as exc:
+                return type(exc)
+
+        for records in oracle_corpora():
+            corpus = encode(records)
+            for ws in (1, 2, 3):
+                for ms in (1, 2):
+                    graph = build_graph(corpus, DistanceFunctionParams(ws=ws, ms=ms))
+                    checked = WeightedDigraph(list(graph.arcs()))
+                    assert graph.vertices == checked.vertices
+                    assert list(graph.arcs()) == list(checked.arcs())
+                    assert graph.arc_count == checked.arc_count
+                    assert graph.max_arc_weight == checked.max_arc_weight
+                    assert graph._tails.dtype == checked._tails.dtype == np.int32
+                    assert graph._heads.dtype == checked._heads.dtype == np.int32
+                    for measure in MEASURES:
+                        assert scores(graph, measure) == scores(checked, measure)
 
     def test_only_empty_records_give_an_empty_graph(self):
         corpus = encode([FluencyRecord("s1", ()), FluencyRecord("s2", ())])

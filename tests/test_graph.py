@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ldcnet import WeightedDigraph
+from ldcnet.centrality import closeness
 from ldcnet.errors import EmptyGraph, MalformedLine, UnknownVertex
 
 import oracles
@@ -83,8 +84,15 @@ class TestSssp:
                         assert row[v] == pytest.approx(expected, abs=1e-12)
 
     def test_equals_heap_dijkstra_bit_for_bit(self):
-        # exact ==: the kernel's floats are the reference's, not merely close
-        for g in kernel_edge_graphs(random.Random(41)):
+        # exact ==: the kernel's floats are the reference's, not merely close;
+        # V = 1, 2 and 11 stack V copies, 12 stacks 10, 64 stacks 2, 65 runs alone
+        rng = random.Random(43)
+        boundaries = [
+            WeightedDigraph(random_graph(rng, n, p=min(1.0, 3.0 / n)).arcs(),
+                            vertices=[f"w{i:02d}" for i in range(n)])
+            for n in (1, 2, 11, 12, 64, 65)
+        ]
+        for g in kernel_edge_graphs(random.Random(41)) + boundaries:
             arcs = list(g.arcs())
             apsp = g.apsp()
             for u in g.vertices:
@@ -176,6 +184,14 @@ class TestMeanPairwiseDistance:
     def test_requires_two_vertices(self):
         with pytest.raises(EmptyGraph):
             WeightedDigraph(vertices=["a"]).mean_pairwise_distance()
+
+    def test_empty_graph_has_an_empty_distance_matrix(self):
+        g = WeightedDigraph()
+        assert g.apsp().vertices == ()
+        with pytest.raises(EmptyGraph):
+            g.mean_pairwise_distance()
+        with pytest.raises(EmptyGraph):
+            closeness(g)
 
     def test_matches_brute_force(self):
         for seed in range(20):
