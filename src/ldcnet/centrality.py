@@ -24,6 +24,11 @@ from .textio import PathOrFile, format_number, write_csv
 
 _INF = math.inf
 
+#: Pagerank's stopping rule: it stops at the first sweep that moves no score by
+#: the tolerance or more, and raises NoConvergence after the most sweeps allowed.
+PAGERANK_TOLERANCE = 1e-10
+PAGERANK_MAX_ITERATIONS = 1000
+
 #: The one list of measures: tag -> scorer(graph, pagerank params, jobs), in
 #: canonical output order. Each scorer looks its function up by module-level
 #: name when called, so rebinding that name (for instance to wrap it) reaches
@@ -44,19 +49,13 @@ MEASURES = tuple(SCORERS)
 
 @dataclass(frozen=True)
 class PageRankParams:
-    """Damping, stopping tolerance, and iteration budget for pagerank."""
+    """Pagerank's damping factor, in (0, 1); the stopping rule is the ``PAGERANK_*`` constants."""
 
     alpha: float = 0.85
-    tolerance: float = 1e-10
-    max_iterations: int = 1000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -253,7 +252,7 @@ def _pagerank_iterate(
     x = [1.0 / n] * n
     teleport = (1.0 - params.alpha) / n
     # totals add left to right: builtin sum compensates floats from Python 3.12
-    for iteration in range(1, params.max_iterations + 1):
+    for iteration in range(1, PAGERANK_MAX_ITERATIONS + 1):
         base = teleport + reduce(add, [x[u] for u in dangling_vertices], 0.0) / n
         share = [x[u] / d if d else 0.0 for u, d in enumerate(out_deg)]
         raw = [base + reduce(add, [share[u] for u in row], 0.0) for row in in_sources]
@@ -261,9 +260,9 @@ def _pagerank_iterate(
         new = [value / total for value in raw]
         diff = max(abs(new[v] - x[v]) for v in range(n))
         x = new
-        if diff < params.tolerance:
+        if diff < PAGERANK_TOLERANCE:
             return x, raw, iteration
-    raise NoConvergence(f"pagerank did not converge within {params.max_iterations} iterations")
+    raise NoConvergence(f"pagerank did not converge within {PAGERANK_MAX_ITERATIONS} iterations")
 
 
 def pagerank(graph: WeightedDigraph, params: Optional[PageRankParams] = None) -> CentralityVector:
@@ -336,16 +335,15 @@ def betweenness(graph: WeightedDigraph) -> CentralityVector:
 def compute_all(
     graph: WeightedDigraph,
     pagerank_params: Optional[PageRankParams] = None,
-    jobs: int = 1,
     measures: Sequence[str] = MEASURES,
 ) -> dict[str, CentralityVector]:
     """The named measures (all seven by default), keyed in the order given.
 
-    The measures share the graph's cached all-pairs table; each vector is
-    identical to calling its measure alone, and errors from individual
-    measures propagate.
+    Every measure runs in this process. The measures share the graph's
+    cached all-pairs table; each vector is identical to calling its measure
+    alone, and errors from individual measures propagate.
     """
-    return {m: SCORERS[m](graph, pagerank_params, jobs) for m in measures}
+    return {m: SCORERS[m](graph, pagerank_params, 1) for m in measures}
 
 
 def write_centrality_csv(

@@ -137,10 +137,20 @@ def _csv_rows(fh: IO[str]) -> Rows:
     return rows
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """One JSON object; a repeated key raises, where ``json`` would keep the last value."""
+    data: dict[str, object] = {}
+    for key, value in pairs:
+        if key in data:
+            raise MalformedLine(0, f"repeated JSON key {key!r}")
+        data[key] = value
+    return data
+
+
 def _osf_rows(fh: IO[str]) -> Rows:
     """Check and convert the released-data layout, one row per subject."""
     try:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise MalformedLine(exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(data, dict):

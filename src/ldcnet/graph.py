@@ -17,9 +17,9 @@ which runs ``scipy.sparse.csgraph.dijkstra`` over disjoint copies of the arcs
 in one block-diagonal CSR matrix, each copy with its own weights. A graph
 builds that matrix once: the detour tables stack one copy per centre, each
 with that centre's arcs inflated, so a small graph pays csgraph's fixed
-per-call cost once for many centres, and the all-pairs table and ``sssp``
-run in copy 0 with every copy carrying the original weights. A source
-never leaves its copy, so its row equals a call on that copy alone. A
+per-call cost once for many centres, and the all-pairs table runs in copy 0
+with every copy carrying the original weights (``sssp`` reads its row). A
+source never leaves its copy, so its row equals a call on that copy alone. A
 Dijkstra distance is the minimum, over paths, of the left-to-right float sum
 of the arc weights: rounding is monotone, so extending the shortest prefix
 never loses to extending a longer one. That minimum does not depend on the
@@ -114,6 +114,8 @@ class WeightedDigraph:
             weights[(u, v)] = w
             names.add(u)
             names.add(v)
+        if "" in names:
+            raise ValueError("empty vertex label")
 
         ordered = tuple(sorted(names))
         index = {name: i for i, name in enumerate(ordered)}
@@ -207,38 +209,26 @@ class WeightedDigraph:
     # -- shortest paths -----------------------------------------------------
 
     def sssp(self, source: str) -> dict[str, Optional[float]]:
-        """Exact shortest-path length from ``source`` to every vertex.
-
-        Unreachable targets are reported as None, never as a numeric
-        sentinel. The lengths come from :meth:`_distances`, so they are the
-        same floats as the row of :meth:`apsp`.
-        """
-        src = self._vertex_index(source)
-        dist = self._plain_distances([src])[0].tolist()
-        return {
-            name: (None if dist[i] == _INF else dist[i]) for i, name in enumerate(self._names)
-        }
+        """Shortest-path lengths from ``source``, None if unreachable: its :meth:`apsp` row."""
+        return self.apsp().row(source)
 
     def apsp(self) -> DistanceMatrix:
         """All-pairs shortest paths; computed once and cached."""
         return DistanceMatrix(self._names, self._apsp_table())
 
     def _apsp_table(self) -> np.ndarray:
-        """All-pairs lengths (``inf`` when unreachable), one kernel call, cached read-only."""
+        """All-pairs lengths (``inf`` when unreachable), one kernel call, cached read-only.
+
+        The sources are copy 0's vertices. Every copy carries the original
+        weights, so its first ``V`` columns are the lengths on the graph.
+        """
         if self._apsp is None:
             n = self.vertex_count
             # a graph with no vertices has no copies to run on
-            self._apsp = self._plain_distances(range(n)) if n else np.empty((0, 0))
-            self._apsp.flags.writeable = False
+            table = self._distances(range(n), self._weights[None])[:, :n] if n else np.empty((0, 0))
+            table.flags.writeable = False
+            self._apsp = table
         return self._apsp
-
-    def _plain_distances(self, sources: Sequence[int]) -> np.ndarray:
-        """Lengths from ``sources`` over the arcs as they are, run in copy 0 of the skeleton.
-
-        Every copy carries the original weights, and a source never leaves
-        its copy, so the first ``V`` columns are the lengths on the graph.
-        """
-        return self._distances(sources, self._weights[None])[:, : self.vertex_count]
 
     def _skeleton(self) -> csr_matrix:
         """:meth:`_stack_size` disjoint copies of the arcs as one block-diagonal CSR matrix; cached.
@@ -334,7 +324,7 @@ class WeightedDigraph:
 
     def _neighborhood(self, center: int, r: float) -> np.ndarray:
         """Sorted indices of the vertices within ``r`` of ``center`` either way, bar itself."""
-        if r < 0.0:
+        if not r >= 0.0:  # also true for nan
             raise ValueError(f"threshold must be >= 0, got {r!r}")
         d = self._apsp_table()
         near = (d[center] <= r) | (d[:, center] <= r)

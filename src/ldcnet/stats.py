@@ -47,6 +47,12 @@ FULL_GRID_MS_VALUES = tuple(range(3, 22, 2))
 #: Convention recorded in output metadata: the outlier band uses population SD.
 SD_CONVENTION = "population"
 
+#: Half-width of the outlier band, in population SDs about the mean.
+OUTLIER_SDS = 2.5
+
+#: Times a permutation repetition is redrawn after its first draw fails.
+MAX_RETRIES = 3
+
 
 # -- rank correlation -------------------------------------------------------
 
@@ -153,9 +159,8 @@ def population_sd(values: Sequence[float]) -> float:
 def exclude_outliers(
     x: Mapping[str, float],
     y: Optional[Mapping[str, float]] = None,
-    k: float = 2.5,
 ) -> set[str]:
-    """Words whose values stay within mean +/- k*SD on every given series.
+    """Words whose values stay within mean +/- :data:`OUTLIER_SDS` SDs on every given series.
 
     The band uses population SD and is computed once from the full common
     word set, not iteratively. A zero-variance series excludes nothing, and
@@ -174,7 +179,7 @@ def exclude_outliers(
         sd = population_sd(values)
         if sd == 0.0:
             continue
-        retained -= {w for w in words if abs(s[w] - mean) > k * sd}
+        retained -= {w for w in words if abs(s[w] - mean) > OUTLIER_SDS * sd}
     return retained
 
 
@@ -277,13 +282,11 @@ def _spearman_table(
 
     Every variable is keyed on the same words (the graph's vertices), so a
     pair's joint band, ``exclude_outliers(x, y)``, is the intersection of the
-    two variables' own bands: one band per variable serves every pair.
+    two variables' own bands: one band per variable serves every pair. Every
+    band is defined: betweenness has scored the graph, so it has >= 3 vertices.
     """
     table: dict[tuple[str, str], Optional[SpearmanEntry]] = dict.fromkeys(variable_pairs())
-    try:
-        bands = {name: exclude_outliers(values) for name, values in variables.items()}
-    except InsufficientData:  # fewer than two words: every entry stays None
-        return table
+    bands = {name: exclude_outliers(values) for name, values in variables.items()}
     for a, b in table:
         kept = sorted(bands[a] & bands[b])
         try:
@@ -419,7 +422,6 @@ class PermutationConfig:
     seed: int = 0
     alpha: float = 0.05
     alternative: str = "two-sided"
-    max_retries: int = 3
 
     def __post_init__(self) -> None:
         if self.target not in ("dt_to", "dt_from"):
@@ -495,22 +497,14 @@ def ldc_dt_correlation(
         raise InsufficientData(f"graph at ws={ws} ms={ms} is empty")
     scores = ldc_vector(graph).scores
     word_stats = covariates(corpus)
-    xs: list[float] = []
-    ys: list[Optional[float]] = []
-    for word in graph.vertices:
-        stat = word_stats.get(word)
-        value = None if stat is None else getattr(stat, target)
-        if value is None:
-            continue
-        xs.append(scores[word])
-        ys.append(value)
-    rho = spearman(xs, ys)
-    return rho, len(xs)
+    ys = [getattr(word_stats[word], target) for word in graph.vertices]
+    rho = spearman([scores[word] for word in graph.vertices], ys)
+    return rho, len(ys) - ys.count(None)
 
 
 def _permutation_rep(args: tuple) -> Optional[float]:
-    corpus, ws, ms, target, master_seed, rep, max_retries = args
-    for attempt in range(max_retries + 1):
+    corpus, ws, ms, target, master_seed, rep = args
+    for attempt in range(MAX_RETRIES + 1):
         shuffled = shuffle_records(corpus, derive_seed(master_seed, rep, attempt))
         try:
             rho, _ = ldc_dt_correlation(shuffled, ws, ms, target)
@@ -532,7 +526,7 @@ def permutation_test(
     target retrieval statistic on the shuffled corpus. The reported p-value
     uses the add-one estimator over the null draws; repetitions whose
     shuffled corpus cannot produce a correlation are redrawn up to
-    ``max_retries`` times and counted as failed afterwards.
+    :data:`MAX_RETRIES` times and counted as failed afterwards.
 
     The records are encoded once; every draw shuffles the encoded corpus.
     """
@@ -548,7 +542,7 @@ def permutation_test(
     parametric_p = spearman_pvalue(actual_rho, n_words)
 
     tasks = [
-        (corpus, config.ws, config.ms, config.target, config.seed, rep, config.max_retries)
+        (corpus, config.ws, config.ms, config.target, config.seed, rep)
         for rep in range(config.repetitions)
     ]
     draws = list(fan_out(_permutation_rep, tasks, jobs))

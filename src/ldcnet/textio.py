@@ -1,10 +1,11 @@
 """The one place that decides how ldcnet reads and writes text.
 
-It decides how a path or an open handle is opened (UTF-8, ``newline=""``,
-a handle passed in is left open), the one CSV dialect every table is
-written in (header first, minimal quoting, ``\\n`` line ends), the one
-format of a published number (12 significant digits, blank for a missing
-value), and the one JSON layout (indent 2, sorted keys, trailing newline).
+It decides how a path or an open handle is opened (UTF-8, ``newline=""``, a
+leading byte-order mark skipped on read, a handle passed in is left open),
+the one CSV dialect every table is written in (header first, minimal
+quoting, ``\\n`` line ends), the one format of a published number (12
+significant digits, blank for a missing value), and the one JSON layout
+(indent 2, sorted keys, trailing newline).
 Graph weights and corpus onsets are not published numbers: their writers
 print them with ``repr`` so that they round-trip bit-exactly.
 """
@@ -25,12 +26,14 @@ def open_text(target: PathOrFile, mode: str) -> Iterator[IO[str]]:
     """Yield ``target`` itself when it is an open handle, else open it.
 
     Paths are opened as UTF-8 with ``newline=""`` (the csv module's
-    convention) and closed on exit; a handle passed in is left open.
+    convention) and closed on exit; a handle passed in is left open. A path
+    read skips a leading UTF-8 byte-order mark; writes never emit one.
     """
     if hasattr(target, "read") or hasattr(target, "write"):
         yield target  # type: ignore[misc]
         return
-    with open(target, mode, encoding="utf-8", newline="") as fh:
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
+    with open(target, mode, encoding=encoding, newline="") as fh:
         yield fh
 
 

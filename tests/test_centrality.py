@@ -297,6 +297,10 @@ class TestLdc:
         g = WeightedDigraph([("a", "b", 1.0)], vertices=["lone"])
         assert ldc(g, "lone") == 0.0
 
+    def test_nan_threshold_raises(self):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            ldc_vector(complete_graph(4), math.nan)
+
 
 class TestLeftToRightTotals:
     """Exact == against oracles that add one float at a time, in row-major order.
@@ -434,9 +438,10 @@ class TestPagerank:
             assert oracles.pagerank_residual(g, scores, 0.85) < 1e-8
 
     def test_no_convergence_raises(self):
-        g = WeightedDigraph([("a", "b", 1.0), ("b", "c", 1.0)])
-        with pytest.raises(NoConvergence):
-            pagerank(g, PageRankParams(max_iterations=1))
+        # a 3-cycle fed by one arc barely damps at this alpha, so it oscillates
+        g = WeightedDigraph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0), ("d", "a", 1.0)])
+        with pytest.raises(NoConvergence, match="within 1000 iterations"):
+            pagerank(g, PageRankParams(alpha=0.99999))
 
 
 class TestBetweenness:

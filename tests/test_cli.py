@@ -1,8 +1,10 @@
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,9 +111,13 @@ class TestBuild:
         '{"s1": {"words": ["cat", null], "timestamps": [0.0, 1.0]}}',
         '{"s1": {"words": ["cat", 3], "timestamps": [0.0, 1.0]}}',
         '{"s1": {"words": ["cat", ["x"]], "timestamps": [0.0, 1.0]}}',
+        '{"s1": {"words": ["cat"], "timestamps": [0.0]}, "s1": {"words": ["dog"], '
+        '"timestamps": [1.0]}}',
+        '{"s1": {"words": ["cat"], "words": ["dog"], "timestamps": [0.0]}}',
     ],
     ids=["truncated", "string-timestamp", "null-timestamp", "words-not-a-list",
-         "bool-timestamp", "null-word", "number-word", "list-word"],
+         "bool-timestamp", "null-word", "number-word", "list-word", "repeated-subject",
+         "repeated-field"],
 )
 def test_malformed_osf_json_exits_2(text, tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
@@ -660,17 +666,26 @@ def test_manifest_started_at_is_taken_before_the_work(command, rich_corpus, tmp_
 
 
 class TestEntrypoint:
-    def test_module_invocation(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "ldcnet", "--version"],
-            capture_output=True, text=True,
+    @staticmethod
+    def run_module(*args):
+        # the package's own source tree, whatever PYTHONPATH the tests run under
+        src = str(Path(ldcnet.cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "ldcnet", *args],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
+
+    def test_module_invocation(self):
+        result = self.run_module("--version")
         assert result.returncode == 0
-        assert result.stdout.startswith("ldcnet ")
+        assert result.stdout == f"ldcnet {ldcnet.__version__}\n"
 
     def test_usage_error_exits_1(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "ldcnet", "build"],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 1
+        assert self.run_module("build").returncode == 1
+
+    def test_entrypoint_exits_with_the_code_main_returns(self, tmp_path, monkeypatch):
+        argv = ["stats", str(tmp_path / "absent.csv"), "-o", str(tmp_path / "s.csv")]
+        monkeypatch.setattr(sys, "argv", ["ldcnet", *argv])
+        with pytest.raises(SystemExit) as exc:
+            ldcnet.cli.entrypoint()
+        assert exc.value.code == main(argv) == 2

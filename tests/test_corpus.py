@@ -161,6 +161,15 @@ class TestOsfLoader:
         with pytest.raises(MalformedLine, match="'s1': non-string word"):
             parse_corpus_osf(io.StringIO(json.dumps(payload)))
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"s1": {"words": ["a", "b"], "timestamps": [1, 2]},'
+         ' "s1": {"words": ["c"], "timestamps": [3]}}', "s1"),
+        ('{"s1": {"words": ["a", "b"], "words": ["c"], "timestamps": [1]}}', "words"),
+    ], ids=["subject", "field"])
+    def test_repeated_key_rejected(self, text, key):
+        with pytest.raises(MalformedLine, match=f"repeated JSON key {key!r}"):
+            parse_corpus_osf(io.StringIO(text))
+
     @pytest.mark.parametrize("stamp", [True, False])
     def test_boolean_timestamp_rejected(self, stamp):
         payload = {"s1": {"words": ["cat", "dog"], "timestamps": [0.5, stamp]}}
@@ -268,6 +277,20 @@ class TestUnicode:
         ]
         graph = build_graph(corpus, DistanceFunctionParams(ws=1, ms=3))
         assert graph.weight("חתול", "כלב") is not None
+
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        cases = [
+            ("corpus.csv", "subject,word,onset_seconds\ns1,cat,0.5\ns1,dog,2.0\n", parse_corpus),
+            ("corpus.json", '{"s1": {"words": ["cat", "dog"], "timestamps": [0.5, 2.0]}}',
+             parse_corpus_osf),
+            ("graph.csv", "source,target,weight\ncat,dog,1.5\n",
+             lambda path: list(WeightedDigraph.from_csv(path).arcs())),
+        ]
+        for name, text, load in cases:
+            plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+            plain.write_bytes(text.encode("utf-8"))
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            assert load(str(marked)) == load(str(plain))
 
 
 class TestNormalizeRecord:

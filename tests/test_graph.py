@@ -31,6 +31,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightedDigraph([("a", "b", math.inf)])
 
+    @pytest.mark.parametrize("arcs, vertices", [
+        ([("", "b", 1.0), ("b", "c", 2.0)], ()),
+        ([("a", "", 1.0)], ()),
+        ([("a", "b", 1.0)], ("",)),
+    ], ids=["tail", "head", "isolated"])
+    def test_rejects_empty_label(self, arcs, vertices):
+        with pytest.raises(ValueError, match="empty vertex label"):
+            WeightedDigraph(arcs, vertices=vertices)
+
     def test_asymmetric_weights_allowed(self):
         g = WeightedDigraph([("a", "b", 1.0), ("b", "a", 3.0)])
         assert g.weight("a", "b") == 1.0
@@ -236,8 +245,9 @@ class TestLocalNeighborhood:
             assert small <= large
 
     def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            chain_graph().local_neighborhood("a", -1.0)
+        for r in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold must be >= 0"):
+                chain_graph().local_neighborhood("a", r)
 
 
 class TestCsvRoundTrip:
@@ -253,6 +263,18 @@ class TestCsvRoundTrip:
             g2.to_csv(buf2)
             assert buf2.getvalue() == text
             assert list(g2.arcs()) == [a for a in g.arcs()]
+
+    def test_any_constructible_graph_reads_back(self):
+        labels = [" ", "a,b", 'say "hi"', "two\nlines", "ünï", "0"]
+        g = WeightedDigraph(
+            [(u, v, 0.1 * i) for i, (u, v) in enumerate(zip(labels, labels[1:] + labels[:1]))],
+            vertices=["alone"],
+        )
+        buf = io.StringIO()
+        g.to_csv(buf)
+        back = WeightedDigraph.from_csv(io.StringIO(buf.getvalue()))
+        # the CSV form holds arcs only, so an isolated vertex is not kept
+        assert list(back.arcs()) == list(g.arcs())
 
     def test_header_enforced(self):
         with pytest.raises(MalformedLine):

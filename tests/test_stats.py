@@ -30,9 +30,11 @@ from ldcnet.errors import (
 from ldcnet.stats import (
     FULL_GRID_MS_VALUES,
     FULL_GRID_WS_VALUES,
+    MAX_RETRIES,
     MEASURES,
     SpearmanEntry,
     average_ranks,
+    derive_seed,
     evaluate_cell,
     ldc_dt_correlation,
     population_sd,
@@ -389,8 +391,7 @@ class TestPermutationTest:
         outcome = permutation_test(records, config)
         draws = [
             _permutation_rep(
-                (records, config.ws, config.ms, config.target, config.seed, rep,
-                 config.max_retries)
+                (records, config.ws, config.ms, config.target, config.seed, rep)
             )
             for rep in range(config.repetitions)
         ]
@@ -406,8 +407,7 @@ class TestPermutationTest:
         assert outcome.n_effective == 99
         draws = [
             _permutation_rep(
-                (records, config.ws, config.ms, config.target, config.seed, rep,
-                 config.max_retries)
+                (records, config.ws, config.ms, config.target, config.seed, rep)
             )
             for rep in range(config.repetitions)
         ]
@@ -485,6 +485,30 @@ class TestPermutationTest:
         # corpus, so no record is built per draw
         assert encode_calls == [len(records)]
         assert built == []
+
+    def test_failed_draws_are_redrawn_then_counted(self, monkeypatch):
+        config = PermutationConfig(ws=1, ms=3, target="dt_to", repetitions=3, seed=5)
+        always = [derive_seed(config.seed, 0, attempt) for attempt in range(MAX_RETRIES + 1)]
+        once = [derive_seed(config.seed, 1, 0), derive_seed(config.seed, 1, 1)]
+        failing = set(always) | {once[0]}
+        seeds = []
+
+        def shuffle(corpus, seed):
+            seeds.append(seed)
+            return shuffle_records(corpus, seed)
+
+        def correlation(corpus, ws, ms, target):
+            # the actual-order call comes before any shuffle
+            if seeds and seeds[-1] in failing:
+                raise InsufficientData("this draw is made to fail")
+            return ldc_dt_correlation(corpus, ws, ms, target)
+
+        monkeypatch.setattr("ldcnet.stats.shuffle_records", shuffle)
+        monkeypatch.setattr("ldcnet.stats.ldc_dt_correlation", correlation)
+        outcome = permutation_test(monotone_chain_records(), config)
+        # repetition 0 fails every attempt, 1 fails once, 2 succeeds at once
+        assert seeds == always + once + [derive_seed(config.seed, 2, 0)]
+        assert (outcome.n_effective, outcome.n_failed) == (2, 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

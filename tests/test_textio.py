@@ -25,6 +25,16 @@ def test_path_is_opened_as_utf8_without_newline_translation(tmp_path):
         assert fh.read() == "café\r\n"
 
 
+def test_path_read_skips_a_byte_order_mark_and_write_emits_none(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xef\xbb\xbfcaf\xc3\xa9\n")
+    with open_text(path, "r") as fh:
+        assert fh.read() == "café\n"
+    with open_text(path, "w") as fh:
+        fh.write("café\n")
+    assert path.read_bytes() == "café\n".encode("utf-8")
+
+
 def test_write_json_sorts_keys_indents_and_ends_with_newline(tmp_path):
     path = tmp_path / "t.json"
     write_json({"b": [1, 2.5], "a": None}, path)
