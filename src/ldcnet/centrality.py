@@ -76,7 +76,10 @@ class NeighborhoodContext:
     reweighted graph in which every arc touching the center costs the graph's
     maximum arc weight. Both are ``float64`` arrays, ``inf`` when the target
     is unreachable, from the one shortest-path kernel (csgraph Dijkstra),
-    whose lengths are exact minima of left-to-right float sums.
+    whose lengths are exact minima of left-to-right float sums. A row of
+    ``without_distances`` is a kernel row only when an arc out of the center
+    lies on a shortest path from that member; otherwise it equals the row of
+    ``with_distances``, bit for bit, since the detour cannot change it.
     ``without_distances`` is read-only: the graph's detour stack holds it.
     ``with_matrix``/``without_matrix`` are the same tables as tuples of rows,
     None for unreachable, built only when read.
@@ -105,8 +108,9 @@ def build_context(graph: WeightedDigraph, vertex: str, r: float) -> Neighborhood
     graph paths (not paths confined to the neighborhood); the second one
     runs on the reweighted graph where arcs into or out of ``vertex`` are
     inflated to the maximum arc weight. The graph computes that one for a
-    stack of consecutive centres in one kernel call, so walking the centres
-    in index order computes each stack once.
+    stack of consecutive centres in at most one kernel call, running only
+    the rows a centre's arcs can change, so walking the centres in index
+    order computes each stack once.
     """
     members, without = graph._detour(graph._vertex_index(vertex), r)
     return NeighborhoodContext(

@@ -19,7 +19,11 @@ builds that matrix once: the detour tables stack one copy per centre, each
 with that centre's arcs inflated, so a small graph pays csgraph's fixed
 per-call cost once for many centres, and the all-pairs table runs in copy 0
 with every copy carrying the original weights (``sssp`` reads its row). A
-source never leaves its copy, so its row equals a call on that copy alone. A
+source never leaves its copy, so its row equals a call on that copy alone.
+A detour row from ``i`` runs only when some arc ``(c, v)`` out of its centre
+is tight from ``i``, ``D[i, c] + w == D[i, v]`` on the all-pairs table ``D``;
+every other detour row is ``D``'s row, bit for bit (see
+:meth:`WeightedDigraph._stacked_detours`). A
 Dijkstra distance is the minimum, over paths, of the left-to-right float sum
 of the arc weights: rounding is monotone, so extending the shortest prefix
 never loses to extending a longer one. That minimum does not depend on the
@@ -268,10 +272,10 @@ class WeightedDigraph:
 
         The lengths are shortest paths on the graph in which every arc into
         or out of ``center`` costs the maximum arc weight, one row per
-        member, read-only. One kernel call computes them for a stack of
-        consecutive centres, one copy each (see :data:`_STACK_VERTICES`).
-        The graph keeps only the current stack, keyed on ``r`` and its
-        centres; on a miss it computes the stack that starts at ``center``.
+        member, read-only. They are computed for a stack of consecutive
+        centres at once (see :meth:`_stacked_detours`). The graph keeps only
+        the current stack, keyed on ``r`` and its centres; on a miss it
+        computes the stack that starts at ``center``.
         """
         stack = self._stack
         if stack is None or stack[0] != r or center not in stack[1]:
@@ -284,23 +288,55 @@ class WeightedDigraph:
         return min(n, max(1, _STACK_VERTICES // n))
 
     def _stacked_detours(self, first: int, r: float) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """:meth:`_detour` for ``first`` and the centres after it, in one kernel call."""
+        """:meth:`_detour` for ``first`` and the centres after it, in at most one kernel call.
+
+        A member row runs Dijkstra only when some arc ``(c, v)`` out of its
+        centre ``c`` is tight from it: ``D[i, c] + w == D[i, v]`` with
+        ``D[i, v]`` finite, ``D`` the all-pairs table. Every other row is
+        ``D``'s row, bit for bit. Raising weights never lowers a path's
+        left-to-right float sum, since rounding is monotone, so a detour
+        length is at least ``D[i, j]``. csgraph sets each final distance from
+        an already-settled vertex, so the Dijkstra tree path from ``i`` to
+        any ``j != c`` is made of tight arcs and its sum is ``D[i, j]``. With
+        no tight arc out of ``c``, that path never passes through ``c``
+        (``i`` is a member, never ``c``), keeps its sum on the reweighted
+        graph, and so the detour length is also at most ``D[i, j]``. The
+        rows that run go in one kernel call, one copy per centre; a stack
+        with none makes no call.
+        """
         n = self.vertex_count
         copies = self._stack_size()
-        # copy i inflates centre first + i; a centre past the last vertex touches no arc
-        ends = np.arange(first, first + copies)[:, None]
-        touches = (self._tails == ends) | (self._heads == ends)
-        weights = np.where(touches, self._max_weight, self._weights)
-        centres = range(first, min(n, first + copies))
-        members = [self._neighborhood(c, r) for c in centres]
-        columns = [i * n + m for i, m in enumerate(members)]  # members in their copy
-        rows = self._distances(np.concatenate(columns), weights)
+        d = self._apsp_table()
+        centres = np.arange(first, min(n, first + copies))
+        near = self._near(centres, r)
+        # the stack's out-arcs are one slice, since the arcs are sorted by tail
+        lo, hi = np.searchsorted(self._tails, (first, centres[-1] + 1))
+        tails, heads = self._tails[lo:hi], self._heads[lo:hi]
+        reached = d[:, heads]
+        tight = (d[:, tails] + self._weights[lo:hi] == reached) & (reached != _INF)
+        origins, arcs = np.nonzero(tight)
+        runs = np.zeros_like(near)
+        runs[tails[arcs] - first, origins] = True
+        runs &= near
+        copy, source = np.nonzero(runs)  # copy by copy, each copy's sources ascending
+        rows = np.empty((0, copies * n))
+        if copy.size:
+            # copy i inflates centre first + i; a centre past the last vertex touches no arc
+            ends = np.arange(first, first + copies)[:, None]
+            touches = (self._tails == ends) | (self._heads == ends)
+            weights = np.where(touches, self._max_weight, self._weights)
+            rows = self._distances(copy * n + source, weights)
+        counts = np.count_nonzero(runs, axis=1).tolist()
         stack, start = {}, 0
-        for c, m, cols in zip(centres, members, columns):
-            table = rows[start : start + len(m), cols]
+        for i, c in enumerate(centres.tolist()):
+            members = near[i].nonzero()[0]
+            table = d[members]
+            # each row that ran replaces its all-pairs row with its copy's columns
+            table[runs[i, members]] = rows[start : start + counts[i], i * n : (i + 1) * n]
+            table = table[:, members]
             table.flags.writeable = False
-            stack[c] = (m, table)
-            start += len(m)
+            stack[c] = (members, table)
+            start += counts[i]
         return stack
 
     def mean_pairwise_distance(self) -> float:
@@ -319,17 +355,17 @@ class WeightedDigraph:
 
         The vertex itself is excluded.
         """
-        members = self._neighborhood(self._vertex_index(vertex), r)
-        return {self._names[i] for i in members.tolist()}
+        near = self._near(np.array([self._vertex_index(vertex)]), r)[0]
+        return {self._names[i] for i in np.flatnonzero(near).tolist()}
 
-    def _neighborhood(self, center: int, r: float) -> np.ndarray:
-        """Sorted indices of the vertices within ``r`` of ``center`` either way, bar itself."""
+    def _near(self, centres: np.ndarray, r: float) -> np.ndarray:
+        """One mask row per centre: the vertices within ``r`` of it either way, bar itself."""
         if not r >= 0.0:  # also true for nan
             raise ValueError(f"threshold must be >= 0, got {r!r}")
         d = self._apsp_table()
-        near = (d[center] <= r) | (d[:, center] <= r)
-        near[center] = False
-        return np.flatnonzero(near)
+        near = (d[centres] <= r) | (d[:, centres].T <= r)
+        near[np.arange(centres.size), centres] = False
+        return near
 
     # -- serialization ------------------------------------------------------
 

@@ -94,6 +94,11 @@ def inflated_arcs(graph, center):
     return [(u, v, max_w if center in (u, v) else w) for u, v, w in arcs]
 
 
+def _members(names, plain, center, r):
+    """``center``'s neighbourhood from heap-Dijkstra rows: within ``r`` either way, bar itself."""
+    return [u for u in names if u != center and min(plain[center][u], plain[u][center]) <= r]
+
+
 def reference_context(graph, center, r):
     """(members, with_matrix, without_matrix) of the detour context, by heap Dijkstra.
 
@@ -103,7 +108,7 @@ def reference_context(graph, center, r):
     names = graph.vertices
     arcs = list(graph.arcs())
     plain = {u: heap_dijkstra(names, arcs, u) for u in names}
-    members = [u for u in names if u != center and min(plain[center][u], plain[u][center]) <= r]
+    members = _members(names, plain, center, r)
     inflated = inflated_arcs(graph, center)
     with_rows, without_rows = [], []
     for i in members:
@@ -113,9 +118,30 @@ def reference_context(graph, center, r):
     return tuple(members), tuple(with_rows), tuple(without_rows)
 
 
-def left_to_right_ldc(graph, center, r):
-    """Detour score summed pair by pair, row-major, over :func:`reference_context`."""
-    members, with_rows, without_rows = reference_context(graph, center, r)
+def rows_to_run(graph, r):
+    """Each centre's members from which some arc out of the centre is tight, by heap Dijkstra.
+
+    An arc ``(c, v)`` of weight ``w`` is tight from ``i`` when
+    ``dist[i][c] + w == dist[i][v]`` and that is finite: only then can a
+    shortest path from ``i`` leave ``c``. Returns a dict from each centre to
+    those members, in vertex order.
+    """
+    names = graph.vertices
+    arcs = list(graph.arcs())
+    plain = {u: heap_dijkstra(names, arcs, u) for u in names}
+    return {
+        c: [
+            i
+            for i in _members(names, plain, c, r)
+            if any(u == c and plain[i][c] + w == plain[i][v] != INF for u, v, w in arcs)
+        ]
+        for c in names
+    }
+
+
+def left_to_right_detour(context):
+    """Detour score summed pair by pair, row-major, over a :func:`reference_context` triple."""
+    members, with_rows, without_rows = context
     k = len(members)
     if k == 0:
         return 0.0
@@ -125,6 +151,11 @@ def left_to_right_ldc(graph, center, r):
             if i != j and with_rows[i][j] is not None:
                 total += without_rows[i][j] - with_rows[i][j]
     return total / k
+
+
+def left_to_right_ldc(graph, center, r):
+    """:func:`left_to_right_detour` over :func:`reference_context`."""
+    return left_to_right_detour(reference_context(graph, center, r))
 
 
 def left_to_right_mean_pairwise_distance(graph):

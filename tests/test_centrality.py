@@ -154,12 +154,39 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kernel_sources(kernel_calls, monkeypatch):
+    """The source count of every kernel call, in step with ``kernel_calls``."""
+    counts = []
+    kernel = WeightedDigraph._distances
+
+    def counted(self, sources, weights):
+        counts.append(len(sources))
+        return kernel(self, sources, weights)
+
+    monkeypatch.setattr(WeightedDigraph, "_distances", counted)
+    return counts
+
+
+def complete_dag(n):
+    """Arcs from each vertex to every later one, each shorter than any two-arc path."""
+    names = [f"w{i:02d}" for i in range(n)]
+    return WeightedDigraph(
+        (u, v, 1.0 + (j - i) / 16)
+        for i, u in enumerate(names)
+        for j, v in enumerate(names)
+        if i < j
+    )
+
+
 class TestStackedKernel:
-    """One kernel call computes the detour tables of a stack of centres.
+    """At most one kernel call computes the detour tables of a stack of centres.
 
     Each centre gets a disjoint copy of the graph with its arcs inflated, so
     every table must equal a heap Dijkstra on that centre's reweighted graph
-    alone, with ``==``, whatever the stack it came from.
+    alone, with ``==``, whatever the stack it came from. A member row runs
+    only when an arc out of the centre is tight from it; every other row is
+    the all-pairs row, and a stack with no row to run makes no call.
     """
 
     # (vertices, centres per stack): one copy per stack above 64 vertices,
@@ -167,12 +194,48 @@ class TestStackedKernel:
     SHAPES = [(66, 1), (40, 3), (12, 10), (10, 10)]
 
     @pytest.mark.parametrize("n, copies", SHAPES)
-    def test_one_kernel_call_per_stack(self, n, copies, kernel_calls):
+    def test_one_kernel_call_per_stack(self, n, copies, kernel_calls, kernel_sources):
         g = random_graph(random.Random(n), n, p=0.2)
         r = g.mean_pairwise_distance()
-        del kernel_calls[:]  # the all-pairs table is one call with one weight row
+        # the all-pairs table is one call with one weight row
+        del kernel_calls[:], kernel_sources[:]
         ldc_vector(g, r)
-        assert kernel_calls == [copies] * math.ceil(n / copies)
+        runs = [len(rows) for rows in oracles.rows_to_run(g, r).values()]
+        per_stack = [sum(runs[i : i + copies]) for i in range(0, n, copies)]
+        assert kernel_sources == [count for count in per_stack if count]
+        assert kernel_calls == [copies] * len(kernel_sources)
+
+    def test_a_stack_with_no_row_to_run_makes_no_call(self, kernel_calls):
+        # nothing reaches the last vertex of a tie-heavy graph, so no arc out of it is tight
+        g = tie_heavy_graph(random.Random(8), 66, p=0.15)
+        last, r = g.vertices[-1], g.mean_pairwise_distance()
+        del kernel_calls[:]
+        assert build_context(g, last, r).members and kernel_calls == []
+        assert_contexts_match_reference(g, r, [last])
+        # one stack of eight centres whose members each reach every later vertex by a direct arc
+        g = complete_dag(8)
+        assert ldc_vector(g, math.inf).scores == dict.fromkeys(g.vertices, 0.0)
+        assert_contexts_match_reference(g, math.inf, g.vertices)
+        assert kernel_calls == [1]  # the all-pairs table
+
+    def test_skipped_rows_on_the_hard_shapes_equal_the_reference(self):
+        rng = random.Random(73)
+        graphs = exact_sum_graphs(rng) + [tie_heavy_graph(rng, 66, p=0.15)]
+        ran = members = 0
+        for g in graphs:
+            # above 64 vertices every centre is its own stack; a few suffice
+            order = g.vertices if g.vertex_count < 66 else g.vertices[::9] + g.vertices[-1:]
+            for r in (g.mean_pairwise_distance(), math.inf):
+                scores = ldc_vector(g, r).scores
+                for v in order:
+                    ctx = build_context(g, v, r)
+                    reference = oracles.reference_context(g, v, r)
+                    assert (ctx.members, ctx.with_matrix, ctx.without_matrix) == reference, v
+                    assert scores[v] == oracles.left_to_right_detour(reference), v
+                runs = oracles.rows_to_run(g, r)
+                ran += sum(len(runs[v]) for v in order)
+                members += sum(len(g.local_neighborhood(v, r)) for v in order)
+        assert 0 < ran < members / 2
 
     @pytest.mark.parametrize("n, copies", SHAPES)
     def test_one_csr_skeleton_per_graph(self, n, copies, monkeypatch):
