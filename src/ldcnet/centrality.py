@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyGraph, NoConvergence
-from .graph import WeightedDigraph, finite_or_zero
+from .graph import WeightedDigraph, _batch_detours, finite_or_zero, row_major_totals
 from .textio import PathOrFile, format_number, write_csv
 
 _INF = math.inf
@@ -45,6 +45,11 @@ SCORERS: dict[str, Callable[..., CentralityVector]] = {
 
 #: Measure tags in canonical output order.
 MEASURES = tuple(SCORERS)
+
+#: Most detour-copy vertices, ``V * V`` per graph, that one chunk of
+#: :func:`ldc_vectors` holds. The detour call returns a row as wide as the
+#: chunk for every row it runs, so its memory grows with the square of this.
+_BATCH_VERTICES = 512
 
 
 @dataclass(frozen=True)
@@ -128,18 +133,26 @@ def ldc_from_context(ctx: NeighborhoodContext) -> float:
 
     Sums, over all ordered neighbor pairs, the excess of the center-inflated
     distance over the unrestricted distance, divided by the neighborhood
-    size. Pairs unreachable in the unrestricted matrix contribute 0. The
-    excesses (all >= 0) add left to right in row-major order, so the zeroed
-    diagonal and unreachable pairs leave the total a plain double loop gives.
+    size. Pairs unreachable in the unrestricted matrix contribute 0.
     """
     k = len(ctx.members)
     if k == 0:
         return 0.0
     counted = ctx.with_distances != _INF
     np.fill_diagonal(counted, False)
-    excess = np.zeros((k, k))
-    np.subtract(ctx.without_distances, ctx.with_distances, out=excess, where=counted)
-    return float(np.cumsum(excess)[-1]) / k
+    return float(_excess_totals(ctx.without_distances, ctx.with_distances, counted)) / k
+
+
+def _excess_totals(without: np.ndarray, plain: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    """Each ``(k, k)`` table of ``without - plain``, over its ``counted`` pairs, totalled.
+
+    The excesses (all >= 0) add left to right in row-major order and every
+    pair not counted adds 0.0, so each total is the one a plain double loop
+    over the counted pairs gives.
+    """
+    excess = np.zeros(counted.shape)
+    np.subtract(without, plain, out=excess, where=counted)
+    return row_major_totals(excess)
 
 
 def ldc(graph: WeightedDigraph, vertex: str, r: Optional[float] = None) -> float:
@@ -185,6 +198,48 @@ def ldc_vector(
     tasks = [(graph, r, names[i : i + stack]) for i in range(0, len(names), stack)]
     scores = [s for part in fan_out(_ldc_scores_for, tasks, jobs) for s in part]
     return CentralityVector("ldc", dict(zip(names, scores)))
+
+
+def ldc_vectors(graphs: Sequence[WeightedDigraph]) -> list[CentralityVector]:
+    """``[ldc_vector(g) for g in graphs]``, with runs of small graphs scored together.
+
+    Consecutive graphs form a chunk while its detour copies, ``M * M``
+    vertices per graph once each is padded to the chunk's largest vertex
+    count ``M``, number at most :data:`_BATCH_VERTICES`. A chunk takes one
+    kernel call for the all-pairs tables of all its graphs and at most one
+    for their detour rows (see :func:`ldcnet.graph._batch_detours`); each
+    graph is then scored as one masked ``(V, V, V)`` array of excesses. A
+    graph too large for a chunk, or one ``ldc_vector`` rejects, goes through
+    ``ldc_vector``.
+    """
+    vectors: list[CentralityVector] = []
+    chunk: list[WeightedDigraph] = []
+    largest = 0
+    for graph in graphs:
+        n = graph.vertex_count
+        batched = 2 <= n and n * n <= _BATCH_VERTICES
+        if chunk and (not batched or (len(chunk) + 1) * max(largest, n) ** 2 > _BATCH_VERTICES):
+            vectors += _score_chunk(chunk)
+            chunk, largest = [], 0
+        if batched:
+            chunk.append(graph)
+            largest = max(largest, n)
+        else:
+            vectors.append(ldc_vector(graph))
+    if chunk:
+        vectors += _score_chunk(chunk)
+    return vectors
+
+
+def _score_chunk(chunk: list[WeightedDigraph]) -> Iterator[CentralityVector]:
+    plain, near, without = _batch_detours(chunk)
+    distinct = ~np.eye(plain.shape[-1], dtype=bool)
+    counted = near[..., :, None] & near[..., None, :] & (plain != _INF)[:, None] & distinct
+    totals = _excess_totals(without, plain[:, None], counted)
+    members = np.count_nonzero(near, axis=-1)
+    scores = np.divide(totals, members, out=np.zeros_like(totals), where=members > 0).tolist()
+    for graph, row in zip(chunk, scores):
+        yield CentralityVector("ldc", dict(zip(graph.vertices, row)))
 
 
 def degree(graph: WeightedDigraph, direction: str) -> CentralityVector:

@@ -12,18 +12,21 @@ The constructor checks every arc it is given; ``build_graph`` instead passes
 those arrays ready made to a private, unchecked array constructor, since its
 pair table already holds what the checks enforce.
 
-Every shortest-path length comes from one kernel, :meth:`WeightedDigraph._distances`,
-which runs ``scipy.sparse.csgraph.dijkstra`` over disjoint copies of the arcs
-in one block-diagonal CSR matrix, each copy with its own weights. A graph
-builds that matrix once: the detour tables stack one copy per centre, each
-with that centre's arcs inflated, so a small graph pays csgraph's fixed
-per-call cost once for many centres, and the all-pairs table runs in copy 0
-with every copy carrying the original weights (``sssp`` reads its row). A
-source never leaves its copy, so its row equals a call on that copy alone.
+Every shortest-path length comes from one kernel, :func:`_kernel`, which
+runs ``scipy.sparse.csgraph.dijkstra`` over disjoint copies of arcs in one
+block-diagonal CSR matrix, each copy with its own weights. It runs on one of
+two kinds of skeleton. A graph builds its own once: the detour tables stack
+one copy per centre, each with that centre's arcs inflated, so a small graph
+pays csgraph's fixed per-call cost once for many centres, and the all-pairs
+table runs in copy 0 with every copy carrying the original weights (``sssp``
+reads its row). A chunk of small graphs, such as the draws of a permutation
+test, is laid out as one disjoint union: one call over the union gives every
+graph's all-pairs table, and one over a copy of the union per centre index
+gives their detour rows (see :func:`_batch_detours`). A source never leaves
+its copy, so its row equals a call on that copy alone.
 A detour row from ``i`` runs only when some arc ``(c, v)`` out of its centre
 is tight from ``i``, ``D[i, c] + w == D[i, v]`` on the all-pairs table ``D``;
-every other detour row is ``D``'s row, bit for bit (see
-:meth:`WeightedDigraph._stacked_detours`). A
+every other detour row is ``D``'s row, bit for bit (see :func:`_rows_to_run`). A
 Dijkstra distance is the minimum, over paths, of the left-to-right float sum
 of the arc weights: rounding is monotone, so extending the shortest prefix
 never loses to extending a longer one. That minimum does not depend on the
@@ -34,8 +37,8 @@ zero-weight arcs can make differ from an order read off the table.
 
 The all-pairs table is one cached, read-only ``float64`` array from a single
 kernel call, ``inf`` where unreachable; every reader works on it. Totals over
-it add strictly left to right (``np.cumsum(...)[-1]``), never pairwise
-(``np.sum``) or compensated (builtin ``sum`` from Python 3.12).
+it add strictly left to right (:func:`row_major_totals`, a ``np.cumsum``),
+never pairwise (``np.sum``) or compensated (builtin ``sum`` from Python 3.12).
 """
 from __future__ import annotations
 
@@ -61,6 +64,90 @@ _INF = math.inf
 #: detour tables of ``min(V, max(1, _STACK_VERTICES // V))`` centres per kernel
 #: call, so above 64 vertices every centre has a call of its own.
 _STACK_VERTICES = 128
+
+
+def _kernel(arcs: csr_matrix, sources: Sequence[int]) -> np.ndarray:
+    """The one shortest-path kernel: a row of lengths from each source, ``inf`` when unreachable.
+
+    ``arcs`` is a block-diagonal skeleton of disjoint copies; a source never
+    leaves its copy, so within it the row equals a call on that copy alone,
+    bit for bit.
+    """
+    return dijkstra(arcs, directed=True, indices=sources)
+
+
+def _block_diagonal(tails: np.ndarray, heads: np.ndarray, weights: np.ndarray,
+                    size: int) -> csr_matrix:
+    """Arcs ``tails[k] -> heads[k]`` of weight ``weights[k]`` over ``size`` vertices, as CSR.
+
+    ``tails`` must be ascending, so ``data`` holds the weights in the order
+    given. Zero-weight arcs are explicit entries, which csgraph keeps as arcs.
+    """
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=size), out=indptr[1:])
+    return csr_matrix((weights, heads, indptr), shape=(size, size))
+
+
+def _copies(tails: np.ndarray, heads: np.ndarray, count: int,
+            size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of ``count`` disjoint copies of arcs over ``size`` vertices.
+
+    Vertex ``v`` of copy ``i`` is ``i * size + v``; copy after copy, so
+    ascending tails stay ascending.
+    """
+    offsets = np.arange(0, count * size, size, dtype=np.int32)[:, None]
+    return (tails + offsets).ravel(), (heads + offsets).ravel()
+
+
+def _inflate(centres: np.ndarray, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray,
+             top: float | np.ndarray) -> np.ndarray:
+    """One weight row per centre: every arc into or out of it costs ``top``.
+
+    ``top`` is the maximum arc weight, one value or one per arc. A centre no
+    arc touches keeps the weights as they are.
+    """
+    ends = centres[:, None]
+    return np.where((tails == ends) | (heads == ends), top, weights)
+
+
+def _within(d: np.ndarray, centres: np.ndarray, r: float | np.ndarray) -> np.ndarray:
+    """One mask row per centre: the vertices within ``r`` of it either way, bar itself.
+
+    ``r`` is one threshold or a column of one per centre.
+    """
+    near = (d[centres] <= r) | (d[:, centres].T <= r)
+    near[np.arange(centres.size), centres] = False
+    return near
+
+
+def _rows_to_run(d: np.ndarray, near: np.ndarray, first: int, tails: np.ndarray,
+                 heads: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Mask of the detour rows that can differ from the all-pairs rows of ``d``.
+
+    ``near`` holds one neighbourhood row per centre ``first``, ``first + 1``,
+    ...; the arcs given are every arc out of those centres. A member row
+    runs Dijkstra only when some arc ``(c, v)`` out of its centre ``c`` is
+    tight from it: ``D[i, c] + w == D[i, v]`` with ``D[i, v]`` finite. Every
+    other row is ``D``'s row, bit for bit. Raising weights never lowers a
+    path's left-to-right float sum, since rounding is monotone, so a detour
+    length is at least ``D[i, j]``. csgraph sets each final distance from
+    an already-settled vertex, so the Dijkstra tree path from ``i`` to any
+    ``j != c`` is made of tight arcs and its sum is ``D[i, j]``. With no
+    tight arc out of ``c``, that path never passes through ``c`` (``i`` is a
+    member, never ``c``), keeps its sum on the reweighted graph, and so the
+    detour length is also at most ``D[i, j]``.
+    """
+    reached = d[:, heads]
+    tight = (d[:, tails] + weights == reached) & (reached != _INF)
+    origins, arcs = np.nonzero(tight)
+    runs = np.zeros_like(near)
+    runs[tails[arcs] - first, origins] = True
+    return runs & near
+
+
+def row_major_totals(tables: np.ndarray) -> np.ndarray:
+    """The total of each table over the last two axes, added strictly left to right, row-major."""
+    return np.cumsum(tables.reshape(*tables.shape[:-2], -1), axis=-1)[..., -1]
 
 
 def finite_or_zero(table: np.ndarray) -> np.ndarray:
@@ -237,20 +324,13 @@ class WeightedDigraph:
     def _skeleton(self) -> csr_matrix:
         """:meth:`_stack_size` disjoint copies of the arcs as one block-diagonal CSR matrix; cached.
 
-        Vertex ``v`` of copy ``i`` is row and column ``i * V + v``. Each copy
-        stores its arcs in vertex-index order, copy after copy, so ``data``
-        is the copies' weight rows laid end to end. Only the index arrays
-        matter: ``data`` starts as zeros and every kernel call overwrites it.
-        Zero-weight arcs are explicit entries, which csgraph keeps as arcs.
+        ``data`` is the copies' weight rows laid end to end. It starts as
+        zeros and every kernel call overwrites it.
         """
         if self._csr is None:
-            size = self._stack_size() * self.vertex_count
-            offsets = np.arange(0, size, self.vertex_count, dtype=np.int32)[:, None]
-            indptr = np.zeros(size + 1, dtype=np.int32)
-            np.cumsum(np.bincount((self._tails + offsets).ravel(), minlength=size), out=indptr[1:])
-            indices = (self._heads + offsets).ravel()
-            data = np.zeros(indices.size)
-            self._csr = csr_matrix((data, indices, indptr), shape=(size, size))
+            copies, n = self._stack_size(), self.vertex_count
+            tails, heads = _copies(self._tails, self._heads, copies, n)
+            self._csr = _block_diagonal(tails, heads, np.zeros(tails.size), copies * n)
         return self._csr
 
     def _distances(self, sources: Sequence[int], weights: np.ndarray) -> np.ndarray:
@@ -265,7 +345,7 @@ class WeightedDigraph:
         """
         arcs = self._skeleton()
         arcs.data.reshape(self._stack_size(), -1)[...] = weights
-        return dijkstra(arcs, directed=True, indices=sources)
+        return _kernel(arcs, sources)
 
     def _detour(self, center: int, r: float) -> tuple[np.ndarray, np.ndarray]:
         """``center``'s neighbourhood and its member-to-member detour lengths.
@@ -290,19 +370,9 @@ class WeightedDigraph:
     def _stacked_detours(self, first: int, r: float) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """:meth:`_detour` for ``first`` and the centres after it, in at most one kernel call.
 
-        A member row runs Dijkstra only when some arc ``(c, v)`` out of its
-        centre ``c`` is tight from it: ``D[i, c] + w == D[i, v]`` with
-        ``D[i, v]`` finite, ``D`` the all-pairs table. Every other row is
-        ``D``'s row, bit for bit. Raising weights never lowers a path's
-        left-to-right float sum, since rounding is monotone, so a detour
-        length is at least ``D[i, j]``. csgraph sets each final distance from
-        an already-settled vertex, so the Dijkstra tree path from ``i`` to
-        any ``j != c`` is made of tight arcs and its sum is ``D[i, j]``. With
-        no tight arc out of ``c``, that path never passes through ``c``
-        (``i`` is a member, never ``c``), keeps its sum on the reweighted
-        graph, and so the detour length is also at most ``D[i, j]``. The
-        rows that run go in one kernel call, one copy per centre; a stack
-        with none makes no call.
+        Only the rows :func:`_rows_to_run` picks run; every other row is the
+        all-pairs row. They go in one kernel call, one copy per centre; a
+        stack with none makes no call.
         """
         n = self.vertex_count
         copies = self._stack_size()
@@ -311,20 +381,14 @@ class WeightedDigraph:
         near = self._near(centres, r)
         # the stack's out-arcs are one slice, since the arcs are sorted by tail
         lo, hi = np.searchsorted(self._tails, (first, centres[-1] + 1))
-        tails, heads = self._tails[lo:hi], self._heads[lo:hi]
-        reached = d[:, heads]
-        tight = (d[:, tails] + self._weights[lo:hi] == reached) & (reached != _INF)
-        origins, arcs = np.nonzero(tight)
-        runs = np.zeros_like(near)
-        runs[tails[arcs] - first, origins] = True
-        runs &= near
+        runs = _rows_to_run(d, near, first, self._tails[lo:hi], self._heads[lo:hi],
+                            self._weights[lo:hi])
         copy, source = np.nonzero(runs)  # copy by copy, each copy's sources ascending
         rows = np.empty((0, copies * n))
         if copy.size:
             # copy i inflates centre first + i; a centre past the last vertex touches no arc
-            ends = np.arange(first, first + copies)[:, None]
-            touches = (self._tails == ends) | (self._heads == ends)
-            weights = np.where(touches, self._max_weight, self._weights)
+            weights = _inflate(np.arange(first, first + copies), self._tails, self._heads,
+                               self._weights, self._max_weight)
             rows = self._distances(copy * n + source, weights)
         counts = np.count_nonzero(runs, axis=1).tolist()
         stack, start = {}, 0
@@ -348,7 +412,7 @@ class WeightedDigraph:
         """
         if self.vertex_count < 2:
             raise EmptyGraph("mean pairwise distance needs at least 2 vertices")
-        return float(np.cumsum(finite_or_zero(self._apsp_table()))[-1]) / self.vertex_count
+        return float(row_major_totals(finite_or_zero(self._apsp_table()))) / self.vertex_count
 
     def local_neighborhood(self, vertex: str, r: float) -> set[str]:
         """Vertices within distance ``r`` of ``vertex`` in either direction.
@@ -362,10 +426,7 @@ class WeightedDigraph:
         """One mask row per centre: the vertices within ``r`` of it either way, bar itself."""
         if not r >= 0.0:  # also true for nan
             raise ValueError(f"threshold must be >= 0, got {r!r}")
-        d = self._apsp_table()
-        near = (d[centres] <= r) | (d[:, centres].T <= r)
-        near[np.arange(centres.size), centres] = False
-        return near
+        return _within(self._apsp_table(), centres, r)
 
     # -- serialization ------------------------------------------------------
 
@@ -408,3 +469,52 @@ class WeightedDigraph:
                 seen.add((u, v))
                 arcs.append((u, v, w))
         return cls(arcs)
+
+
+def _batch_detours(graphs: Sequence[WeightedDigraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All-pairs tables, neighbourhoods and detour tables of a chunk of graphs, in two kernel calls.
+
+    Every graph is padded with isolated vertices to the chunk's largest
+    vertex count ``M``, and the ``G`` graphs are laid out as one union
+    graph, vertex ``v`` of graph ``g`` at ``g * M + v``. The first call runs
+    every source of the union; its diagonal blocks are the graphs' all-pairs
+    tables, and each graph's threshold is its :meth:`~WeightedDigraph.mean_pairwise_distance`.
+    The second call runs over ``M`` copies of the union, copy ``c`` with
+    centre ``c`` of every graph inflated to its graph's maximum weight, and
+    only the rows :func:`_rows_to_run` picks; it is skipped when there are
+    none. A padding vertex reaches nothing, is in no neighbourhood and
+    adds 0.0 to a total.
+
+    Returns ``(d, near, without)``: ``d[g]`` is graph ``g``'s ``(M, M)``
+    all-pairs table, ``near[g, c]`` the neighbourhood mask of its centre
+    ``c``, and ``without[g, c, i]`` the lengths from ``i`` with ``c``'s arcs
+    inflated, for every member ``i`` of ``c``, and the all-pairs row of
+    ``i`` otherwise.
+    """
+    count = len(graphs)
+    size = max(g.vertex_count for g in graphs)
+    n = count * size
+    arc_graph = np.repeat(np.arange(count), [g.arc_count for g in graphs])
+    tails = np.concatenate([g._tails for g in graphs])
+    heads = np.concatenate([g._heads for g in graphs])
+    weights = np.concatenate([g._weights for g in graphs])
+    union_tails, union_heads = tails + arc_graph * size, heads + arc_graph * size
+    union = _kernel(_block_diagonal(union_tails, union_heads, weights, n), np.arange(n))
+    blocks = np.arange(count)
+    d = union.reshape(count, size, count, size)[blocks, :, blocks]
+    r = row_major_totals(finite_or_zero(d)) / [g.vertex_count for g in graphs]
+    near = _within(union, np.arange(n), np.repeat(r, size)[:, None])
+    centre, source = np.nonzero(_rows_to_run(union, near, 0, union_tails, union_heads, weights))
+    without = np.repeat(d[:, None], size, axis=1)
+    if centre.size:
+        copy_tails, copy_heads = _copies(union_tails, union_heads, size, n)
+        top = np.array([g.max_arc_weight for g in graphs])[arc_graph]
+        inflated = _inflate(np.arange(size), tails, heads, weights, top)
+        copy = centre % size
+        rows = _kernel(_block_diagonal(copy_tails, copy_heads, inflated.ravel(), size * n),
+                       copy * n + source)
+        # each row that ran replaces its all-pairs row with its graph's columns of its copy
+        columns = (copy * n + centre - copy)[:, None] + np.arange(size)
+        without[centre // size, copy, source % size] = np.take_along_axis(rows, columns, axis=1)
+    near = near.reshape(count, size, count, size)[blocks, :, blocks]
+    return d, near, without

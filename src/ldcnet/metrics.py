@@ -95,35 +95,54 @@ def covariates(records: Corpus) -> dict[str, RetrievalStats]:
     return dict(corpus.covariates_table)
 
 
+def retrieval_times(records: Corpus, statistic: str) -> dict[str, Optional[float]]:
+    """One retrieval statistic, ``"dt_to"`` or ``"dt_from"``, of every word.
+
+    Each value is the float :func:`covariates` gives for the word, None
+    where it has none, without building the rest of the table.
+    """
+    corpus = encode(records)
+    means, _ = _mean_gaps(corpus, statistic)
+    return dict(zip(corpus.words, means))
+
+
 def _tabulate(corpus: EncodedCorpus) -> dict[str, RetrievalStats]:
     size = len(corpus.words)
-    ids, onsets, record = corpus.ids, corpus.onsets, corpus.record
+    ids = corpus.ids
     index = np.arange(ids.size)
-    opens = np.maximum.accumulate(np.where(np.diff(record, prepend=-1) != 0, index, 0))
+    opens = np.maximum.accumulate(np.where(np.diff(corpus.record, prepend=-1) != 0, index, 0))
     frequency = np.bincount(ids, minlength=size).tolist()
     position_sum = np.bincount(ids, weights=index - opens + 1, minlength=size).tolist()
-    same = record[1:] == record[:-1]  # position i + 1 follows position i in one record
-    later, earlier = onsets[1:][same], onsets[:-1][same]
-    to_sum, to_count = _ordered_sums(ids[1:][same], later, earlier, size)
-    from_sum, from_count = _ordered_sums(ids[:-1][same], later, earlier, size)
+    dt_to, to_count = _mean_gaps(corpus, "dt_to")
+    dt_from, from_count = _mean_gaps(corpus, "dt_from")
 
     stats: dict[str, RetrievalStats] = {}
     for word_id in sorted(range(size), key=corpus.words.__getitem__):
         word = corpus.words[word_id]
         freq = frequency[word_id]
-        n_to = to_count[word_id]
-        n_from = from_count[word_id]
         stats[word] = RetrievalStats(
             word=word,
             frequency=freq,
             log_frequency=math.log(freq),
             avg_location=position_sum[word_id] / freq,
-            dt_to=(to_sum[word_id] / n_to) if n_to else None,
-            dt_from=(from_sum[word_id] / n_from) if n_from else None,
-            n_to=n_to,
-            n_from=n_from,
+            dt_to=dt_to[word_id],
+            dt_from=dt_from[word_id],
+            n_to=to_count[word_id],
+            n_from=from_count[word_id],
         )
     return stats
+
+
+def _mean_gaps(corpus: EncodedCorpus, statistic: str) -> tuple[list[Optional[float]], list[int]]:
+    """Per word id, the mean gap into (``dt_to``) or out of (``dt_from``) it, and its count.
+
+    The mean is None where the word has no neighbour on that side.
+    """
+    same = corpus.record[1:] == corpus.record[:-1]  # position i + 1 follows i in one record
+    later, earlier = corpus.onsets[1:][same], corpus.onsets[:-1][same]
+    word = corpus.ids[1:][same] if statistic == "dt_to" else corpus.ids[:-1][same]
+    sums, counts = _ordered_sums(word, later, earlier, len(corpus.words))
+    return [(total / n) if n else None for total, n in zip(sums, counts)], counts
 
 
 def _ordered_sums(

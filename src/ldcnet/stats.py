@@ -1,8 +1,9 @@
 """Correlation sweep, outlier exclusion, and permutation significance test.
 
-Grid cells and permutation repetitions are independent jobs: per-repetition
-seeds derive from the master seed and the repetition index alone, so the
-work can fan out across processes without changing any result.
+Grid cells and batches of permutation repetitions are independent jobs:
+per-draw seeds derive from the master seed, the repetition index and the
+attempt alone, so the work can fan out across processes without changing
+any result.
 """
 
 from __future__ import annotations
@@ -18,10 +19,19 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 from scipy.stats import t as t_dist
 
-from .centrality import MEASURES, CentralityVector, PageRankParams, compute_all, fan_out, ldc_vector
+from .centrality import (
+    MEASURES,
+    CentralityVector,
+    PageRankParams,
+    compute_all,
+    fan_out,
+    ldc_vector,
+    ldc_vectors,
+)
 from .corpus import (
     Corpus,
     DistanceFunctionParams,
+    EncodedCorpus,
     build_graph,
     encode,
     shuffle_records,
@@ -34,7 +44,7 @@ from .errors import (
     ZeroVariance,
 )
 from .graph import WeightedDigraph
-from .metrics import covariates
+from .metrics import covariates, retrieval_times
 from .textio import PathOrFile, format_number, write_csv
 
 #: Correlated variables per grid cell: the seven measures plus covariates.
@@ -52,6 +62,9 @@ OUTLIER_SDS = 2.5
 
 #: Times a permutation repetition is redrawn after its first draw fails.
 MAX_RETRIES = 3
+
+#: Consecutive repetitions per permutation task; a task scores its draws together.
+PERMUTATION_BATCH = 50
 
 
 # -- rank correlation -------------------------------------------------------
@@ -492,26 +505,65 @@ def ldc_dt_correlation(
     the retrieval statistic come from one encoding of the records.
     """
     corpus = encode(records)
-    graph = build_graph(corpus, DistanceFunctionParams(ws, ms))
-    if graph.vertex_count == 0:
-        raise InsufficientData(f"graph at ws={ws} ms={ms} is empty")
-    scores = ldc_vector(graph).scores
+    graph = _nonempty_graph(corpus, DistanceFunctionParams(ws, ms))
     word_stats = covariates(corpus)
-    ys = [getattr(word_stats[word], target) for word in graph.vertices]
+    times = {word: getattr(stats, target) for word, stats in word_stats.items()}
+    return _detour_rho(graph, ldc_vector(graph).scores, times)
+
+
+def _nonempty_graph(corpus: Corpus, params: DistanceFunctionParams) -> WeightedDigraph:
+    graph = build_graph(corpus, params)
+    if graph.vertex_count == 0:
+        raise InsufficientData(f"graph at ws={params.ws} ms={params.ms} is empty")
+    return graph
+
+
+def _detour_rho(
+    graph: WeightedDigraph, scores: Mapping[str, float], times: Mapping[str, Optional[float]]
+) -> tuple[float, int]:
+    """(rho, paired words) between the graph's detour scores and retrieval times."""
+    ys = [times[word] for word in graph.vertices]
     rho = spearman([scores[word] for word in graph.vertices], ys)
     return rho, len(ys) - ys.count(None)
 
 
-def _permutation_rep(args: tuple) -> Optional[float]:
-    corpus, ws, ms, target, master_seed, rep = args
+def _permutation_batch(args: tuple) -> list[Optional[float]]:
+    """Null correlations of a run of repetitions, None where every attempt failed.
+
+    Each round draws every pending repetition at its next attempt and scores
+    the round's graphs in one :func:`ldc_vectors` call; a draw that fails is
+    pending in the next round, up to :data:`MAX_RETRIES` redraws.
+    """
+    corpus, params, target, master_seed, reps = args
+    null: dict[int, Optional[float]] = dict.fromkeys(reps)
+    pending = list(reps)
     for attempt in range(MAX_RETRIES + 1):
-        shuffled = shuffle_records(corpus, derive_seed(master_seed, rep, attempt))
-        try:
-            rho, _ = ldc_dt_correlation(shuffled, ws, ms, target)
-            return rho
-        except LdcnetError:
-            continue
-    return None
+        draws = []
+        for rep in pending:
+            shuffled = shuffle_records(corpus, derive_seed(master_seed, rep, attempt))
+            try:
+                graph = _nonempty_graph(shuffled, params)
+            except LdcnetError:
+                continue
+            # a round keeps its draws' graphs and retrieval times, not their corpora
+            draws.append((rep, graph, retrieval_times(shuffled, target)))
+        vectors = ldc_vectors([graph for _, graph, _ in draws])
+        for (rep, graph, times), vector in zip(draws, vectors):
+            try:
+                null[rep], _ = _detour_rho(graph, vector.scores, times)
+            except LdcnetError:
+                continue
+        pending = [rep for rep in pending if null[rep] is None]
+    return [null[rep] for rep in reps]
+
+
+def _null_draws(corpus: EncodedCorpus, config: PermutationConfig, jobs: int) -> list[Optional[float]]:
+    """Every repetition's null correlation, in order; None where it failed."""
+    params = DistanceFunctionParams(config.ws, config.ms)
+    reps = range(config.repetitions)
+    tasks = [(corpus, params, config.target, config.seed, reps[i : i + PERMUTATION_BATCH])
+             for i in range(0, len(reps), PERMUTATION_BATCH)]
+    return [rho for batch in fan_out(_permutation_batch, tasks, jobs) for rho in batch]
 
 
 def permutation_test(
@@ -529,6 +581,10 @@ def permutation_test(
     :data:`MAX_RETRIES` times and counted as failed afterwards.
 
     The records are encoded once; every draw shuffles the encoded corpus.
+    The repetitions run in batches of :data:`PERMUTATION_BATCH` consecutive
+    ones, one task each (see :func:`_permutation_batch`); a draw's seed
+    depends only on its repetition and attempt, so neither the batches nor
+    ``jobs`` change a result.
     """
     corpus = encode(records)
     if not corpus:
@@ -541,11 +597,7 @@ def permutation_test(
         ) from exc
     parametric_p = spearman_pvalue(actual_rho, n_words)
 
-    tasks = [
-        (corpus, config.ws, config.ms, config.target, config.seed, rep)
-        for rep in range(config.repetitions)
-    ]
-    draws = list(fan_out(_permutation_rep, tasks, jobs))
+    draws = _null_draws(corpus, config, jobs)
 
     null = [rho for rho in draws if rho is not None]
     n_failed = len(draws) - len(null)

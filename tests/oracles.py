@@ -5,7 +5,9 @@ distances come from Floyd-Warshall over a dense matrix or from a pure-Python
 heap Dijkstra, path counts from exhaustive simple-path enumeration, ranks
 from an O(n^2) scan, and the population variance from exact fractions.
 Graphs, covariates and shuffles are rebuilt record by record from
-``FluencyRecord`` objects, without the encoded corpus.
+``FluencyRecord`` objects, without the encoded corpus. The permutation null
+is redrawn one repetition and one attempt at a time through the public
+per-draw functions, without the batched engine.
 """
 
 import math
@@ -16,11 +18,14 @@ from heapq import heappop, heappush
 
 from ldcnet import (
     FluencyRecord,
+    LdcnetError,
     RetrievalStats,
     WeightedDigraph,
     collapse_first_occurrence,
     normalize_record,
+    shuffle_records,
 )
+from ldcnet.stats import MAX_RETRIES, derive_seed, ldc_dt_correlation
 
 INF = math.inf
 
@@ -484,3 +489,23 @@ def reference_shuffle(records, seed):
         rng.shuffle(words)
         shuffled.append(FluencyRecord(record.subject_id, tuple(zip(words, record.onsets))))
     return shuffled
+
+
+def reference_null(records, config):
+    """Each repetition's null correlation, in order, None where every attempt failed.
+
+    Repetition ``rep`` tries attempts 0 to ``MAX_RETRIES`` in turn, each
+    through ``shuffle_records`` and ``ldc_dt_correlation`` on its own.
+    """
+    null = []
+    for rep in range(config.repetitions):
+        rho = None
+        for attempt in range(MAX_RETRIES + 1):
+            shuffled = shuffle_records(records, derive_seed(config.seed, rep, attempt))
+            try:
+                rho, _ = ldc_dt_correlation(shuffled, config.ws, config.ms, config.target)
+                break
+            except LdcnetError:
+                continue
+        null.append(rho)
+    return null

@@ -20,7 +20,9 @@ from ldcnet import (
     pagerank,
     triangles,
 )
-from ldcnet.centrality import write_centrality_csv
+import ldcnet.centrality as centrality_module
+from ldcnet.centrality import ldc_vectors, write_centrality_csv
+from ldcnet.corpus import DistanceFunctionParams, build_graph, encode, shuffle_records
 from ldcnet.errors import EmptyGraph, NoConvergence, UnknownVertex
 
 import oracles
@@ -29,6 +31,7 @@ from corpora import (
     exact_sum_graphs,
     kernel_edge_graphs,
     random_graph,
+    random_records,
     scale_weights,
     tie_heavy_graph,
 )
@@ -299,6 +302,94 @@ class TestStackedKernel:
         copy = pickle.loads(pickle.dumps(g))
         assert copy._stack is None
         assert ldc_vector(copy).scores == scores
+
+
+def draw_graphs(seed, count):
+    """Permutation-draw graphs of criterion 8's shape: 25 ten-word records, ws=2, ms=3."""
+    corpus = encode(random_records(random.Random(seed), n_subjects=25, list_len=10,
+                                   vocab_size=10))
+    graphs = (build_graph(shuffle_records(corpus, seed * 1000 + i), DistanceFunctionParams(2, 3))
+              for i in range(count))
+    return [g for g in graphs if g.vertex_count]
+
+
+def fresh(graph):
+    """The graph rebuilt from its arcs, with nothing cached."""
+    return WeightedDigraph(graph.arcs(), vertices=graph.vertices)
+
+
+@pytest.fixture
+def batch_kernel_calls(monkeypatch):
+    """The source count of every shortest-path kernel call a batch makes."""
+    calls = []
+    kernel = graph_module._kernel
+
+    def counted(arcs, sources):
+        calls.append(len(sources))
+        return kernel(arcs, sources)
+
+    monkeypatch.setattr(graph_module, "_kernel", counted)
+    return calls
+
+
+class TestLdcVectors:
+    """``ldc_vectors(graphs) == [ldc_vector(g) for g in graphs]``, float for float."""
+
+    def assert_batch_equals_one_by_one(self, graphs):
+        expected = [ldc_vector(fresh(g)) for g in graphs]
+        assert ldc_vectors([fresh(g) for g in graphs]) == expected
+        for g, vector in zip(graphs, expected):
+            assert ldc_vectors([fresh(g)]) == [vector]
+
+    def test_zero_weight_edge_and_exact_sum_graphs(self):
+        rng = random.Random(79)
+        graphs = kernel_edge_graphs(rng) + exact_sum_graphs(rng)
+        # centres with no members and pairs reachable one way only are among them
+        assert any(not g.local_neighborhood(v, g.mean_pairwise_distance())
+                   for g in graphs for v in g.vertices)
+        assert any(math.inf in g._apsp_table() for g in graphs)
+        self.assert_batch_equals_one_by_one(graphs)
+
+    def test_tie_heavy_and_random_graphs_up_to_40_vertices(self):
+        rng = random.Random(83)
+        graphs = [tie_heavy_graph(rng, n, p=rng.uniform(0.15, 0.5)) for n in range(3, 41, 3)]
+        graphs += [random_graph(rng, n, p=rng.uniform(0.1, 0.6)) for n in range(2, 41, 2)]
+        self.assert_batch_equals_one_by_one(graphs)
+
+    def test_permutation_draw_graphs(self):
+        self.assert_batch_equals_one_by_one(draw_graphs(3, 40) + draw_graphs(4, 40))
+
+    def test_chunks_of_mixed_sizes_and_a_graph_above_the_bound(self, batch_kernel_calls):
+        rng = random.Random(89)
+        above = math.isqrt(centrality_module._BATCH_VERTICES) + 1
+        graphs = [tie_heavy_graph(rng, rng.randint(2, 24), p=0.3) for _ in range(30)]
+        graphs.insert(12, random_graph(rng, above, p=0.2))
+        assert sum(g.vertex_count ** 2 for g in graphs) > 3 * centrality_module._BATCH_VERTICES
+        self.assert_batch_equals_one_by_one(graphs)
+
+    def test_a_chunk_makes_one_call_for_its_tables_and_one_for_its_detours(
+            self, batch_kernel_calls):
+        graphs = draw_graphs(5, 12)[:3]
+        sizes = [g.vertex_count for g in graphs]
+        ldc_vectors(graphs)
+        # every vertex of the padded union, then the rows that run
+        assert len(batch_kernel_calls) == 2
+        assert batch_kernel_calls[0] == len(graphs) * max(sizes)
+        runs = sum(len(rows) for g in graphs
+                   for rows in oracles.rows_to_run(g, g.mean_pairwise_distance()).values())
+        assert batch_kernel_calls[1] == runs
+        # no arc out of any centre is tight, so no detour row runs
+        del batch_kernel_calls[:]
+        scored = ldc_vectors([complete_dag(8), complete_dag(5)])
+        assert batch_kernel_calls == [16]
+        assert scored == [ldc_vector(complete_dag(8)), ldc_vector(complete_dag(5))]
+
+    def test_empty_input_and_rejected_graphs(self):
+        assert ldc_vectors([]) == []
+        with pytest.raises(EmptyGraph):
+            ldc_vectors([complete_graph(4), WeightedDigraph()])
+        with pytest.raises(EmptyGraph):
+            ldc_vectors([complete_graph(4), WeightedDigraph(vertices=["lone"])])
 
 
 class TestLdc:

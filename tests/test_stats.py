@@ -30,11 +30,10 @@ from ldcnet.errors import (
 from ldcnet.stats import (
     FULL_GRID_MS_VALUES,
     FULL_GRID_WS_VALUES,
-    MAX_RETRIES,
     MEASURES,
+    PERMUTATION_BATCH,
     SpearmanEntry,
     average_ranks,
-    derive_seed,
     evaluate_cell,
     ldc_dt_correlation,
     population_sd,
@@ -44,7 +43,7 @@ from ldcnet.stats import (
     table_entry,
     variable_pairs,
     write_grid_summary,
-    _permutation_rep,
+    _null_draws,
 )
 
 import oracles
@@ -389,13 +388,7 @@ class TestPermutationTest:
         records = random_records(rng, n_subjects=18, list_len=8, vocab_size=8)
         config = PermutationConfig(ws=2, ms=3, target="dt_from", repetitions=40, seed=3)
         outcome = permutation_test(records, config)
-        draws = [
-            _permutation_rep(
-                (records, config.ws, config.ms, config.target, config.seed, rep)
-            )
-            for rep in range(config.repetitions)
-        ]
-        null = [d for d in draws if d is not None]
+        null = [d for d in oracles.reference_null(records, config) if d is not None]
         assert outcome.n_effective == len(null)
         extreme = sum(1 for d in null if abs(d) >= abs(outcome.actual_rho))
         assert outcome.p_value == (1 + extreme) / (len(null) + 1)
@@ -405,12 +398,7 @@ class TestPermutationTest:
         config = PermutationConfig(ws=1, ms=3, target="dt_to", repetitions=99, seed=11)
         outcome = permutation_test(records, config)
         assert outcome.n_effective == 99
-        draws = [
-            _permutation_rep(
-                (records, config.ws, config.ms, config.target, config.seed, rep)
-            )
-            for rep in range(config.repetitions)
-        ]
+        draws = oracles.reference_null(records, config)
         # every null draw is strictly less extreme than the actual ordering,
         # so the add-one estimator sits exactly at its boundary
         assert all(abs(d) < abs(outcome.actual_rho) for d in draws)
@@ -486,29 +474,50 @@ class TestPermutationTest:
         assert encode_calls == [len(records)]
         assert built == []
 
-    def test_failed_draws_are_redrawn_then_counted(self, monkeypatch):
-        config = PermutationConfig(ws=1, ms=3, target="dt_to", repetitions=3, seed=5)
-        always = [derive_seed(config.seed, 0, attempt) for attempt in range(MAX_RETRIES + 1)]
-        once = [derive_seed(config.seed, 1, 0), derive_seed(config.seed, 1, 1)]
-        failing = set(always) | {once[0]}
+    # short records at ws=1, ms=1: 3 of the 30 repetitions fail every attempt
+    # and many more succeed only on a redraw
+    NULL_CASES = {
+        "failing": (lambda: random_records(random.Random(5), n_subjects=8, list_len=4,
+                                           vocab_size=6),
+                    PermutationConfig(ws=1, ms=1, target="dt_to", repetitions=30, seed=5)),
+        "random": (lambda: random_records(random.Random(53), n_subjects=15, list_len=8,
+                                          vocab_size=9),
+                   PermutationConfig(ws=2, ms=3, target="dt_from", repetitions=45, seed=8)),
+        "chain": (monotone_chain_records,
+                  PermutationConfig(ws=1, ms=3, target="dt_to", repetitions=25, seed=4)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NULL_CASES))
+    def test_null_draws_equal_the_reference_at_jobs_1_and_2(self, case):
+        make, config = self.NULL_CASES[case]
+        records = make()
+        expected = oracles.reference_null(records, config)
+        for jobs in (1, 2):
+            assert _null_draws(encode(records), config, jobs) == expected
+        outcome = permutation_test(records, config, jobs=2)
+        assert (outcome.n_effective, outcome.n_failed) == (
+            config.repetitions - expected.count(None), expected.count(None))
+        if case == "failing":
+            assert expected.count(None) == 3
+
+    def test_failed_draws_are_redrawn_with_the_seeds_of_the_reference(self, monkeypatch):
+        make, config = self.NULL_CASES["failing"]
+        records = make()
         seeds = []
 
         def shuffle(corpus, seed):
             seeds.append(seed)
             return shuffle_records(corpus, seed)
 
-        def correlation(corpus, ws, ms, target):
-            # the actual-order call comes before any shuffle
-            if seeds and seeds[-1] in failing:
-                raise InsufficientData("this draw is made to fail")
-            return ldc_dt_correlation(corpus, ws, ms, target)
-
         monkeypatch.setattr("ldcnet.stats.shuffle_records", shuffle)
-        monkeypatch.setattr("ldcnet.stats.ldc_dt_correlation", correlation)
-        outcome = permutation_test(monotone_chain_records(), config)
-        # repetition 0 fails every attempt, 1 fails once, 2 succeeds at once
-        assert seeds == always + once + [derive_seed(config.seed, 2, 0)]
-        assert (outcome.n_effective, outcome.n_failed) == (2, 1)
+        null = _null_draws(encode(records), config, 1)
+        engine = sorted(seeds)
+        del seeds[:]
+        monkeypatch.setattr(oracles, "shuffle_records", shuffle)
+        assert oracles.reference_null(records, config) == null
+        # every repetition tries its attempts in turn, so both draw the same corpora
+        assert engine == sorted(seeds)
+        assert len(seeds) > config.repetitions
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -564,11 +573,14 @@ class TestPoolSize:
         ]
         assert pool_sizes == [2]
 
-    def test_permutation_test_opens_one_worker_per_repetition(self, pool_sizes):
+    def test_permutation_test_opens_one_worker_per_batch(self, pool_sizes):
         records = random_records(random.Random(37), n_subjects=15, list_len=8, vocab_size=7)
-        config = PermutationConfig(ws=2, ms=3, target="dt_to", repetitions=3, seed=9)
-        assert permutation_test(records, config, jobs=16) == permutation_test(records, config)
-        assert pool_sizes == [3]
+        for repetitions, sizes in ((PERMUTATION_BATCH, []), (2 * PERMUTATION_BATCH + 1, [3])):
+            del pool_sizes[:]
+            config = PermutationConfig(ws=2, ms=3, target="dt_to", repetitions=repetitions,
+                                       seed=9)
+            assert permutation_test(records, config, jobs=16) == permutation_test(records, config)
+            assert pool_sizes == sizes
 
     # a task is one detour stack: one stack of 3 or 10 centres opens no pool,
     # 30 vertices make 8 stacks of up to 4 and 70 vertices 70 stacks of 1
@@ -636,8 +648,8 @@ class TestJobsFanOut:
     @pytest.mark.parametrize("work, jobs, pools", [
         ("cells", 2, ([2], [2])),  # 16 cells
         ("cells", 16, ([16], [1])),
-        ("draws", 2, ([2], [5])),  # 40 repetitions
-        ("draws", 3, ([3], [3])),
+        ("draws", 2, ([2], [2])),  # 16 batches of repetitions
+        ("draws", 3, ([3], [1])),
         ("stacks", 4, ([4], [4])),  # 70 stacks of one centre
         ("stacks", 2, ([2], [8])),
     ])
@@ -649,7 +661,8 @@ class TestJobsFanOut:
                 return [summary_row(c) for c in grid_sweep(records, (1, 2), range(3, 11),
                                                            jobs=jobs)]
         elif work == "draws":
-            config = PermutationConfig(ws=2, ms=3, target="dt_to", repetitions=40, seed=9)
+            config = PermutationConfig(ws=2, ms=3, target="dt_to",
+                                       repetitions=16 * PERMUTATION_BATCH, seed=9)
 
             def run(jobs):
                 return permutation_test(records, config, jobs=jobs)
