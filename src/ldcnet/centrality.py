@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
 from operator import add
@@ -75,30 +75,50 @@ class CentralityVector:
 class NeighborhoodContext:
     """Per-vertex bundle backing the detour computation.
 
-    ``with_distances[i, j]`` is the shortest-path length from ``members[i]``
-    to ``members[j]`` on the original graph, a slice of its one cached
-    all-pairs array. ``without_distances`` holds the same lengths on the
-    reweighted graph in which every arc touching the center costs the graph's
-    maximum arc weight. Both are ``float64`` arrays, ``inf`` when the target
-    is unreachable, from the one shortest-path kernel (csgraph Dijkstra),
-    whose lengths are exact minima of left-to-right float sums. A row of
-    ``without_distances`` is a kernel row only when an arc out of the center
-    lies on a shortest path from that member; otherwise it equals the row of
-    ``with_distances``, bit for bit, since the detour cannot change it.
-    ``without_distances`` is read-only: the graph's detour stack holds it.
-    ``with_matrix``/``without_matrix`` are the same tables as tuples of rows,
-    None for unreachable, built only when read.
+    ``members`` are the center's neighbours, in vertex-index order, and
+    ``indices`` their vertex indices. ``ran`` holds the positions in
+    ``members`` whose detour rows ran the kernel, ascending, and
+    ``ran_rows[t]`` the lengths from ``members[ran[t]]`` to every member on
+    the reweighted graph in which every arc touching the center costs the
+    graph's maximum arc weight. A member's row runs only when an arc out of
+    the center lies on a shortest path from it; every other detour row equals
+    its row of ``apsp``, the graph's one cached all-pairs array, bit for bit,
+    since the detour cannot change it, so the context holds only the rows
+    that ran. Lengths are ``float64``, ``inf`` when the target is
+    unreachable, from the one shortest-path kernel (csgraph Dijkstra), whose
+    lengths are exact minima of left-to-right float sums.
+    ``with_distances[i, j]`` (on the original graph) and ``without_distances``
+    (on the reweighted graph) are the member-to-member tables, and
+    ``with_matrix``/``without_matrix`` the same tables as tuples of rows, None
+    for unreachable; all four are built only when read, the arrays read-only.
     """
 
     center: str
     r: float
     members: tuple[str, ...]
-    with_distances: np.ndarray
-    without_distances: np.ndarray
+    indices: np.ndarray
+    ran: np.ndarray
+    ran_rows: np.ndarray
     max_weight: float
+    apsp: np.ndarray = field(repr=False)
+
+    @property
+    def with_distances(self) -> np.ndarray:
+        return _read_only(self.apsp[np.ix_(self.indices, self.indices)])
+
+    @property
+    def without_distances(self) -> np.ndarray:
+        table = self.apsp[np.ix_(self.indices, self.indices)]
+        table[self.ran] = self.ran_rows
+        return _read_only(table)
 
     with_matrix = property(lambda self: _rows_or_none(self.with_distances))
     without_matrix = property(lambda self: _rows_or_none(self.without_distances))
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 def _rows_or_none(table: np.ndarray) -> tuple[tuple[Optional[float], ...], ...]:
@@ -106,25 +126,28 @@ def _rows_or_none(table: np.ndarray) -> tuple[tuple[Optional[float], ...], ...]:
 
 
 def build_context(graph: WeightedDigraph, vertex: str, r: float) -> NeighborhoodContext:
-    """Assemble the neighborhood matrices used by the detour score.
+    """Assemble the neighborhood and the detour rows that ran for the detour score.
 
     The neighborhood contains every other vertex within threshold ``r`` of
-    ``vertex`` in either direction. Both matrices are computed over full
-    graph paths (not paths confined to the neighborhood); the second one
-    runs on the reweighted graph where arcs into or out of ``vertex`` are
-    inflated to the maximum arc weight. The graph computes that one for a
-    stack of consecutive centres in at most one kernel call, running only
-    the rows a centre's arcs can change, so walking the centres in index
-    order computes each stack once.
+    ``vertex`` in either direction. Distances are over full graph paths
+    (not paths confined to the neighborhood); the detour rows run on the
+    reweighted graph where arcs into or out of ``vertex`` are inflated to
+    the maximum arc weight. The graph computes them for a stack of
+    consecutive centres in at most one kernel call, running only the rows a
+    centre's arcs can change, so walking the centres in index order computes
+    each stack once. The context keeps only those rows; its member tables
+    are built when read.
     """
-    members, without = graph._detour(graph._vertex_index(vertex), r)
+    indices, ran, rows = graph._detour(graph._vertex_index(vertex), r)
     return NeighborhoodContext(
         center=vertex,
         r=r,
-        members=tuple(graph.vertices[i] for i in members.tolist()),
-        with_distances=graph._apsp_table()[np.ix_(members, members)],
-        without_distances=without,
+        members=tuple(map(graph.vertices.__getitem__, indices.tolist())),
+        indices=indices,
+        ran=ran,
+        ran_rows=rows,
         max_weight=graph.max_arc_weight,
+        apsp=graph._apsp_table(),
     )
 
 
@@ -133,18 +156,20 @@ def ldc_from_context(ctx: NeighborhoodContext) -> float:
 
     Sums, over all ordered neighbor pairs, the excess of the center-inflated
     distance over the unrestricted distance, divided by the neighborhood
-    size. Pairs unreachable in the unrestricted matrix contribute 0.
+    size. Pairs unreachable in the unrestricted matrix contribute 0. Only
+    the rows that ran are totalled: every other row's excesses are 0.0, and
+    adding 0.0 to the running total (>= 0) leaves it unchanged, bit for bit.
     """
-    k = len(ctx.members)
-    if k == 0:
+    if not ctx.ran.size:
         return 0.0
-    counted = ctx.with_distances != _INF
-    np.fill_diagonal(counted, False)
-    return float(_excess_totals(ctx.without_distances, ctx.with_distances, counted)) / k
+    plain = ctx.apsp[np.ix_(ctx.indices[ctx.ran], ctx.indices)]
+    counted = plain != _INF
+    counted[np.arange(ctx.ran.size), ctx.ran] = False
+    return float(_excess_totals(ctx.ran_rows, plain, counted)) / len(ctx.members)
 
 
 def _excess_totals(without: np.ndarray, plain: np.ndarray, counted: np.ndarray) -> np.ndarray:
-    """Each ``(k, k)`` table of ``without - plain``, over its ``counted`` pairs, totalled.
+    """``without - plain`` over the ``counted`` pairs, totalled over the last two axes.
 
     The excesses (all >= 0) add left to right in row-major order and every
     pair not counted adds 0.0, so each total is the one a plain double loop

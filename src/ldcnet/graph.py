@@ -3,7 +3,7 @@
 The graph is immutable after construction: every operation below is a pure
 read, so a single instance can be shared freely across worker processes.
 What it caches (the all-pairs table, the CSR skeleton, the current stack of
-detour tables) is derived from the arcs and never changes an answer.
+detour rows) is derived from the arcs and never changes an answer.
 Vertex labels are interned strings; each vertex receives a stable integer
 index (its lexicographic rank at construction time) and all internal tables
 are indexed by that integer. The arcs are kept once, as three arrays sorted
@@ -15,7 +15,7 @@ pair table already holds what the checks enforce.
 Every shortest-path length comes from one kernel, :func:`_kernel`, which
 runs ``scipy.sparse.csgraph.dijkstra`` over disjoint copies of arcs in one
 block-diagonal CSR matrix, each copy with its own weights. It runs on one of
-two kinds of skeleton. A graph builds its own once: the detour tables stack
+two kinds of skeleton. A graph builds its own once: the detour rows stack
 one copy per centre, each with that centre's arcs inflated, so a small graph
 pays csgraph's fixed per-call cost once for many centres, and the all-pairs
 table runs in copy 0 with every copy carrying the original weights (``sssp``
@@ -26,14 +26,16 @@ gives their detour rows (see :func:`_batch_detours`). A source never leaves
 its copy, so its row equals a call on that copy alone.
 A detour row from ``i`` runs only when some arc ``(c, v)`` out of its centre
 is tight from ``i``, ``D[i, c] + w == D[i, v]`` on the all-pairs table ``D``;
-every other detour row is ``D``'s row, bit for bit (see :func:`_rows_to_run`). A
-Dijkstra distance is the minimum, over paths, of the left-to-right float sum
-of the arc weights: rounding is monotone, so extending the shortest prefix
-never loses to extending a longer one. That minimum does not depend on the
-order in which the priority queue settles ties, so every result is exact,
-reproducible and independent of arc insertion order. Betweenness alone runs
-its own Dijkstra, for path counts: it needs its heap's settle order, which
-zero-weight arcs can make differ from an order read off the table.
+every other detour row is ``D``'s row, bit for bit (see :func:`_rows_to_run`),
+so a centre keeps only the rows that ran, over its members' columns, and never
+a table of all its members. A Dijkstra distance is the minimum, over paths, of
+the left-to-right float sum of the arc weights: rounding is monotone, so
+extending the shortest prefix never loses to extending a longer one. That
+minimum does not depend on the order in which the priority queue settles
+ties, so every result is exact, reproducible and independent of arc
+insertion order. Betweenness alone runs its own Dijkstra, for path counts:
+it needs its heap's settle order, which zero-weight arcs can make differ
+from an order read off the table.
 
 The all-pairs table is one cached, read-only ``float64`` array from a single
 kernel call, ``inf`` where unreachable; every reader works on it. Totals over
@@ -61,9 +63,13 @@ GRAPH_CSV_HEADER = ("source", "target", "weight")
 _INF = math.inf
 
 #: Most vertices one stacked detour call holds: a graph of V vertices gets the
-#: detour tables of ``min(V, max(1, _STACK_VERTICES // V))`` centres per kernel
+#: detour rows of ``min(V, max(1, _STACK_VERTICES // V))`` centres per kernel
 #: call, so above 64 vertices every centre has a call of its own.
 _STACK_VERTICES = 128
+
+#: One centre's detour: its members' vertex indices, the positions of the
+#: members whose rows ran, and those rows (see :meth:`WeightedDigraph._detour`).
+_Detour = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _kernel(arcs: csr_matrix, sources: Sequence[int]) -> np.ndarray:
@@ -246,7 +252,7 @@ class WeightedDigraph:
         self._max_weight: float = float(weights.max()) if weights.size else 0.0
         self._apsp: Optional[np.ndarray] = None
         self._csr: Optional[csr_matrix] = None
-        self._stack: Optional[tuple[float, dict[int, tuple[np.ndarray, np.ndarray]]]] = None
+        self._stack: Optional[tuple[float, dict[int, _Detour]]] = None
 
     def __getstate__(self) -> dict:
         # a graph sent to or from a worker leaves its detour stack behind
@@ -347,15 +353,19 @@ class WeightedDigraph:
         arcs.data.reshape(self._stack_size(), -1)[...] = weights
         return _kernel(arcs, sources)
 
-    def _detour(self, center: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """``center``'s neighbourhood and its member-to-member detour lengths.
+    def _detour(self, center: int, r: float) -> _Detour:
+        """``center``'s neighbourhood, the members whose detour rows ran, and those rows.
 
-        The lengths are shortest paths on the graph in which every arc into
-        or out of ``center`` costs the maximum arc weight, one row per
-        member, read-only. They are computed for a stack of consecutive
-        centres at once (see :meth:`_stacked_detours`). The graph keeps only
-        the current stack, keyed on ``r`` and its centres; on a miss it
-        computes the stack that starts at ``center``.
+        Returns ``(members, ran, rows)``: the members' vertex indices in
+        ascending order, the positions in ``members`` whose rows ran, and
+        ``rows[t]``, the lengths from ``members[ran[t]]`` to every member on
+        the graph in which every arc into or out of ``center`` costs the
+        maximum arc weight, read-only. Every other member's detour row is its
+        all-pairs row, bit for bit (see :func:`_rows_to_run`). The rows are
+        computed for a stack of consecutive centres at once (see
+        :meth:`_stacked_detours`). The graph keeps only the current stack,
+        keyed on ``r`` and its centres; on a miss it computes the stack that
+        starts at ``center``.
         """
         stack = self._stack
         if stack is None or stack[0] != r or center not in stack[1]:
@@ -367,12 +377,12 @@ class WeightedDigraph:
         n = self.vertex_count
         return min(n, max(1, _STACK_VERTICES // n))
 
-    def _stacked_detours(self, first: int, r: float) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    def _stacked_detours(self, first: int, r: float) -> dict[int, _Detour]:
         """:meth:`_detour` for ``first`` and the centres after it, in at most one kernel call.
 
-        Only the rows :func:`_rows_to_run` picks run; every other row is the
-        all-pairs row. They go in one kernel call, one copy per centre; a
-        stack with none makes no call.
+        Only the rows :func:`_rows_to_run` picks run, in one kernel call, one
+        copy per centre; a stack with none makes no call. No centre gets a
+        table of all its members: each keeps only its rows that ran.
         """
         n = self.vertex_count
         copies = self._stack_size()
@@ -394,12 +404,10 @@ class WeightedDigraph:
         stack, start = {}, 0
         for i, c in enumerate(centres.tolist()):
             members = near[i].nonzero()[0]
-            table = d[members]
-            # each row that ran replaces its all-pairs row with its copy's columns
-            table[runs[i, members]] = rows[start : start + counts[i], i * n : (i + 1) * n]
-            table = table[:, members]
+            # the centre's rows that ran, over its copy's member columns
+            table = rows[start : start + counts[i], i * n + members]
             table.flags.writeable = False
-            stack[c] = (members, table)
+            stack[c] = (members, runs[i, members].nonzero()[0], table)
             start += counts[i]
         return stack
 

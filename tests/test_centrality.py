@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
@@ -21,7 +22,7 @@ from ldcnet import (
     triangles,
 )
 import ldcnet.centrality as centrality_module
-from ldcnet.centrality import ldc_vectors, write_centrality_csv
+from ldcnet.centrality import ldc_from_context, ldc_vectors, write_centrality_csv
 from ldcnet.corpus import DistanceFunctionParams, build_graph, encode, shuffle_records
 from ldcnet.errors import EmptyGraph, NoConvergence, UnknownVertex
 
@@ -302,6 +303,117 @@ class TestStackedKernel:
         copy = pickle.loads(pickle.dumps(g))
         assert copy._stack is None
         assert ldc_vector(copy).scores == scores
+
+
+def whole_table_score(ctx):
+    """The detour score totalled over the whole member tables, every row counted."""
+    k = len(ctx.members)
+    if k == 0:
+        return 0.0
+    counted = ctx.with_distances != math.inf
+    np.fill_diagonal(counted, False)
+    totals = centrality_module._excess_totals(ctx.without_distances, ctx.with_distances, counted)
+    return float(totals) / k
+
+
+def star(leaves):
+    """A hub with an arc to and from each leaf: from every leaf, an arc out of the hub is tight."""
+    names = [f"leaf{j}" for j in range(leaves)]
+    return WeightedDigraph([("hub", v, 1.0 + j / 4) for j, v in enumerate(names)]
+                           + [(v, "hub", 0.5) for v in names])
+
+
+class TestRowsThatRan:
+    """A context holds only the member rows that ran, and the score totals only those.
+
+    A row that did not run is the all-pairs row, so each of its excesses is
+    0.0 and leaving it out changes no bit: every score must equal the total
+    over the whole member tables and the pair-by-pair reference. The member
+    tables are built when read, read-only.
+    """
+
+    def assert_rows_that_ran(self, g, r):
+        runs = oracles.rows_to_run(g, r)
+        for v in g.vertices:
+            ctx = build_context(g, v, r)
+            reference = oracles.reference_context(g, v, r)
+            assert (ctx.members, ctx.with_matrix, ctx.without_matrix) == reference, v
+            assert [ctx.members[i] for i in ctx.ran.tolist()] == runs[v], v
+            assert ctx.ran_rows.shape == (len(runs[v]), len(ctx.members))
+            for table in (ctx.with_distances, ctx.without_distances, ctx.ran_rows):
+                assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                ctx.without_distances[...] = 0.0
+            score = ldc_from_context(ctx)
+            assert score == whole_table_score(ctx) == oracles.left_to_right_detour(reference), v
+        return runs
+
+    def test_a_centre_with_no_members(self):
+        g = WeightedDigraph([("a", "b", 5.0)], vertices=["lone"])
+        ctx = build_context(g, "lone", 0.5)
+        assert ctx.members == () and ctx.ran.size == 0
+        assert ctx.ran_rows.shape == ctx.with_distances.shape == (0, 0)
+        assert ldc_from_context(ctx) == 0.0
+        assert ldc_vector(g).scores["lone"] == 0.0
+        # an infinite threshold takes in even the vertices it cannot reach
+        for r in (0.5, math.inf):
+            self.assert_rows_that_ran(g, r)
+
+    def test_members_but_no_row_that_ran(self):
+        g = complete_dag(8)
+        for r in (g.mean_pairwise_distance(), math.inf):
+            runs = self.assert_rows_that_ran(g, r)
+            assert not any(runs.values())
+            assert all(build_context(g, v, r).members for v in g.vertices)
+
+    def test_every_row_ran(self):
+        g = star(5)
+        for r in (g.mean_pairwise_distance(), math.inf):
+            self.assert_rows_that_ran(g, r)
+            ctx = build_context(g, "hub", r)
+            assert ctx.ran.tolist() == list(range(5))
+            assert ldc_from_context(ctx) > 0.0
+
+    def test_zero_weight_and_edge_graphs(self):
+        rng = random.Random(97)
+        graphs = kernel_edge_graphs(rng)
+        assert any(g.arc_count and g.max_arc_weight == 0.0 for g in graphs)
+        for g in graphs:
+            thresholds = [rng.uniform(0.5, 4.0), math.inf]
+            if g.vertex_count >= 2:
+                thresholds.append(g.mean_pairwise_distance())
+            for r in thresholds:
+                self.assert_rows_that_ran(g, r)
+
+    def test_an_infinite_threshold(self):
+        rng = random.Random(101)
+        ran = members = 0
+        for g in (tie_heavy_graph(rng, 14, p=0.3), random_graph(rng, 12, p=0.3)):
+            runs = self.assert_rows_that_ran(g, math.inf)
+            scores = ldc_vector(g, math.inf).scores
+            assert scores == {v: ldc_from_context(build_context(g, v, math.inf))
+                              for v in g.vertices}
+            ran += sum(map(len, runs.values()))
+            members += sum(len(g.local_neighborhood(v, math.inf)) for v in g.vertices)
+        assert 0 < ran < members
+
+
+class TestHundredsOfVertices:
+    def test_a_zipf_cell_equals_the_reference_and_its_jobs_2_run(self):
+        records = random_records(random.Random(1), n_subjects=1000, list_len=25, vocab_size=400,
+                                 zipf=True)
+        g = build_graph(encode(records), DistanceFunctionParams(3, 3))
+        assert 250 <= g.vertex_count <= 300
+        r = g.mean_pairwise_distance()
+        scores = ldc_vector(g).scores
+        assert ldc_vector(fresh(g), jobs=2).scores == scores
+        # the three most frequent words, whose rows run, and the last vertex
+        sampled = g.vertices[:3] + g.vertices[-1:]
+        for v in sampled:
+            assert scores[v] == oracles.left_to_right_ldc(g, v, r), v
+        contexts = [build_context(g, v, r) for v in sampled]
+        assert all(ctx.ran.size for ctx in contexts[:3])
+        assert sum(ctx.ran.size for ctx in contexts) < sum(len(ctx.members) for ctx in contexts)
 
 
 def draw_graphs(seed, count):

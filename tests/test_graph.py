@@ -1,9 +1,11 @@
 import io
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import ldcnet
 from ldcnet import WeightedDigraph
 from ldcnet.centrality import closeness
 from ldcnet.errors import EmptyGraph, MalformedLine, UnknownVertex
@@ -65,6 +67,14 @@ class TestConstruction:
                 assert g.in_degree(u) == sum(1 for _, h in weights if h == u)
                 for v in g.vertices:
                     assert g.weight(u, v) == weights.get((u, v))
+
+
+def test_the_package_holds_one_shortest_path_kernel_call():
+    # every shortest-path length goes through graph._kernel, the one csgraph call site
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(ldcnet.__file__).parent.glob("*.py")}
+    assert {name: text.count("dijkstra(") for name, text in sources.items()
+            if "dijkstra(" in text} == {"graph.py": 1}
 
 
 class TestSssp:
