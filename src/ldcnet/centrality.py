@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyGraph, NoConvergence
-from .graph import WeightedDigraph, _batch_detours, finite_or_zero, row_major_totals
+from .graph import DETOUR_VERTICES, WeightedDigraph, _Union, finite_or_zero, row_major_totals
 from .textio import PathOrFile, format_number, write_csv
 
 _INF = math.inf
@@ -45,11 +45,6 @@ SCORERS: dict[str, Callable[..., CentralityVector]] = {
 
 #: Measure tags in canonical output order.
 MEASURES = tuple(SCORERS)
-
-#: Most detour-copy vertices, ``V * V`` per graph, that one chunk of
-#: :func:`ldc_vectors` holds. The detour call returns a row as wide as the
-#: chunk for every row it runs, so its memory grows with the square of this.
-_BATCH_VERTICES = 512
 
 
 @dataclass(frozen=True)
@@ -135,8 +130,9 @@ def build_context(graph: WeightedDigraph, vertex: str, r: float) -> Neighborhood
     the maximum arc weight. The graph computes them for a stack of
     consecutive centres in at most one kernel call, running only the rows a
     centre's arcs can change, so walking the centres in index order computes
-    each stack once. The context keeps only those rows; its member tables
-    are built when read.
+    each stack once; the stack comes from the engine that also scores
+    :func:`ldc_vectors`' chunks (see :meth:`ldcnet.graph._Union.detours`).
+    The context keeps only those rows; its member tables are built when read.
     """
     indices, ran, rows = graph._detour(graph._vertex_index(vertex), r)
     return NeighborhoodContext(
@@ -162,22 +158,27 @@ def ldc_from_context(ctx: NeighborhoodContext) -> float:
     """
     if not ctx.ran.size:
         return 0.0
-    plain = ctx.apsp[np.ix_(ctx.indices[ctx.ran], ctx.indices)]
+    plain = ctx.apsp[ctx.indices[ctx.ran]][:, ctx.indices]
     counted = plain != _INF
     counted[np.arange(ctx.ran.size), ctx.ran] = False
     return float(_excess_totals(ctx.ran_rows, plain, counted)) / len(ctx.members)
 
 
 def _excess_totals(without: np.ndarray, plain: np.ndarray, counted: np.ndarray) -> np.ndarray:
-    """``without - plain`` over the ``counted`` pairs, totalled over the last two axes.
+    """:func:`_excess_rows` totalled over the last two axes.
 
     The excesses (all >= 0) add left to right in row-major order and every
     pair not counted adds 0.0, so each total is the one a plain double loop
     over the counted pairs gives.
     """
+    return row_major_totals(_excess_rows(without, plain, counted))
+
+
+def _excess_rows(without: np.ndarray, plain: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    """``without - plain`` over the ``counted`` pairs, 0.0 elsewhere."""
     excess = np.zeros(counted.shape)
     np.subtract(without, plain, out=excess, where=counted)
-    return row_major_totals(excess)
+    return excess
 
 
 def ldc(graph: WeightedDigraph, vertex: str, r: Optional[float] = None) -> float:
@@ -219,7 +220,7 @@ def ldc_vector(
         r = graph.mean_pairwise_distance()
     names = graph.vertices
     # one task per detour stack, so no stack is computed twice
-    stack = graph._stack_size()
+    stack = graph._layout().copies
     tasks = [(graph, r, names[i : i + stack]) for i in range(0, len(names), stack)]
     scores = [s for part in fan_out(_ldc_scores_for, tasks, jobs) for s in part]
     return CentralityVector("ldc", dict(zip(names, scores)))
@@ -230,20 +231,20 @@ def ldc_vectors(graphs: Sequence[WeightedDigraph]) -> list[CentralityVector]:
 
     Consecutive graphs form a chunk while its detour copies, ``M * M``
     vertices per graph once each is padded to the chunk's largest vertex
-    count ``M``, number at most :data:`_BATCH_VERTICES`. A chunk takes one
-    kernel call for the all-pairs tables of all its graphs and at most one
-    for their detour rows (see :func:`ldcnet.graph._batch_detours`); each
-    graph is then scored as one masked ``(V, V, V)`` array of excesses. A
-    graph too large for a chunk, or one ``ldc_vector`` rejects, goes through
-    ``ldc_vector``.
+    count ``M``, number at most :data:`~ldcnet.graph.DETOUR_VERTICES`. A
+    chunk is one union of graphs: one kernel call gives their all-pairs
+    tables and at most one their detour rows, all centres in one stack (see
+    :meth:`ldcnet.graph._Union.detours`), and each score totals only the rows
+    that ran. A graph too large for a chunk, or one ``ldc_vector`` rejects,
+    goes through ``ldc_vector``.
     """
     vectors: list[CentralityVector] = []
     chunk: list[WeightedDigraph] = []
     largest = 0
     for graph in graphs:
         n = graph.vertex_count
-        batched = 2 <= n and n * n <= _BATCH_VERTICES
-        if chunk and (not batched or (len(chunk) + 1) * max(largest, n) ** 2 > _BATCH_VERTICES):
+        batched = 2 <= n and n * n <= DETOUR_VERTICES
+        if chunk and (not batched or (len(chunk) + 1) * max(largest, n) ** 2 > DETOUR_VERTICES):
             vectors += _score_chunk(chunk)
             chunk, largest = [], 0
         if batched:
@@ -257,10 +258,25 @@ def ldc_vectors(graphs: Sequence[WeightedDigraph]) -> list[CentralityVector]:
 
 
 def _score_chunk(chunk: list[WeightedDigraph]) -> Iterator[CentralityVector]:
-    plain, near, without = _batch_detours(chunk)
-    distinct = ~np.eye(plain.shape[-1], dtype=bool)
-    counted = near[..., :, None] & near[..., None, :] & (plain != _INF)[:, None] & distinct
-    totals = _excess_totals(without, plain[:, None], counted)
+    """Every graph's detour scores from one stack over their union, at its mean distance.
+
+    Each row that ran adds its excesses over its centre's members to the
+    centre's slot, one ``size * size`` table of rows per centre, and the
+    slots total left to right: the total :func:`ldc_from_context` takes, as
+    every other excess is 0.0.
+    """
+    union = _Union(chunk)
+    plain = union.distances()
+    r = row_major_totals(finite_or_zero(plain)) / [g.vertex_count for g in chunk]
+    near, runs, rows = union.detours(plain, r[:, None, None], 0)
+    owner, centre, source = np.nonzero(runs)
+    ran = np.arange(owner.size)
+    before = plain[owner, source]
+    counted = near[owner, centre] & (before != _INF)
+    counted[ran, source] = False
+    excess = np.zeros(runs.shape + runs.shape[-1:])
+    excess[owner, centre, source] = _excess_rows(rows[ran, centre, owner], before, counted)
+    totals = row_major_totals(excess)
     members = np.count_nonzero(near, axis=-1)
     scores = np.divide(totals, members, out=np.zeros_like(totals), where=members > 0).tolist()
     for graph, row in zip(chunk, scores):

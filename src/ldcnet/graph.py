@@ -1,9 +1,11 @@
 """Weighted directed graph with deterministic shortest-path machinery.
 
 The graph is immutable after construction: every operation below is a pure
-read, so a single instance can be shared freely across worker processes.
-What it caches (the all-pairs table, the CSR skeleton, the current stack of
-detour rows) is derived from the arcs and never changes an answer.
+read, so a single instance can be shared freely across threads and worker
+processes. What it caches (the all-pairs table, its kernel layout, the
+current stack of detour rows) is derived from the arcs, never written once
+built, and never changes an answer; two threads that fill a cache at once
+build equal values.
 Vertex labels are interned strings; each vertex receives a stable integer
 index (its lexicographic rank at construction time) and all internal tables
 are indexed by that integer. The arcs are kept once, as three arrays sorted
@@ -14,16 +16,18 @@ pair table already holds what the checks enforce.
 
 Every shortest-path length comes from one kernel, :func:`_kernel`, which
 runs ``scipy.sparse.csgraph.dijkstra`` over disjoint copies of arcs in one
-block-diagonal CSR matrix, each copy with its own weights. It runs on one of
-two kinds of skeleton. A graph builds its own once: the detour rows stack
-one copy per centre, each with that centre's arcs inflated, so a small graph
-pays csgraph's fixed per-call cost once for many centres, and the all-pairs
-table runs in copy 0 with every copy carrying the original weights (``sssp``
-reads its row). A chunk of small graphs, such as the draws of a permutation
-test, is laid out as one disjoint union: one call over the union gives every
-graph's all-pairs table, and one over a copy of the union per centre index
-gives their detour rows (see :func:`_batch_detours`). A source never leaves
-its copy, so its row equals a call on that copy alone.
+block-diagonal CSR matrix. The layout is a :class:`_Union` of graphs, vertex
+``v`` of graph ``g`` at ``g * size + v``, each graph padded with isolated
+vertices to the largest, ``size``: a graph is a union of one, built once and
+cached, and a chunk of small graphs, such as the draws of a permutation
+test, a union of many. A union builds its CSR index arrays once; each kernel
+call wraps its own weights around them, so nothing a call reads is written
+after it is built. One call over copy 0 gives every graph's all-pairs table.
+One engine, :meth:`_Union.detours`, gives the detour rows of a stack of
+consecutive centres in at most one call over copies of the union, copy ``k``
+with centre ``first + k`` of every graph inflated; :data:`DETOUR_VERTICES`
+bounds the vertices of every call. A source never leaves its copy, so its
+row equals a call on that copy alone.
 A detour row from ``i`` runs only when some arc ``(c, v)`` out of its centre
 is tight from ``i``, ``D[i, c] + w == D[i, v]`` on the all-pairs table ``D``;
 every other detour row is ``D``'s row, bit for bit (see :func:`_rows_to_run`),
@@ -62,10 +66,11 @@ GRAPH_CSV_HEADER = ("source", "target", "weight")
 
 _INF = math.inf
 
-#: Most vertices one stacked detour call holds: a graph of V vertices gets the
-#: detour rows of ``min(V, max(1, _STACK_VERTICES // V))`` centres per kernel
-#: call, so above 64 vertices every centre has a call of its own.
-_STACK_VERTICES = 128
+#: Most vertices one detour kernel call holds, the one bound: a union of ``n``
+#: vertices, ``size`` per graph, stacks ``min(size, max(1, DETOUR_VERTICES // n))``
+#: centres per call, all of a graph of up to 22 vertices and one above 256. A
+#: call returns a row as wide as itself for every row it runs.
+DETOUR_VERTICES = 512
 
 #: One centre's detour: its members' vertex indices, the positions of the
 #: members whose rows ran, and those rows (see :meth:`WeightedDigraph._detour`).
@@ -82,73 +87,140 @@ def _kernel(arcs: csr_matrix, sources: Sequence[int]) -> np.ndarray:
     return dijkstra(arcs, directed=True, indices=sources)
 
 
-def _block_diagonal(tails: np.ndarray, heads: np.ndarray, weights: np.ndarray,
-                    size: int) -> csr_matrix:
-    """Arcs ``tails[k] -> heads[k]`` of weight ``weights[k]`` over ``size`` vertices, as CSR.
+def _within(d: np.ndarray, first: int, stop: int, r: float | np.ndarray) -> np.ndarray:
+    """The neighbourhood rule: the vertices within ``r`` of a centre either way, bar itself.
 
-    ``tails`` must be ascending, so ``data`` holds the weights in the order
-    given. Zero-weight arcs are explicit entries, which csgraph keeps as arcs.
+    ``d`` holds all-pairs tables, ``(graphs, V, V)``, the centres are
+    ``first`` to ``stop - 1``, and ``r`` is one threshold or one per graph,
+    shaped to broadcast over ``(graphs, 1, 1)``. Returns one mask per graph
+    and centre, ``(graphs, stop - first, V)``.
     """
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(tails, minlength=size), out=indptr[1:])
-    return csr_matrix((weights, heads, indptr), shape=(size, size))
-
-
-def _copies(tails: np.ndarray, heads: np.ndarray, count: int,
-            size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of ``count`` disjoint copies of arcs over ``size`` vertices.
-
-    Vertex ``v`` of copy ``i`` is ``i * size + v``; copy after copy, so
-    ascending tails stay ascending.
-    """
-    offsets = np.arange(0, count * size, size, dtype=np.int32)[:, None]
-    return (tails + offsets).ravel(), (heads + offsets).ravel()
-
-
-def _inflate(centres: np.ndarray, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray,
-             top: float | np.ndarray) -> np.ndarray:
-    """One weight row per centre: every arc into or out of it costs ``top``.
-
-    ``top`` is the maximum arc weight, one value or one per arc. A centre no
-    arc touches keeps the weights as they are.
-    """
-    ends = centres[:, None]
-    return np.where((tails == ends) | (heads == ends), top, weights)
-
-
-def _within(d: np.ndarray, centres: np.ndarray, r: float | np.ndarray) -> np.ndarray:
-    """One mask row per centre: the vertices within ``r`` of it either way, bar itself.
-
-    ``r`` is one threshold or a column of one per centre.
-    """
-    near = (d[centres] <= r) | (d[:, centres].T <= r)
-    near[np.arange(centres.size), centres] = False
+    near = (d[:, first:stop] <= r) | (d[:, :, first:stop].transpose(0, 2, 1) <= r)
+    near[:, np.arange(stop - first), np.arange(first, stop)] = False
     return near
 
 
-def _rows_to_run(d: np.ndarray, near: np.ndarray, first: int, tails: np.ndarray,
-                 heads: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _rows_to_run(d: np.ndarray, near: np.ndarray, first: int, graph: np.ndarray,
+                 tails: np.ndarray, heads: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Mask of the detour rows that can differ from the all-pairs rows of ``d``.
 
-    ``near`` holds one neighbourhood row per centre ``first``, ``first + 1``,
-    ...; the arcs given are every arc out of those centres. A member row
-    runs Dijkstra only when some arc ``(c, v)`` out of its centre ``c`` is
-    tight from it: ``D[i, c] + w == D[i, v]`` with ``D[i, v]`` finite. Every
-    other row is ``D``'s row, bit for bit. Raising weights never lowers a
-    path's left-to-right float sum, since rounding is monotone, so a detour
-    length is at least ``D[i, j]``. csgraph sets each final distance from
-    an already-settled vertex, so the Dijkstra tree path from ``i`` to any
-    ``j != c`` is made of tight arcs and its sum is ``D[i, j]``. With no
-    tight arc out of ``c``, that path never passes through ``c`` (``i`` is a
-    member, never ``c``), keeps its sum on the reweighted graph, and so the
-    detour length is also at most ``D[i, j]``.
+    ``near[g, k]`` holds the neighbourhood of centre ``first + k`` of graph
+    ``g``; the arcs given, with their graphs, are every arc out of those
+    centres. A member row runs Dijkstra only when some arc ``(c, v)`` out of
+    its centre ``c`` is tight from it: ``D[i, c] + w == D[i, v]`` with
+    ``D[i, v]`` finite. Every other row is ``D``'s row, bit for bit. Raising
+    weights never lowers a path's left-to-right float sum, since rounding is
+    monotone, so a detour length is at least ``D[i, j]``. csgraph sets each
+    final distance from an already-settled vertex, so the Dijkstra tree path
+    from ``i`` to any ``j != c`` is made of tight arcs and its sum is
+    ``D[i, j]``. With no tight arc out of ``c``, that path never passes
+    through ``c`` (``i`` is a member, never ``c``), keeps its sum on the
+    reweighted graph, and so the detour length is also at most ``D[i, j]``.
     """
-    reached = d[:, heads]
-    tight = (d[:, tails] + weights == reached) & (reached != _INF)
-    origins, arcs = np.nonzero(tight)
-    runs = np.zeros_like(near)
-    runs[tails[arcs] - first, origins] = True
-    return runs & near
+    reached = d[graph, :, heads]
+    tight = (d[graph, :, tails] + weights[:, None] == reached) & (reached != _INF)
+    # a boolean product: a row runs when any arc out of its graph's centre is tight from it
+    centres = near.shape[0] * near.shape[1]
+    owns = np.arange(centres)[:, None] == graph * near.shape[1] + tails - first
+    return (owns @ tight).reshape(near.shape) & near
+
+
+class _Union:
+    """Graphs side by side as one kernel layout: vertex ``v`` of graph ``g`` is ``g * size + v``.
+
+    Every graph is padded with isolated vertices to the largest vertex count,
+    ``size``; a padding vertex reaches nothing, is in no neighbourhood and
+    adds 0.0 to a total. The arcs are kept in union order, each with its
+    graph, its graph-local tail and head, its weight and its graph's maximum
+    weight. The CSR index arrays of :attr:`copies` disjoint copies of the
+    union are built here, once; every kernel call wraps its own weights
+    around them, so nothing a call reads is written after it is built.
+    """
+
+    def __init__(self, graphs: Sequence["WeightedDigraph"]):
+        self.count = len(graphs)
+        self.size = max(g.vertex_count for g in graphs)
+        n = self.count * self.size
+        # centres per detour call; ldc_vectors keeps a union of several graphs
+        # to one stack, so the out-arcs of its one stack are every arc
+        self.copies = min(self.size, max(1, DETOUR_VERTICES // n))
+        arcs = [g.arc_count for g in graphs]
+        self.graph = np.repeat(np.arange(self.count, dtype=np.int32), arcs)
+        self.tails = np.concatenate([g._tails for g in graphs])
+        self.heads = np.concatenate([g._heads for g in graphs])
+        self.weights = np.concatenate([g._weights for g in graphs])
+        self.tops = np.repeat([g.max_arc_weight for g in graphs], arcs)
+        offset = self.graph * np.int32(self.size)
+        self.starts = self.tails + offset  # each arc's union tail, ascending
+        # vertex v of copy i is i * n + v: copy after copy, so the tails stay ascending
+        shift = np.arange(0, self.copies * n, n, dtype=np.int32)[:, None]
+        self.indices = (self.heads + offset + shift).ravel()
+        self.indptr = np.zeros(self.copies * n + 1, dtype=np.int32)
+        tails = (self.starts + shift).ravel()
+        np.cumsum(np.bincount(tails, minlength=self.copies * n), out=self.indptr[1:])
+
+    def _run(self, weights: np.ndarray, sources: Sequence[int]) -> np.ndarray:
+        """:func:`_kernel` over the copies, each copy's arc weights a row of ``weights``.
+
+        Source ``(i * count + g) * size + v`` is vertex ``v`` of graph ``g``
+        in copy ``i``. Zero-weight arcs are explicit entries, which csgraph
+        keeps as arcs.
+        """
+        n = self.indptr.size - 1
+        arcs = csr_matrix((weights.ravel(), self.indices, self.indptr), shape=(n, n), copy=False)
+        return _kernel(arcs, sources)
+
+    def distances(self) -> np.ndarray:
+        """Every graph's all-pairs table, ``(count, size, size)``, in one kernel call.
+
+        The sources are copy 0's vertices. Every copy carries the original
+        weights, so its first ``count * size`` columns are the lengths on the
+        union.
+        """
+        n = self.count * self.size
+        table = self._run(np.tile(self.weights, self.copies), np.arange(n))[:, :n]
+        graphs = np.arange(self.count)
+        return table.reshape(self.count, self.size, self.count, self.size)[graphs, :, graphs]
+
+    def detours(self, d: np.ndarray, r: float | np.ndarray,
+                first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The detour engine: the stack of centres from ``first``, in at most one kernel call.
+
+        ``d`` holds the graphs' all-pairs tables (see :meth:`distances`) and
+        ``r`` their threshold (see :func:`_within`). The stack takes up to
+        :attr:`copies` centres, copy ``k`` of the union with centre
+        ``first + k`` of every graph inflated to its graph's maximum weight,
+        and runs only the rows :func:`_rows_to_run` picks; a stack with none
+        makes no call. Returns ``(near, runs, rows)``: ``near[g, k]`` is the
+        neighbourhood mask of centre ``first + k`` of graph ``g``, ``runs``
+        the mask of its members whose rows ran, and ``rows[t, k, g]`` the
+        ``t``-th row that ran, in the order of ``np.nonzero(runs)``, over
+        the columns of graph ``g`` in copy ``k``.
+        """
+        stop = min(self.size, first + self.copies)
+        near = _within(d, first, stop, r)
+        # the stack's out-arcs are one slice, since the arcs are sorted by union tail
+        arcs = slice(*np.searchsorted(self.starts, (first, (self.count - 1) * self.size + stop)))
+        runs = _rows_to_run(d, near, first, self.graph[arcs], self.tails[arcs],
+                            self.heads[arcs], self.weights[arcs])
+        graph, copy, source = np.nonzero(runs)
+        rows = np.empty((0, self.copies, self.count, self.size))
+        if graph.size:
+            # copy k's arcs into or out of centre first + k cost their graph's maximum
+            # weight; a copy past the last centre touches no arc
+            ends = np.arange(first, first + self.copies)[:, None]
+            weights = np.where((self.tails == ends) | (self.heads == ends), self.tops, self.weights)
+            sources = (copy * self.count + graph) * self.size + source
+            rows = self._run(weights, sources).reshape(
+                -1, self.copies, self.count, self.size)
+        return near, runs, rows
+
+
+def _threshold(r: float) -> float:
+    """``r`` if it is a valid neighbourhood threshold; raises ValueError otherwise."""
+    if not r >= 0.0:  # also true for nan
+        raise ValueError(f"threshold must be >= 0, got {r!r}")
+    return r
 
 
 def row_major_totals(tables: np.ndarray) -> np.ndarray:
@@ -251,7 +323,7 @@ class WeightedDigraph:
         self._weights = weights
         self._max_weight: float = float(weights.max()) if weights.size else 0.0
         self._apsp: Optional[np.ndarray] = None
-        self._csr: Optional[csr_matrix] = None
+        self._union: Optional[_Union] = None
         self._stack: Optional[tuple[float, dict[int, _Detour]]] = None
 
     def __getstate__(self) -> dict:
@@ -314,44 +386,19 @@ class WeightedDigraph:
         return DistanceMatrix(self._names, self._apsp_table())
 
     def _apsp_table(self) -> np.ndarray:
-        """All-pairs lengths (``inf`` when unreachable), one kernel call, cached read-only.
-
-        The sources are copy 0's vertices. Every copy carries the original
-        weights, so its first ``V`` columns are the lengths on the graph.
-        """
+        """All-pairs lengths (``inf`` when unreachable), one kernel call, cached read-only."""
         if self._apsp is None:
-            n = self.vertex_count
-            # a graph with no vertices has no copies to run on
-            table = self._distances(range(n), self._weights[None])[:, :n] if n else np.empty((0, 0))
+            # a graph with no vertices has no layout to run on
+            table = self._layout().distances()[0] if self._names else np.empty((0, 0))
             table.flags.writeable = False
             self._apsp = table
         return self._apsp
 
-    def _skeleton(self) -> csr_matrix:
-        """:meth:`_stack_size` disjoint copies of the arcs as one block-diagonal CSR matrix; cached.
-
-        ``data`` is the copies' weight rows laid end to end. It starts as
-        zeros and every kernel call overwrites it.
-        """
-        if self._csr is None:
-            copies, n = self._stack_size(), self.vertex_count
-            tails, heads = _copies(self._tails, self._heads, copies, n)
-            self._csr = _block_diagonal(tails, heads, np.zeros(tails.size), copies * n)
-        return self._csr
-
-    def _distances(self, sources: Sequence[int], weights: np.ndarray) -> np.ndarray:
-        """The shortest-path kernel over the :meth:`_stack_size` copies of the skeleton.
-
-        ``weights[i]`` holds copy ``i``'s arc weights in vertex-index arc
-        order (a single row is every copy's), and source ``i * V + v`` is
-        vertex ``v`` of copy ``i``. Returns
-        one row of lengths per source over the vertices of every copy,
-        ``inf`` when unreachable. A source never leaves its copy, so within
-        it the row equals a call on that copy alone, bit for bit.
-        """
-        arcs = self._skeleton()
-        arcs.data.reshape(self._stack_size(), -1)[...] = weights
-        return _kernel(arcs, sources)
+    def _layout(self) -> _Union:
+        """The graph as a union of one, its kernel layout; built once and cached."""
+        if self._union is None:
+            self._union = _Union([self])
+        return self._union
 
     def _detour(self, center: int, r: float) -> _Detour:
         """``center``'s neighbourhood, the members whose detour rows ran, and those rows.
@@ -372,43 +419,21 @@ class WeightedDigraph:
             stack = self._stack = (r, self._stacked_detours(center, r))
         return stack[1][center]
 
-    def _stack_size(self) -> int:
-        """Centres per stacked detour call (see :data:`_STACK_VERTICES`)."""
-        n = self.vertex_count
-        return min(n, max(1, _STACK_VERTICES // n))
-
     def _stacked_detours(self, first: int, r: float) -> dict[int, _Detour]:
-        """:meth:`_detour` for ``first`` and the centres after it, in at most one kernel call.
+        """:meth:`_detour` for ``first`` and the centres after it: one :meth:`_Union.detours` stack.
 
-        Only the rows :func:`_rows_to_run` picks run, in one kernel call, one
-        copy per centre; a stack with none makes no call. No centre gets a
-        table of all its members: each keeps only its rows that ran.
+        No centre gets a table of all its members: each keeps only its rows
+        that ran, over its members' columns.
         """
-        n = self.vertex_count
-        copies = self._stack_size()
-        d = self._apsp_table()
-        centres = np.arange(first, min(n, first + copies))
-        near = self._near(centres, r)
-        # the stack's out-arcs are one slice, since the arcs are sorted by tail
-        lo, hi = np.searchsorted(self._tails, (first, centres[-1] + 1))
-        runs = _rows_to_run(d, near, first, self._tails[lo:hi], self._heads[lo:hi],
-                            self._weights[lo:hi])
-        copy, source = np.nonzero(runs)  # copy by copy, each copy's sources ascending
-        rows = np.empty((0, copies * n))
-        if copy.size:
-            # copy i inflates centre first + i; a centre past the last vertex touches no arc
-            weights = _inflate(np.arange(first, first + copies), self._tails, self._heads,
-                               self._weights, self._max_weight)
-            rows = self._distances(copy * n + source, weights)
-        counts = np.count_nonzero(runs, axis=1).tolist()
+        near, runs, rows = self._layout().detours(self._apsp_table()[None], _threshold(r), first)
+        counts = np.count_nonzero(runs[0], axis=1).tolist()
         stack, start = {}, 0
-        for i, c in enumerate(centres.tolist()):
-            members = near[i].nonzero()[0]
-            # the centre's rows that ran, over its copy's member columns
-            table = rows[start : start + counts[i], i * n + members]
+        for k, mask in enumerate(near[0]):
+            members = mask.nonzero()[0]
+            table = rows[start : start + counts[k], k, 0, members]
             table.flags.writeable = False
-            stack[c] = (members, runs[i, members].nonzero()[0], table)
-            start += counts[i]
+            stack[first + k] = (members, runs[0, k, members].nonzero()[0], table)
+            start += counts[k]
         return stack
 
     def mean_pairwise_distance(self) -> float:
@@ -427,14 +452,9 @@ class WeightedDigraph:
 
         The vertex itself is excluded.
         """
-        near = self._near(np.array([self._vertex_index(vertex)]), r)[0]
+        centre = self._vertex_index(vertex)
+        near = _within(self._apsp_table()[None], centre, centre + 1, _threshold(r))[0, 0]
         return {self._names[i] for i in np.flatnonzero(near).tolist()}
-
-    def _near(self, centres: np.ndarray, r: float) -> np.ndarray:
-        """One mask row per centre: the vertices within ``r`` of it either way, bar itself."""
-        if not r >= 0.0:  # also true for nan
-            raise ValueError(f"threshold must be >= 0, got {r!r}")
-        return _within(self._apsp_table(), centres, r)
 
     # -- serialization ------------------------------------------------------
 
@@ -478,51 +498,3 @@ class WeightedDigraph:
                 arcs.append((u, v, w))
         return cls(arcs)
 
-
-def _batch_detours(graphs: Sequence[WeightedDigraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All-pairs tables, neighbourhoods and detour tables of a chunk of graphs, in two kernel calls.
-
-    Every graph is padded with isolated vertices to the chunk's largest
-    vertex count ``M``, and the ``G`` graphs are laid out as one union
-    graph, vertex ``v`` of graph ``g`` at ``g * M + v``. The first call runs
-    every source of the union; its diagonal blocks are the graphs' all-pairs
-    tables, and each graph's threshold is its :meth:`~WeightedDigraph.mean_pairwise_distance`.
-    The second call runs over ``M`` copies of the union, copy ``c`` with
-    centre ``c`` of every graph inflated to its graph's maximum weight, and
-    only the rows :func:`_rows_to_run` picks; it is skipped when there are
-    none. A padding vertex reaches nothing, is in no neighbourhood and
-    adds 0.0 to a total.
-
-    Returns ``(d, near, without)``: ``d[g]`` is graph ``g``'s ``(M, M)``
-    all-pairs table, ``near[g, c]`` the neighbourhood mask of its centre
-    ``c``, and ``without[g, c, i]`` the lengths from ``i`` with ``c``'s arcs
-    inflated, for every member ``i`` of ``c``, and the all-pairs row of
-    ``i`` otherwise.
-    """
-    count = len(graphs)
-    size = max(g.vertex_count for g in graphs)
-    n = count * size
-    arc_graph = np.repeat(np.arange(count), [g.arc_count for g in graphs])
-    tails = np.concatenate([g._tails for g in graphs])
-    heads = np.concatenate([g._heads for g in graphs])
-    weights = np.concatenate([g._weights for g in graphs])
-    union_tails, union_heads = tails + arc_graph * size, heads + arc_graph * size
-    union = _kernel(_block_diagonal(union_tails, union_heads, weights, n), np.arange(n))
-    blocks = np.arange(count)
-    d = union.reshape(count, size, count, size)[blocks, :, blocks]
-    r = row_major_totals(finite_or_zero(d)) / [g.vertex_count for g in graphs]
-    near = _within(union, np.arange(n), np.repeat(r, size)[:, None])
-    centre, source = np.nonzero(_rows_to_run(union, near, 0, union_tails, union_heads, weights))
-    without = np.repeat(d[:, None], size, axis=1)
-    if centre.size:
-        copy_tails, copy_heads = _copies(union_tails, union_heads, size, n)
-        top = np.array([g.max_arc_weight for g in graphs])[arc_graph]
-        inflated = _inflate(np.arange(size), tails, heads, weights, top)
-        copy = centre % size
-        rows = _kernel(_block_diagonal(copy_tails, copy_heads, inflated.ravel(), size * n),
-                       copy * n + source)
-        # each row that ran replaces its all-pairs row with its graph's columns of its copy
-        columns = (copy * n + centre - copy)[:, None] + np.arange(size)
-        without[centre // size, copy, source % size] = np.take_along_axis(rows, columns, axis=1)
-    near = near.reshape(count, size, count, size)[blocks, :, blocks]
-    return d, near, without

@@ -1,12 +1,12 @@
 import math
 import pickle
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
-import ldcnet.graph as graph_module
 from ldcnet import (
     MEASURES,
     PageRankParams,
@@ -25,6 +25,7 @@ import ldcnet.centrality as centrality_module
 from ldcnet.centrality import ldc_from_context, ldc_vectors, write_centrality_csv
 from ldcnet.corpus import DistanceFunctionParams, build_graph, encode, shuffle_records
 from ldcnet.errors import EmptyGraph, NoConvergence, UnknownVertex
+from ldcnet.graph import DETOUR_VERTICES
 
 import oracles
 from corpora import (
@@ -144,32 +145,23 @@ def assert_contexts_match_reference(g, r, order):
         assert got == oracles.reference_context(g, v, r), v
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """The copy count of every shortest-path kernel call made while the test runs."""
-    calls = []
-    kernel = WeightedDigraph._distances
-
-    def counted(self, sources, weights):
-        calls.append(len(weights))
-        return kernel(self, sources, weights)
-
-    monkeypatch.setattr(WeightedDigraph, "_distances", counted)
-    return calls
+def sources_per_call(kernel_calls):
+    """The source count of each kernel call recorded by the ``kernel_calls`` fixture."""
+    return [len(sources) for _, sources in kernel_calls]
 
 
-@pytest.fixture
-def kernel_sources(kernel_calls, monkeypatch):
-    """The source count of every kernel call, in step with ``kernel_calls``."""
-    counts = []
-    kernel = WeightedDigraph._distances
+def vertices_per_call(kernel_calls):
+    """The skeleton vertex count of each kernel call: copies times the vertices of a copy."""
+    return [arcs.shape[0] for arcs, _ in kernel_calls]
 
-    def counted(self, sources, weights):
-        counts.append(len(sources))
-        return kernel(self, sources, weights)
 
-    monkeypatch.setattr(WeightedDigraph, "_distances", counted)
-    return counts
+def index_structures(kernel_calls):
+    """How many distinct CSR index arrays the recorded kernel calls read."""
+    seen = []
+    for arcs, _ in kernel_calls:
+        if not any(np.shares_memory(arcs.indices, indices) for indices in seen):
+            seen.append(arcs.indices)
+    return len(seen)
 
 
 def complete_dag(n):
@@ -193,21 +185,21 @@ class TestStackedKernel:
     the all-pairs row, and a stack with no row to run makes no call.
     """
 
-    # (vertices, centres per stack): one copy per stack above 64 vertices,
-    # several copies with a short tail stack, and every centre in one stack
-    SHAPES = [(66, 1), (40, 3), (12, 10), (10, 10)]
+    # (vertices, centres per stack), min(V, DETOUR_VERTICES // V): several
+    # copies with a short tail stack, 22 centres and a tail of 1 at 23
+    # vertices, and every centre in one stack
+    SHAPES = [(66, 7), (40, 12), (23, 22), (12, 12), (10, 10)]
 
     @pytest.mark.parametrize("n, copies", SHAPES)
-    def test_one_kernel_call_per_stack(self, n, copies, kernel_calls, kernel_sources):
+    def test_one_kernel_call_per_stack(self, n, copies, kernel_calls):
         g = random_graph(random.Random(n), n, p=0.2)
         r = g.mean_pairwise_distance()
-        # the all-pairs table is one call with one weight row
-        del kernel_calls[:], kernel_sources[:]
         ldc_vector(g, r)
         runs = [len(rows) for rows in oracles.rows_to_run(g, r).values()]
         per_stack = [sum(runs[i : i + copies]) for i in range(0, n, copies)]
-        assert kernel_sources == [count for count in per_stack if count]
-        assert kernel_calls == [copies] * len(kernel_sources)
+        # the all-pairs table from every vertex of copy 0, then one call per stack
+        assert sources_per_call(kernel_calls) == [n] + [count for count in per_stack if count]
+        assert vertices_per_call(kernel_calls) == [copies * n] * len(kernel_calls)
 
     def test_a_stack_with_no_row_to_run_makes_no_call(self, kernel_calls):
         # nothing reaches the last vertex of a tie-heavy graph, so no arc out of it is tight
@@ -220,14 +212,14 @@ class TestStackedKernel:
         g = complete_dag(8)
         assert ldc_vector(g, math.inf).scores == dict.fromkeys(g.vertices, 0.0)
         assert_contexts_match_reference(g, math.inf, g.vertices)
-        assert kernel_calls == [1]  # the all-pairs table
+        assert sources_per_call(kernel_calls) == [8]  # the all-pairs table
 
     def test_skipped_rows_on_the_hard_shapes_equal_the_reference(self):
         rng = random.Random(73)
         graphs = exact_sum_graphs(rng) + [tie_heavy_graph(rng, 66, p=0.15)]
         ran = members = 0
         for g in graphs:
-            # above 64 vertices every centre is its own stack; a few suffice
+            # a few centres of the 66-vertex graph suffice
             order = g.vertices if g.vertex_count < 66 else g.vertices[::9] + g.vertices[-1:]
             for r in (g.mean_pairwise_distance(), math.inf):
                 scores = ldc_vector(g, r).scores
@@ -242,25 +234,27 @@ class TestStackedKernel:
         assert 0 < ran < members / 2
 
     @pytest.mark.parametrize("n, copies", SHAPES)
-    def test_one_csr_skeleton_per_graph(self, n, copies, monkeypatch):
-        built = []
-
-        def counted(arrays, shape):
-            built.append(shape)
-            return csr_matrix(arrays, shape=shape)
-
-        monkeypatch.setattr(graph_module, "csr_matrix", counted)
-        g = random_graph(random.Random(n), n, p=0.2)
+    def test_one_csr_skeleton_per_graph(self, n, copies, kernel_calls):
+        rng = random.Random(n)
+        g = random_graph(rng, n, p=0.2)
         ldc_vector(g, g.mean_pairwise_distance())
         g.sssp(g.vertices[-1])
-        assert built == [(copies * n, copies * n)]
+        assert index_structures(kernel_calls) == 1
+        assert max(vertices_per_call(kernel_calls)) == copies * n
+        # a chunk as large as the bound allows, of graphs of up to n vertices, builds one too
+        size = min(n, math.isqrt(DETOUR_VERTICES))
+        chunk = [random_graph(rng, size - i % 3, p=0.3)
+                 for i in range(DETOUR_VERTICES // size ** 2)]
+        del kernel_calls[:]
+        ldc_vectors(chunk)
+        assert len(kernel_calls) == 2 and index_structures(kernel_calls) == 1
 
     @pytest.mark.parametrize("n, copies", SHAPES)
     def test_every_stack_shape_equals_the_reference(self, n, copies):
         rng = random.Random(100 + n)
         for g in (random_graph(rng, n, p=0.15), tie_heavy_graph(rng, n, p=0.15)):
-            # above 64 vertices every centre is its own stack; a few suffice
-            order = g.vertices if copies > 1 else g.vertices[::13]
+            # a few centres of the 66-vertex graphs suffice
+            order = g.vertices if n < 66 else g.vertices[::13]
             for r in (g.mean_pairwise_distance(), math.inf):
                 assert_contexts_match_reference(g, r, order)
 
@@ -290,10 +284,38 @@ class TestStackedKernel:
         for r in (small, large, small):
             del kernel_calls[:]
             ctx = build_context(g, first, r)
-            assert kernel_calls == [10]
+            assert vertices_per_call(kernel_calls) == [12 * 12]
             assert (ctx.members, ctx.without_matrix) == oracles.reference_context(g, first, r)[::2]
         assert len(build_context(g, first, large).members) > len(
             build_context(g, first, small).members)
+
+    def test_threads_that_share_one_graph_get_the_sequential_scores(self):
+        # nothing a kernel call reads may be written by another call on the same graph
+        g = random_graph(random.Random(80), 80, p=0.2)
+        r = g.mean_pairwise_distance()
+        thresholds = (r, 0.8 * r) * 2
+        expected = [ldc_vector(fresh(g), t).scores for t in thresholds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                shared, scores = fresh(g), [None] * len(thresholds)
+                start = threading.Barrier(len(thresholds))
+
+                def run(i):
+                    start.wait()
+                    scores[i] = ldc_vector(shared, thresholds[i]).scores
+
+                threads = [threading.Thread(target=run, args=(i,))
+                           for i in range(len(thresholds))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert scores == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_pickled_graph_leaves_its_stack_behind(self):
         g = random_graph(random.Random(3), 10, p=0.4)
@@ -303,6 +325,37 @@ class TestStackedKernel:
         copy = pickle.loads(pickle.dumps(g))
         assert copy._stack is None
         assert ldc_vector(copy).scores == scores
+
+
+class TestOneBound:
+    """``DETOUR_VERTICES`` alone bounds the skeleton of every detour call, graph or chunk."""
+
+    def test_a_22_vertex_graph_is_laid_out_as_a_chunk_of_one(self, kernel_calls):
+        g = random_graph(random.Random(22), 22, p=0.3)
+        assert 22 ** 2 <= DETOUR_VERTICES < 23 ** 2
+        calls = []
+        for score in (lambda h: [ldc_vector(h)], lambda h: ldc_vectors([h])):
+            del kernel_calls[:]
+            calls.append((score(fresh(g)), vertices_per_call(kernel_calls),
+                          [sources.tolist() for _, sources in kernel_calls]))
+        assert calls[0] == calls[1]
+        # the all-pairs table, then every centre's rows that ran in one call
+        assert calls[0][1] == [22 * 22] * 2
+
+    def test_every_detour_call_holds_at_most_the_bound(self, kernel_calls):
+        rng = random.Random(37)
+        graphs = [random_graph(rng, n, p=rng.uniform(0.1, 0.5)) for n in range(2, 81, 3)]
+        for g in graphs:
+            n = g.vertex_count
+            del kernel_calls[:]
+            ldc_vector(g)
+            copies = min(n, DETOUR_VERTICES // n)
+            assert set(vertices_per_call(kernel_calls)[1:]) <= {copies * n}, n
+        graphs += [tie_heavy_graph(rng, rng.randint(2, 22), p=0.3) for _ in range(20)]
+        rng.shuffle(graphs)
+        del kernel_calls[:]
+        ldc_vectors(graphs)
+        assert max(vertices_per_call(kernel_calls)) <= DETOUR_VERTICES
 
 
 def whole_table_score(ctx):
@@ -430,20 +483,6 @@ def fresh(graph):
     return WeightedDigraph(graph.arcs(), vertices=graph.vertices)
 
 
-@pytest.fixture
-def batch_kernel_calls(monkeypatch):
-    """The source count of every shortest-path kernel call a batch makes."""
-    calls = []
-    kernel = graph_module._kernel
-
-    def counted(arcs, sources):
-        calls.append(len(sources))
-        return kernel(arcs, sources)
-
-    monkeypatch.setattr(graph_module, "_kernel", counted)
-    return calls
-
-
 class TestLdcVectors:
     """``ldc_vectors(graphs) == [ldc_vector(g) for g in graphs]``, float for float."""
 
@@ -471,29 +510,28 @@ class TestLdcVectors:
     def test_permutation_draw_graphs(self):
         self.assert_batch_equals_one_by_one(draw_graphs(3, 40) + draw_graphs(4, 40))
 
-    def test_chunks_of_mixed_sizes_and_a_graph_above_the_bound(self, batch_kernel_calls):
+    def test_chunks_of_mixed_sizes_and_a_graph_above_the_bound(self):
         rng = random.Random(89)
-        above = math.isqrt(centrality_module._BATCH_VERTICES) + 1
+        above = math.isqrt(DETOUR_VERTICES) + 1
         graphs = [tie_heavy_graph(rng, rng.randint(2, 24), p=0.3) for _ in range(30)]
         graphs.insert(12, random_graph(rng, above, p=0.2))
-        assert sum(g.vertex_count ** 2 for g in graphs) > 3 * centrality_module._BATCH_VERTICES
+        assert sum(g.vertex_count ** 2 for g in graphs) > 3 * DETOUR_VERTICES
         self.assert_batch_equals_one_by_one(graphs)
 
-    def test_a_chunk_makes_one_call_for_its_tables_and_one_for_its_detours(
-            self, batch_kernel_calls):
+    def test_a_chunk_makes_one_call_for_its_tables_and_one_for_its_detours(self, kernel_calls):
         graphs = draw_graphs(5, 12)[:3]
         sizes = [g.vertex_count for g in graphs]
         ldc_vectors(graphs)
         # every vertex of the padded union, then the rows that run
-        assert len(batch_kernel_calls) == 2
-        assert batch_kernel_calls[0] == len(graphs) * max(sizes)
+        assert len(kernel_calls) == 2
+        assert sources_per_call(kernel_calls)[0] == len(graphs) * max(sizes)
         runs = sum(len(rows) for g in graphs
                    for rows in oracles.rows_to_run(g, g.mean_pairwise_distance()).values())
-        assert batch_kernel_calls[1] == runs
+        assert sources_per_call(kernel_calls)[1] == runs
         # no arc out of any centre is tight, so no detour row runs
-        del batch_kernel_calls[:]
+        del kernel_calls[:]
         scored = ldc_vectors([complete_dag(8), complete_dag(5)])
-        assert batch_kernel_calls == [16]
+        assert sources_per_call(kernel_calls) == [16]
         assert scored == [ldc_vector(complete_dag(8)), ldc_vector(complete_dag(5))]
 
     def test_empty_input_and_rejected_graphs(self):

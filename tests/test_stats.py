@@ -10,7 +10,6 @@ import pytest
 from ldcnet import (
     GridResult,
     PermutationConfig,
-    WeightedDigraph,
     correlation_distance_matrix,
     covariates,
     exclude_outliers,
@@ -582,10 +581,11 @@ class TestPoolSize:
             assert permutation_test(records, config, jobs=16) == permutation_test(records, config)
             assert pool_sizes == sizes
 
-    # a task is one detour stack: one stack of 3 or 10 centres opens no pool,
-    # 30 vertices make 8 stacks of up to 4 and 70 vertices 70 stacks of 1
+    # a task is one detour stack of min(V, 512 // V) centres: one stack of 3 or
+    # 10 centres opens no pool, 30 vertices make 2 stacks of up to 17 and
+    # 70 vertices 10 stacks of 7
     @pytest.mark.parametrize("n, jobs, sizes", [
-        (3, 16, []), (10, 4, []), (30, 4, [4]), (30, 16, [8]), (70, 16, [16]),
+        (3, 16, []), (10, 4, []), (30, 4, [2]), (30, 16, [2]), (70, 16, [10]),
     ])
     def test_ldc_vector_opens_one_worker_per_piece(self, pool_sizes, n, jobs, sizes):
         graph = complete_graph(n)
@@ -594,25 +594,16 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("seed, n, jobs, sizes", [
         (43, 9, 2, []),  # one stack of 9 centres
-        (31, 30, 2, [2]),  # 8 stacks of up to 4 centres, one task each
-        (31, 30, 3, [3]),
-        (31, 30, 16, [8]),  # one stack per worker
+        (31, 30, 2, [2]),  # 2 stacks of up to 17 centres, one task each
+        (31, 30, 3, [2]),  # one stack per worker
+        (31, 30, 16, [2]),
     ])
-    def test_ldc_vector_pieces_run_the_sources_of_one_pass(self, pool_sizes, monkeypatch,
+    def test_ldc_vector_pieces_run_the_sources_of_one_pass(self, pool_sizes, kernel_calls,
                                                            seed, n, jobs, sizes):
-        sources = []
-        kernel = WeightedDigraph._distances
-
-        def counted(self, indices, weights):
-            sources.append(len(indices))
-            return kernel(self, indices, weights)
-
-        monkeypatch.setattr(WeightedDigraph, "_distances", counted)
-
         def run(jobs):
-            del sources[:]
+            del kernel_calls[:]
             scores = ldc_vector(random_graph(random.Random(seed), n, p=0.5), jobs=jobs)
-            return sum(sources), scores
+            return sum(len(sources) for _, sources in kernel_calls), scores
 
         assert run(jobs) == run(1)
         assert pool_sizes == sizes
@@ -650,8 +641,8 @@ class TestJobsFanOut:
         ("cells", 16, ([16], [1])),
         ("draws", 2, ([2], [2])),  # 16 batches of repetitions
         ("draws", 3, ([3], [1])),
-        ("stacks", 4, ([4], [4])),  # 70 stacks of one centre
-        ("stacks", 2, ([2], [8])),
+        ("stacks", 4, ([4], [1])),  # 10 stacks of 7 centres
+        ("stacks", 2, ([2], [1])),
     ])
     def test_jobs_workers_and_chunksize_follow_one_rule(self, recording_pool, work, jobs,
                                                        pools):
