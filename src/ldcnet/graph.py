@@ -2,10 +2,10 @@
 
 The graph is immutable after construction: every operation below is a pure
 read, so a single instance can be shared freely across threads and worker
-processes. What it caches (the all-pairs table, its kernel layout, the
-current stack of detour rows) is derived from the arcs, never written once
-built, and never changes an answer; two threads that fill a cache at once
-build equal values.
+processes. What it caches (the all-pairs table, its kernel layout, and each
+thread's current stack of detour rows) is derived from the arcs, never written
+once built, and never changes an answer; two threads that fill a cache at
+once build equal values.
 Vertex labels are interned strings; each vertex receives a stable integer
 index (its lexicographic rank at construction time) and all internal tables
 are indexed by that integer. The arcs are kept once, as three arrays sorted
@@ -51,6 +51,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+import threading
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -324,11 +325,18 @@ class WeightedDigraph:
         self._max_weight: float = float(weights.max()) if weights.size else 0.0
         self._apsp: Optional[np.ndarray] = None
         self._union: Optional[_Union] = None
-        self._stack: Optional[tuple[float, dict[int, _Detour]]] = None
+        # each thread's current detour stack, as ``.current``: (r, stack)
+        self._stacks = threading.local()
 
     def __getstate__(self) -> dict:
-        # a graph sent to or from a worker leaves its detour stack behind
-        return {**self.__dict__, "_stack": None}
+        # a graph sent to or from a worker leaves its detour stacks behind
+        state = dict(self.__dict__)
+        del state["_stacks"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._stacks = threading.local()
 
     # -- basic queries ------------------------------------------------------
 
@@ -410,13 +418,14 @@ class WeightedDigraph:
         maximum arc weight, read-only. Every other member's detour row is its
         all-pairs row, bit for bit (see :func:`_rows_to_run`). The rows are
         computed for a stack of consecutive centres at once (see
-        :meth:`_stacked_detours`). The graph keeps only the current stack,
-        keyed on ``r`` and its centres; on a miss it computes the stack that
-        starts at ``center``.
+        :meth:`_stacked_detours`). The graph keeps one current stack per
+        thread, keyed on ``r`` and its centres, so threads at different
+        thresholds do not evict each other's; on a miss it computes the stack
+        that starts at ``center``.
         """
-        stack = self._stack
+        stack = getattr(self._stacks, "current", None)
         if stack is None or stack[0] != r or center not in stack[1]:
-            stack = self._stack = (r, self._stacked_detours(center, r))
+            stack = self._stacks.current = (r, self._stacked_detours(center, r))
         return stack[1][center]
 
     def _stacked_detours(self, first: int, r: float) -> dict[int, _Detour]:

@@ -70,50 +70,100 @@ PERMUTATION_BATCH = 50
 # -- rank correlation -------------------------------------------------------
 
 
-def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks of ``values``; tied values share the mean of their rank range.
+def average_ranks(values: Sequence[float], kept: Optional[np.ndarray] = None) -> np.ndarray:
+    """1-based ranks along the last axis; tied values share the mean of their rank range.
 
-    A stable argsort orders the values; each tie group spans the positions
-    ``count[dense - 1]`` to ``count[dense] - 1``, so its mean rank is
-    ``0.5 * (count[dense] + count[dense - 1] + 1)``, the same float formula
-    as ``scipy.stats.rankdata(method="average")``.
+    Each row ranks only its positions in ``kept`` (a boolean mask of the same
+    shape; every position when None), and the positions outside it rank
+    after every kept one. One lexsort on (value, not kept) puts a row's kept
+    values first; a tie group starts where a value, or its kept flag,
+    differs from the one before it, and ``maximum.accumulate``/``minimum.accumulate`` give each
+    position its group's ``start`` and (exclusive) ``end``. The group's mean
+    rank is ``0.5 * (start + end + 1)``, the same float formula as
+    ``scipy.stats.rankdata(method="average")``. A kept nan raises
+    ValueError, since its place in a sort is not a rank.
     """
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.empty(values.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    dense = np.empty(values.size, dtype=np.intp)
-    dense[order] = np.cumsum(first)
-    count = np.append(np.flatnonzero(first), values.size)
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    outside = np.zeros(values.shape, dtype=bool) if kept is None else ~np.asarray(kept)
+    if np.isnan(values).any(where=~outside):
+        raise ValueError("nan has no rank; mark a missing value with None or the mask")
+    order = np.lexsort((values, outside))
+    ordered = np.take_along_axis(values, order, -1)
+    outside = np.take_along_axis(outside, order, -1)
+    width = values.shape[-1]
+    first = np.ones(values.shape, dtype=bool)
+    first[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    first[..., 1:] |= outside[..., 1:] != outside[..., :-1]
+    last = np.ones(values.shape, dtype=bool)
+    last[..., :-1] = first[..., 1:]
+    position = np.arange(width)
+    start = np.maximum.accumulate(np.where(first, position, 0), axis=-1)
+    end = np.minimum.accumulate(np.where(last, position + 1, width)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, 0.5 * (start + end + 1), -1)
+    return ranks
 
 
-def spearman(x: Sequence[Optional[float]], y: Sequence[Optional[float]]) -> float:
-    """Rank correlation of two paired series.
+def _masked(
+    series: Sequence[Sequence[Optional[float]]], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of optional floats as a ``(rows, width)`` array, padded with 0.0, and their mask.
 
-    Pairs with a missing value on either side are dropped; ties receive the
-    mean of their rank range. Raises InsufficientData below 3 usable pairs
-    and ZeroVariance when either side is constant.
+    A None, like the padding, is 0.0 in the array and False in the mask.
     """
-    if len(x) != len(y):
-        raise ValueError("series must be paired")
-    xs, ys = [], []
-    for a, b in zip(x, y):
-        if a is None or b is None:
-            continue
-        xs.append(float(a))
-        ys.append(float(b))
-    if len(xs) < 3:
-        raise InsufficientData(f"need >= 3 paired observations, got {len(xs)}")
-    if min(xs) == max(xs) or min(ys) == max(ys):
+    values = np.zeros((len(series), width))
+    kept = np.zeros(values.shape, dtype=bool)
+    for row, items in enumerate(series):
+        kept[row, : len(items)] = [v is not None for v in items]
+        values[row, : len(items)] = [0.0 if v is None else v for v in items]
+    return values, kept
+
+
+def spearman(
+    x: Sequence[Optional[float]], y: Sequence[Optional[float]], kept: Optional[np.ndarray] = None
+) -> float | np.ndarray:
+    """Rank correlation of paired series; ties receive the mean of their rank range.
+
+    Without ``kept``, ``x`` and ``y`` are two series; pairs with a missing
+    value (None) on either side are dropped. Raises InsufficientData below 3
+    usable pairs and ZeroVariance when either side is constant.
+
+    With ``kept``, ``x`` and ``y`` are float arrays of shape ``(rows, n)`` and
+    ``kept`` a boolean mask of that shape; the result holds one rho per row,
+    over that row's kept pairs, and nan for a row with fewer than 3 of them
+    or a constant side. Two series are the one-row case of this stacked pass.
+
+    A nan value raises ValueError either way (see :func:`average_ranks`):
+    None and the mask are the only marks of a missing value. Centred ranks ``rank - (k + 1) / 2`` are
+    multiples of one half, so the three totals are exact in any order.
+    """
+    single = kept is None
+    if single:
+        if len(x) != len(y):
+            raise ValueError("series must be paired")
+        values, present = _masked([x, y], len(x))
+        x, y, kept = values[:1], values[1:], present[:1] & present[1:]
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    kept = np.asarray(kept, dtype=bool)
+    if not x.shape == y.shape == kept.shape:
+        raise ValueError("series and mask must be paired")
+    count = np.count_nonzero(kept, axis=-1)
+    centre = 0.5 * (count + 1)[..., None]
+    rx = np.where(kept, average_ranks(x, kept) - centre, 0.0)
+    ry = np.where(kept, average_ranks(y, kept) - centre, 0.0)
+    sxx = (rx * rx).sum(axis=-1)
+    syy = (ry * ry).sum(axis=-1)
+    defined = (count >= 3) & (sxx != 0.0) & (syy != 0.0)
+    rho = np.divide((rx * ry).sum(axis=-1), np.sqrt(sxx * syy), out=np.full(count.shape, np.nan),
+                    where=defined)
+    if not single:
+        return rho
+    if count[0] < 3:
+        raise InsufficientData(f"need >= 3 paired observations, got {count[0]}")
+    if not defined[0]:
         raise ZeroVariance("a constant series has no rank correlation")
-    rx = average_ranks(xs)
-    ry = average_ranks(ys)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    return float(np.dot(rx, ry) / math.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
+    return float(rho[0])
 
 
 def spearman_pvalue(rho: float, n: int) -> float:
@@ -270,13 +320,11 @@ def evaluate_cell(
         )
     word_stats = covariates(corpus)
     words = graph.vertices
-    variables: dict[str, dict[str, float]] = {
-        name: dict(measures[name].scores) for name in MEASURES
-    }
-    variables["log_frequency"] = {w: word_stats[w].log_frequency for w in words}
-    variables["avg_location"] = {w: word_stats[w].avg_location for w in words}
+    columns = [[measures[name].scores[w] for w in words] for name in MEASURES]
+    columns.append([word_stats[w].log_frequency for w in words])
+    columns.append([word_stats[w].avg_location for w in words])
 
-    table = _spearman_table(variables)
+    table = _spearman_table(words, columns)
     return GridResult(
         ws=ws,
         ms=ms,
@@ -289,25 +337,31 @@ def evaluate_cell(
 
 
 def _spearman_table(
-    variables: Mapping[str, Mapping[str, float]],
+    words: Sequence[str], columns: Sequence[Sequence[float]]
 ) -> dict[tuple[str, str], Optional[SpearmanEntry]]:
     """Each variable pair's correlation over the words inside both outlier bands.
 
-    Every variable is keyed on the same words (the graph's vertices), so a
-    pair's joint band, ``exclude_outliers(x, y)``, is the intersection of the
-    two variables' own bands: one band per variable serves every pair. Every
-    band is defined: betweenness has scored the graph, so it has >= 3 vertices.
+    ``columns[i]`` holds variable ``VARIABLES[i]`` of each word in ``words``,
+    in that order. Every variable is keyed on the same words (the graph's
+    vertices), so a pair's joint band, ``exclude_outliers(x, y)``, is the
+    intersection of the two variables' own bands: one band per variable, as
+    a mask over ``words``, serves every pair. The pairs are one stacked
+    :func:`spearman` pass, a row per pair with the mask ``band[a] & band[b]``;
+    a nan row is an undefined pair, and ``n`` is the count of its mask.
+    Every band is defined: betweenness has scored the graph, so it has >= 3
+    vertices.
     """
-    table: dict[tuple[str, str], Optional[SpearmanEntry]] = dict.fromkeys(variable_pairs())
-    bands = {name: exclude_outliers(values) for name, values in variables.items()}
-    for a, b in table:
-        kept = sorted(bands[a] & bands[b])
-        try:
-            rho = spearman([variables[a][w] for w in kept], [variables[b][w] for w in kept])
-        except (InsufficientData, ZeroVariance):
-            continue
-        table[(a, b)] = SpearmanEntry(rho=rho, n=len(kept))
-    return table
+    bands = [exclude_outliers(dict(zip(words, column))) for column in columns]
+    masks = np.array([[w in band for w in words] for band in bands])
+    values = np.array(columns, dtype=np.float64)
+    first, second = np.array(list(itertools.combinations(range(len(columns)), 2))).T
+    kept = masks[first] & masks[second]
+    rhos = spearman(values[first], values[second], kept).tolist()
+    counts = np.count_nonzero(kept, axis=1).tolist()
+    return {
+        pair: None if math.isnan(rho) else SpearmanEntry(rho=rho, n=n)
+        for pair, rho, n in zip(variable_pairs(), rhos, counts)
+    }
 
 
 def _cell_task(args: tuple) -> GridResult:
@@ -507,8 +561,10 @@ def ldc_dt_correlation(
     corpus = encode(records)
     graph = _nonempty_graph(corpus, DistanceFunctionParams(ws, ms))
     word_stats = covariates(corpus)
-    times = {word: getattr(stats, target) for word, stats in word_stats.items()}
-    return _detour_rho(graph, ldc_vector(graph).scores, times)
+    scores = ldc_vector(graph).scores
+    times = [getattr(word_stats[word], target) for word in graph.vertices]
+    rho = spearman([scores[word] for word in graph.vertices], times)
+    return rho, len(times) - times.count(None)
 
 
 def _nonempty_graph(corpus: Corpus, params: DistanceFunctionParams) -> WeightedDigraph:
@@ -518,27 +574,21 @@ def _nonempty_graph(corpus: Corpus, params: DistanceFunctionParams) -> WeightedD
     return graph
 
 
-def _detour_rho(
-    graph: WeightedDigraph, scores: Mapping[str, float], times: Mapping[str, Optional[float]]
-) -> tuple[float, int]:
-    """(rho, paired words) between the graph's detour scores and retrieval times."""
-    ys = [times[word] for word in graph.vertices]
-    rho = spearman([scores[word] for word in graph.vertices], ys)
-    return rho, len(ys) - ys.count(None)
-
-
 def _permutation_batch(args: tuple) -> list[Optional[float]]:
     """Null correlations of a run of repetitions, None where every attempt failed.
 
-    Each round draws every pending repetition at its next attempt and scores
-    the round's graphs in one :func:`ldc_vectors` call; a draw that fails is
-    pending in the next round, up to :data:`MAX_RETRIES` redraws.
+    Each round draws every pending repetition at its next attempt, scores the
+    round's graphs in one :func:`ldc_vectors` call, and correlates them in
+    one stacked :func:`spearman` pass: a row per draw over its vertices,
+    padded to the widest, with the words that have no retrieval time masked
+    out. A draw whose graph is empty, or whose row is nan, is pending in the
+    next round, up to :data:`MAX_RETRIES` redraws.
     """
     corpus, params, target, master_seed, reps = args
     null: dict[int, Optional[float]] = dict.fromkeys(reps)
     pending = list(reps)
     for attempt in range(MAX_RETRIES + 1):
-        draws = []
+        draws = []  # (rep, graph, the retrieval time of each vertex)
         for rep in pending:
             shuffled = shuffle_records(corpus, derive_seed(master_seed, rep, attempt))
             try:
@@ -546,13 +596,17 @@ def _permutation_batch(args: tuple) -> list[Optional[float]]:
             except LdcnetError:
                 continue
             # a round keeps its draws' graphs and retrieval times, not their corpora
-            draws.append((rep, graph, retrieval_times(shuffled, target)))
-        vectors = ldc_vectors([graph for _, graph, _ in draws])
-        for (rep, graph, times), vector in zip(draws, vectors):
-            try:
-                null[rep], _ = _detour_rho(graph, vector.scores, times)
-            except LdcnetError:
-                continue
+            times = retrieval_times(shuffled, target)
+            draws.append((rep, graph, [times[word] for word in graph.vertices]))
+        graphs = [graph for _, graph, _ in draws]
+        scores = [[vector.scores[word] for word in graph.vertices]
+                  for graph, vector in zip(graphs, ldc_vectors(graphs))]
+        width = max((graph.vertex_count for graph in graphs), default=0)
+        x, _ = _masked(scores, width)
+        y, timed = _masked([times for _, _, times in draws], width)
+        for (rep, _, _), rho in zip(draws, spearman(x, y, timed).tolist()):
+            if not math.isnan(rho):
+                null[rep] = rho
         pending = [rep for rep in pending if null[rep] is None]
     return [null[rep] for rep in reps]
 

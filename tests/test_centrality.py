@@ -320,11 +320,51 @@ class TestStackedKernel:
     def test_pickled_graph_leaves_its_stack_behind(self):
         g = random_graph(random.Random(3), 10, p=0.4)
         scores = ldc_vector(g).scores
-        assert g._stack is not None
-        assert g.__getstate__()["_stack"] is None
+        assert g._stacks.current is not None
+        assert "_stacks" not in g.__getstate__()
         copy = pickle.loads(pickle.dumps(g))
-        assert copy._stack is None
+        assert not hasattr(copy._stacks, "current")
         assert ldc_vector(copy).scores == scores
+
+    def test_threads_at_two_thresholds_keep_their_own_stacks(self, kernel_calls):
+        # each thread keeps its own stack, so neither recomputes one the other evicted
+        g = random_graph(random.Random(80), 80, p=0.2)
+        r = g.mean_pairwise_distance()
+        thresholds = (r, 0.8 * r)
+
+        def calls(run):
+            shared = fresh(g)
+            shared.mean_pairwise_distance()
+            del kernel_calls[:]
+            run(shared)
+            return sorted((arcs.shape, sources.tolist()) for arcs, sources in kernel_calls)
+
+        def one_after_the_other(shared):
+            for t in thresholds:
+                ldc_vector(shared, t)
+
+        def side_by_side(shared):
+            start = threading.Barrier(len(thresholds))
+
+            def run(t):
+                start.wait()
+                ldc_vector(shared, t)
+
+            threads = [threading.Thread(target=run, args=(t,)) for t in thresholds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+
+        expected = calls(one_after_the_other)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert calls(side_by_side) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestOneBound:

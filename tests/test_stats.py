@@ -5,6 +5,7 @@ import random
 import statistics
 import sys
 
+import numpy as np
 import pytest
 
 from ldcnet import (
@@ -19,6 +20,7 @@ from ldcnet import (
 )
 from ldcnet.centrality import fan_out, ldc_vector
 import ldcnet.corpus as corpus_module
+import ldcnet.stats as stats_module
 from ldcnet.corpus import FluencyRecord, encode, shuffle_records
 from ldcnet.errors import (
     InsufficientData,
@@ -125,6 +127,80 @@ class TestSpearman:
             series.append([rng.randint(-3, 3) for _ in range(rng.randint(1, 40))])
         for values in series:
             assert average_ranks(values).tolist() == oracles.naive_average_ranks(values)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_nan_raises_in_every_position(self, position):
+        # [1.0, 1.0] with a nan raised ZeroVariance in one position and gave a rho in another
+        for rest in ([1.0, 1.0], [1.0, 2.0]):
+            xs = list(rest)
+            xs.insert(position, math.nan)
+            ys = [1.0, 2.0, 3.0]
+            for x, y in ((xs, ys), (ys, xs)):
+                with pytest.raises(ValueError, match="nan"):
+                    spearman(x, y)
+                with pytest.raises(ValueError, match="nan"):
+                    spearman(np.array([x, ys]), np.array([y, ys]), np.ones((2, 3), dtype=bool))
+        with pytest.raises(ValueError, match="nan"):
+            average_ranks(xs)
+
+    def test_nan_outside_the_mask_is_ignored(self):
+        x = np.array([[1.0, 2.0, 3.0, math.nan]])
+        kept = np.array([[True, True, True, False]])
+        assert spearman(x, x, kept).tolist() == [1.0]
+        assert average_ranks(x, kept)[:, :3].tolist() == [[1.0, 2.0, 3.0]]
+        assert spearman([1.0, 2.0, 3.0, math.nan], [1.0, 2.0, 3.0, None]) == 1.0
+
+    def test_stacked_rows_equal_the_one_row_call_bit_for_bit(self):
+        rng = random.Random(61)
+        rows = [
+            ([1.0, 2.0], [2.0, 1.0]),  # fewer than 3 pairs
+            ([1.0, None, 2.0, 3.0], [1.0, 2.0, None, 3.0]),  # 2 kept pairs
+            ([4.0, 4.0, 4.0, 4.0], [1.0, 2.0, 3.0, 4.0]),  # a constant side
+            ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]),  # all tied
+            ([math.inf, -math.inf, 1.0, math.inf], [1.0, 2.0, 2.0, -math.inf]),
+            ([math.inf] * 4, [1.0, 3.0, 2.0, 5.0]),
+            ([], []),
+        ]
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            pool = [rng.uniform(-3, 3) for _ in range(rng.randint(1, 5))]
+            pool += [-0.0, 0.0, math.inf, -math.inf]
+            missing = rng.choice([0.0, 0.1, 0.5])
+
+            def draw():
+                return None if rng.random() < missing else rng.choice(pool)
+
+            rows.append(([draw() for _ in range(n)], [draw() for _ in range(n)]))
+        width = max(len(x) for x, _ in rows) + 3
+        (xs, x_kept) = stats_module._masked([x for x, _ in rows], width)
+        (ys, y_kept) = stats_module._masked([y for _, y in rows], width)
+        # the padding holds values that must not count
+        xs[:, -3:], ys[:, -3:] = 7.0, -7.0
+        stacked = spearman(xs, ys, x_kept & y_kept)
+        outcomes = set()
+        for (x, y), rho in zip(rows, stacked.tolist()):
+            try:
+                expected = spearman(x, y).hex()
+            except (InsufficientData, ZeroVariance) as exc:
+                expected = math.nan.hex()
+                outcomes.add(type(exc))
+            assert rho.hex() == expected
+        assert outcomes == {InsufficientData, ZeroVariance}
+        assert len(rows) - np.isnan(stacked).sum() > 200
+
+    def test_stacked_call_with_no_rows(self):
+        empty = np.zeros((0, 5))
+        assert spearman(empty, empty, empty.astype(bool)).shape == (0,)
+
+    def test_masked_ranks_equal_the_ranks_of_the_kept_values(self):
+        rng = random.Random(67)
+        pools = [rng.sample([-1.0, 0.0, 2.5, math.inf], rng.randint(1, 4)) for _ in range(50)]
+        values = np.array([[rng.choice(pool) for _ in range(30)] for pool in pools])
+        kept = np.array([[rng.random() < 0.7 for _ in range(30)] for _ in range(50)])
+        ranks = average_ranks(values, kept)
+        for row, mask, got in zip(values, kept, ranks):
+            assert got[mask].tolist() == oracles.naive_average_ranks(row[mask].tolist())
+            assert (got[~mask] > mask.sum()).all()
 
     def test_pvalue_sanity(self):
         assert spearman_pvalue(1.0, 10) == 0.0
