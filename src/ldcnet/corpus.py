@@ -8,11 +8,14 @@ layout: a JSON object mapping each subject id to parallel ``words`` and
 
 Each format has one row validator, which checks and converts every row once.
 It feeds ``load_corpus``, which interns the rows straight into an
-:class:`EncodedCorpus`: words as ids, each record collapsed once, the records
-still readable as a sequence. ``parse_corpus`` and ``parse_corpus_osf`` are
-the list of its records. The commands run on that encoded corpus from the
-parser to the correlation table and the permutation draws, and
-``shuffle_records`` shuffles ids, whatever kind of corpus it is given.
+:class:`EncodedCorpus`: words as ids, the records collapsed once when first
+used and still readable as a sequence. ``parse_corpus`` and
+``parse_corpus_osf`` are the list of its records. The commands run on that
+encoded corpus from the parser to the correlation table and the permutation
+draws, and ``shuffle_records`` shuffles ids, whatever kind of corpus it is
+given. A permutation round collapses the shuffles of all its draws in one pass and
+builds each draw's graph from one pair table (``collapse_draws``,
+``draw_graphs``); a loaded corpus is the one-draw case.
 
 Graph construction follows the windowed median-traversal-time rule: an arc
 (a, b) exists when strictly more than ``ms`` subjects produced ``b`` within
@@ -27,8 +30,9 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import IO, Callable, Optional, Sequence
+from typing import IO, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -266,15 +270,16 @@ def _intern(
 
 
 class EncodedCorpus(Sequence[FluencyRecord]):
-    """A corpus with its words interned to ids and each record collapsed once.
+    """A corpus with its words interned to ids, collapsed once on first use.
 
     The constructor takes interned records (each record's subject, the word
-    table, each record's ids and onsets) and makes the one collapse pass.
-    :func:`encode` interns a record list, :func:`load_corpus` the parser's
-    checked rows, and :func:`shuffle_records` passes permuted ids; every
-    graph, covariates table and permutation draw made from a corpus shares
-    its pass: :func:`build_graph` and :func:`ldcnet.metrics.covariates` take
-    it in place of the records and give the same results.
+    table, each record's ids and onsets) and keeps them as they are; the
+    collapse pass runs when :attr:`collapse` is first read. :func:`encode`
+    interns a record list, :func:`load_corpus` the parser's checked rows, and
+    :func:`shuffle_records` passes permuted ids; every graph and covariates
+    table made from a corpus shares its pass: :func:`build_graph` and
+    :func:`ldcnet.metrics.covariates` take it in place of the records and
+    give the same results.
 
     It is also a read-only sequence of its records: ``corpus[k]`` builds the
     :class:`FluencyRecord` of record ``k`` from the ids, so code written for
@@ -282,15 +287,12 @@ class EncodedCorpus(Sequence[FluencyRecord]):
 
     ``words[i]`` is the word with id ``i``. For every record, empty ones
     included, ``subjects[k]`` is its subject id, ``raw_ids[k]`` the ids of
-    all its words and ``raw_onsets[k]`` their onsets. The collapsed records
-    are flat arrays laid end to end, one entry per kept position in record
-    then position order: ``ids`` the id of each first occurrence,
-    ``record`` the index ``k`` of its record, ``onsets`` its raw onset and
-    ``normalized`` that onset divided by the record's raw word count.
+    all its words and ``raw_onsets[k]`` their onsets.
 
-    The corpus memoises what depends only on it: ``covariates_table``, which
+    The corpus memoises what depends only on it: its :class:`Collapse`, the
+    ``labels`` order of its word ids, ``covariates_table``, which
     :func:`ldcnet.metrics.covariates` fills on first use, and the pair
-    medians of the last window size asked for. Pickling drops both, so
+    medians of the last window size asked for. Pickling drops them all, so
     a corpus sent to a worker carries only the encoding.
     """
 
@@ -305,21 +307,6 @@ class EncodedCorpus(Sequence[FluencyRecord]):
         self.words = words
         self.raw_ids = raw_ids
         self.raw_onsets = raw_onsets
-        lengths = np.fromiter(map(len, raw_ids), dtype=np.intp, count=len(raw_ids))
-        total = int(lengths.sum())
-        ids = np.fromiter(chain.from_iterable(raw_ids), dtype=np.intp, count=total)
-        onsets = np.fromiter(chain.from_iterable(raw_onsets), dtype=np.float64, count=total)
-        record = np.repeat(np.arange(lengths.size), lengths)
-        # a stable sort on (record, id) puts each record's first occurrence of
-        # an id first in its run; sorting the kept positions restores their order
-        key = record * len(words) + ids
-        order = np.argsort(key, kind="stable")
-        first = np.sort(order[np.diff(key[order], prepend=-1) != 0])
-        self.ids: np.ndarray = ids[first]
-        self.record: np.ndarray = record[first]
-        self.onsets: np.ndarray = onsets[first]
-        # the float division ``t / count`` of each record's onsets
-        self.normalized: np.ndarray = self.onsets / lengths[self.record]
         self.covariates_table: Optional[dict] = None
         self._window: Optional[tuple[int, tuple[np.ndarray, ...]]] = None
 
@@ -333,53 +320,173 @@ class EncodedCorpus(Sequence[FluencyRecord]):
         return FluencyRecord(self.subjects[index], tuple(zip(words, self.raw_onsets[index])))
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "covariates_table": None, "_window": None}
+        return {"subjects": self.subjects, "words": self.words,
+                "raw_ids": self.raw_ids, "raw_onsets": self.raw_onsets}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
+    @cached_property
+    def collapse(self) -> Collapse:
+        """The corpus's records collapsed: its one draw."""
+        return collapse_draws(self, [self])
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Every word id, in the order of its word: the order of a graph's vertices."""
+        return np.array(sorted(range(len(self.words)), key=self.words.__getitem__), dtype=np.intp)
 
     def pair_medians(self, ws: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(counts, sources, targets, medians)`` of every id pair at most ``ws`` apart.
+        """``(counts, sources, targets, medians)`` of :func:`pair_table` for this corpus.
 
-        One entry per ordered id pair: ``counts`` is the number of records
-        holding the pair (after collapsing, a record holds a pair at most
-        once) and ``medians`` the median of their normalized onset
-        differences, which does not depend on ``ms``. Entries run from the
-        highest count down, so the arcs of any ``ms`` are a prefix. Pairs
-        held by one record are left out, since an arc needs more than
-        ``ms >= 1`` of them.
-
-        The collapsed records are laid end to end in flat id and onset
-        arrays; each gap takes one slice of them, keeping the positions whose
-        two ends lie in the same record. A lexsort on (pair, difference)
-        groups each pair's differences in order, and the median is the
-        middle one, or ``(a + b) / 2`` of the middle two as in
-        ``statistics.median``. Only the last window's arrays are kept, and
-        they are freed before the next ones are built, so a sweep over
-        several windows holds one set at a time.
+        Entries run from the highest count down, so the arcs of any ``ms``
+        are a prefix. Only the last window's arrays are kept, and they are
+        freed before the next ones are built, so a sweep over several
+        windows holds one set at a time.
         """
         if self._window is None or self._window[0] != ws:
             self._window = None
-            self._window = (ws, self._rank_pairs(ws))
+            counts, _, sources, targets, medians = pair_table(self.collapse, ws)
+            rank = np.argsort(-counts, kind="stable")
+            self._window = (ws, (counts[rank], sources[rank], targets[rank], medians[rank]))
         return self._window[1]
 
-    def _rank_pairs(self, ws: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        ids, onsets, record = self.ids, self.normalized, self.record
-        keys, deltas = [], []
-        for gap in range(1, ws + 1):
-            same = record[gap:] == record[:-gap]
-            keys.append(ids[:-gap][same] * len(self.words) + ids[gap:][same])
-            deltas.append(onsets[gap:][same] - onsets[:-gap][same])
-        key = np.concatenate(keys)
-        delta = np.concatenate(deltas)
-        order = np.lexsort((delta, key))
-        key, delta = key[order], delta[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        counts = np.diff(starts, append=key.size)
-        shared = counts > 1
-        starts, counts = starts[shared], counts[shared]
-        upper = starts + counts // 2
-        medians = np.where(counts % 2 == 1, delta[upper], (delta[upper - 1] + delta[upper]) / 2)
-        rank = np.argsort(-counts, kind="stable")
-        sources, targets = np.divmod(key[starts[rank]], len(self.words))
-        return counts[rank], sources, targets, medians[rank]
+
+class Collapse(NamedTuple):
+    """First occurrences of the records of one or more draws, laid end to end.
+
+    A draw is a run of one corpus's records, each with its own order of
+    ids: a corpus's collapse has its one draw, and a permutation round
+    stacks one shuffle per pending repetition. The flat arrays hold one
+    entry per kept position, in (draw, record, position) order: ``ids`` the
+    id of each first occurrence, ``record`` the index of its record in the
+    stack (``d * len(corpus) + k`` for record ``k`` of draw ``d``), ``draw``
+    that ``d``, ``onsets`` its raw onset and ``normalized`` that onset
+    divided by the record's raw word count. ``words`` and ``labels`` are
+    the corpus's.
+    """
+
+    words: tuple[str, ...]
+    labels: np.ndarray
+    draws: int
+    ids: np.ndarray
+    record: np.ndarray
+    draw: np.ndarray
+    onsets: np.ndarray
+    normalized: np.ndarray
+
+
+def collapse_draws(corpus: EncodedCorpus, draws: Sequence[EncodedCorpus]) -> Collapse:
+    """One :class:`Collapse` of ``draws``, each a corpus of ``corpus``'s records.
+
+    Every draw holds ``corpus``'s records in order, with their word counts
+    and onsets; only the order of each record's ids may differ, as in a
+    :func:`shuffle_records` draw. Only the draws' ids are read, so no draw
+    collapses by itself. A stable sort on (draw, record, id), the key
+    ``record * len(words) + id`` over the stack, puts each record's first
+    occurrence of an id first in its run; sorting the kept positions
+    restores their order.
+    """
+    lengths = np.fromiter(map(len, corpus.raw_ids), dtype=np.intp, count=len(corpus))
+    total = int(lengths.sum())
+    onsets = np.fromiter(chain.from_iterable(corpus.raw_onsets), dtype=np.float64, count=total)
+    raw = chain.from_iterable(chain.from_iterable(draw.raw_ids for draw in draws))
+    ids = np.fromiter(raw, dtype=np.intp, count=total * len(draws))
+    lengths = np.tile(lengths, len(draws))
+    record = np.repeat(np.arange(lengths.size), lengths)
+    key = record * len(corpus.words) + ids
+    order = np.argsort(key, kind="stable")
+    first = np.sort(order[np.diff(key[order], prepend=-1) != 0])
+    record = record[first]
+    onsets = np.tile(onsets, len(draws))[first]
+    return Collapse(
+        corpus.words, corpus.labels, len(draws), ids[first], record,
+        record // max(len(corpus), 1), onsets,
+        onsets / lengths[record],  # the float division ``t / count`` of each record's onsets
+    )
+
+
+def pair_table(
+    stack: Collapse, ws: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(counts, draw, sources, targets, medians)`` of every id pair at most ``ws`` apart.
+
+    One entry per draw and ordered id pair, in (draw, source, target)
+    order: ``counts`` is the number of the draw's records holding the pair
+    (after collapsing, a record holds a pair at most once) and ``medians``
+    the median of their normalized onset differences, which does not depend
+    on ``ms``. Pairs held by one record are left out, since an arc needs
+    more than ``ms >= 1`` of them.
+
+    Each gap takes one slice of the flat arrays, keeping the positions whose
+    two ends lie in the same record, so no pair spans two records or two
+    draws. One sort on (draw, pair, difference) groups each pair's
+    differences in order, and the median is the middle one, or
+    ``(a + b) / 2`` of the middle two as in ``statistics.median``.
+    """
+    size = len(stack.words)
+    ids, onsets, record = stack.ids, stack.normalized, stack.record
+    keys, deltas = [], []
+    for gap in range(1, ws + 1):
+        same = record[gap:] == record[:-gap]
+        pair = ids[:-gap][same] * size + ids[gap:][same]
+        keys.append(stack.draw[gap:][same] * (size * size) + pair)
+        deltas.append(onsets[gap:][same] - onsets[:-gap][same])
+    key, delta = np.concatenate(keys), np.concatenate(deltas)
+    del keys, deltas
+    # one distinct integer per entry in (key, difference) order: the rank of
+    # its key among the distinct ones, then the rank of its difference
+    pairs, group, counts = np.unique(key, return_inverse=True, return_counts=True)
+    group *= key.size
+    group[np.argsort(delta)] += np.arange(key.size)
+    delta = delta[np.argsort(group)]
+    starts = np.cumsum(counts) - counts
+    shared = counts > 1
+    starts, counts = starts[shared], counts[shared]
+    upper = starts + counts // 2
+    medians = np.where(counts % 2 == 1, delta[upper], (delta[upper - 1] + delta[upper]) / 2)
+    draw, pair = np.divmod(pairs[shared], size * size)
+    sources, targets = np.divmod(pair, size)
+    return counts, draw, sources, targets, medians
+
+
+def draw_graphs(
+    stack: Collapse, params: DistanceFunctionParams
+) -> list[tuple[np.ndarray, WeightedDigraph]]:
+    """Each draw's vertex ids and graph: the graph :func:`build_graph` builds from the draw."""
+    counts, draw, sources, targets, medians = pair_table(stack, params.ws)
+    kept = counts > params.ms
+    return _assemble(stack, draw[kept], sources[kept], targets[kept], medians[kept])
+
+
+def _assemble(
+    stack: Collapse, draw: np.ndarray, sources: np.ndarray, targets: np.ndarray,
+    weights: np.ndarray,
+) -> list[tuple[np.ndarray, WeightedDigraph]]:
+    """Each draw's vertex ids and graph, from the arcs of every draw as parallel arrays.
+
+    A draw's vertices are the ids its arcs touch, ranked in ``labels``
+    order: one mask over the word table per draw, read in that order, so
+    no set order reaches a graph. One lexsort on (draw, tail, head) orders
+    every arc, and each draw's graph takes its slice of the sorted arrays.
+    """
+    present = np.zeros((stack.draws, len(stack.words)), dtype=bool)
+    present[draw, sources] = True
+    present[draw, targets] = True
+    present = present[:, stack.labels]
+    rank = np.empty(present.shape, dtype=np.int32)
+    rank[:, stack.labels] = np.cumsum(present, axis=1) - 1
+    tails, heads = rank[draw, sources], rank[draw, targets]
+    arcs = np.lexsort((heads, tails, draw))
+    tails, heads, weights = tails[arcs], heads[arcs], weights[arcs]
+    bounds = np.searchsorted(draw[arcs], np.arange(stack.draws + 1)).tolist()
+    graphs = []
+    for d, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        ids = stack.labels[present[d]]
+        names = tuple(map(stack.words.__getitem__, ids.tolist()))
+        graph = WeightedDigraph._from_arrays(names, tails[lo:hi], heads[lo:hi], weights[lo:hi])
+        graphs.append((ids, graph))
+    return graphs
 
 
 #: Anything a graph, covariates table or draw is built from.
@@ -405,22 +512,17 @@ def build_graph(records: Corpus, params: DistanceFunctionParams) -> WeightedDigr
 
     ``records`` may be an :class:`EncodedCorpus`. Graphs built from one
     encoded corpus reuse its single collapse, and successive graphs at the
-    same ``ws`` reuse one table of pair medians.
+    same ``ws`` reuse one table of pair medians. The graph is the one-draw
+    case of :func:`draw_graphs`.
     """
     corpus = encode(records)
     if not corpus:
         raise NoRecords("cannot build a graph from zero records")
     counts, sources, targets, medians = corpus.pair_medians(params.ws)
     kept = int(np.count_nonzero(counts > params.ms))
-    sources, targets = sources[:kept], targets[:kept]
-    present = np.unique(np.concatenate((sources, targets))).tolist()
-    order = sorted(present, key=corpus.words.__getitem__)
-    rank = np.empty(len(corpus.words), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    tails, heads = rank[sources], rank[targets]
-    arcs = np.lexsort((heads, tails))
-    names = tuple(map(corpus.words.__getitem__, order))
-    return WeightedDigraph._from_arrays(names, tails[arcs], heads[arcs], medians[:kept][arcs])
+    draw = np.zeros(kept, dtype=np.intp)
+    [(_, graph)] = _assemble(corpus.collapse, draw, sources[:kept], targets[:kept], medians[:kept])
+    return graph
 
 
 def shuffle_records(records: Corpus, seed: int) -> Corpus:
@@ -432,7 +534,8 @@ def shuffle_records(records: Corpus, seed: int) -> Corpus:
     calls depend only on the length, so this is the draw a shuffle of each
     record's word list makes. An :class:`EncodedCorpus` gives the shuffled
     encoded corpus, with the same word ids; a record list gives the list of
-    its records.
+    its records. The shuffled corpus collapses only when it is read as a
+    corpus: a permutation round reads just its ids (see :func:`collapse_draws`).
     """
     corpus = encode(records)
     rng = random.Random(seed)

@@ -306,9 +306,11 @@ class WeightedDigraph:
         The caller vouches for what the constructor checks: the names are
         sorted and distinct, ``tails`` and ``heads`` are ``int32`` ranks into
         ``names`` sorted by (tail, head) with no self-arc and no repeated
-        pair, and every weight is a finite ``float64`` >= 0. :func:`ldcnet.corpus.build_graph` holds them: a
-        collapsed record holds each id once, the pair table has one entry
-        per pair, and a median of positive gaps is finite and >= 0.
+        pair, and every weight is a finite ``float64`` >= 0. The graphs of
+        :func:`ldcnet.corpus.build_graph` and :func:`ldcnet.corpus.draw_graphs`
+        hold them: a collapsed record holds each id once, the pair table has
+        one entry per draw and pair, and a median of positive gaps is finite
+        and >= 0.
         """
         graph = cls.__new__(cls)
         graph._set_arcs(names, tails, heads, weights)

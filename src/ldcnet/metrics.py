@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .corpus import Corpus, EncodedCorpus, encode
+from .corpus import Collapse, Corpus, EncodedCorpus, encode
 from .errors import NoEligibleOccurrence, NoRecords
 from .textio import PathOrFile, format_number, write_csv
 
@@ -95,22 +95,12 @@ def covariates(records: Corpus) -> dict[str, RetrievalStats]:
     return dict(corpus.covariates_table)
 
 
-def retrieval_times(records: Corpus, statistic: str) -> dict[str, Optional[float]]:
-    """One retrieval statistic, ``"dt_to"`` or ``"dt_from"``, of every word.
-
-    Each value is the float :func:`covariates` gives for the word, None
-    where it has none, without building the rest of the table.
-    """
-    corpus = encode(records)
-    means, _ = _mean_gaps(corpus, statistic)
-    return dict(zip(corpus.words, means))
-
-
 def _tabulate(corpus: EncodedCorpus) -> dict[str, RetrievalStats]:
     size = len(corpus.words)
-    ids = corpus.ids
+    ids = corpus.collapse.ids
     index = np.arange(ids.size)
-    opens = np.maximum.accumulate(np.where(np.diff(corpus.record, prepend=-1) != 0, index, 0))
+    starts = np.diff(corpus.collapse.record, prepend=-1) != 0
+    opens = np.maximum.accumulate(np.where(starts, index, 0))
     frequency = np.bincount(ids, minlength=size).tolist()
     position_sum = np.bincount(ids, weights=index - opens + 1, minlength=size).tolist()
     dt_to, to_count = _mean_gaps(corpus, "dt_to")
@@ -134,31 +124,43 @@ def _tabulate(corpus: EncodedCorpus) -> dict[str, RetrievalStats]:
 
 
 def _mean_gaps(corpus: EncodedCorpus, statistic: str) -> tuple[list[Optional[float]], list[int]]:
-    """Per word id, the mean gap into (``dt_to``) or out of (``dt_from``) it, and its count.
+    """Per word id, the mean gap of :func:`gap_means`, None where it has none, and its count."""
+    means, counts = gap_means(corpus.collapse, statistic)
+    counts = counts[0].tolist()
+    return [mean if n else None for mean, n in zip(means[0].tolist(), counts)], counts
 
-    The mean is None where the word has no neighbour on that side.
+
+def gap_means(stack: Collapse, statistic: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per draw and word id, the mean gap into (``dt_to``) or out of (``dt_from``) it; its count.
+
+    Both are ``(draws, len(words))`` arrays; the mean is 0.0 where the word
+    has no neighbour on that side in the draw. Each gap is keyed on its
+    (draw, id), so one :func:`_ordered_sums` pass serves every draw.
     """
-    same = corpus.record[1:] == corpus.record[:-1]  # position i + 1 follows i in one record
-    later, earlier = corpus.onsets[1:][same], corpus.onsets[:-1][same]
-    word = corpus.ids[1:][same] if statistic == "dt_to" else corpus.ids[:-1][same]
-    sums, counts = _ordered_sums(word, later, earlier, len(corpus.words))
-    return [(total / n) if n else None for total, n in zip(sums, counts)], counts
+    size = len(stack.words)
+    same = stack.record[1:] == stack.record[:-1]  # position i + 1 follows i in one record
+    later, earlier = stack.onsets[1:][same], stack.onsets[:-1][same]
+    word = stack.ids[1:][same] if statistic == "dt_to" else stack.ids[:-1][same]
+    sums, counts = _ordered_sums(stack.draw[1:][same] * size + word, later, earlier,
+                                 stack.draws * size)
+    means = np.divide(sums, counts, out=np.zeros(sums.shape), where=counts > 0)
+    return means.reshape(stack.draws, size), counts.reshape(stack.draws, size)
 
 
 def _ordered_sums(
-    word: np.ndarray, later: np.ndarray, earlier: np.ndarray, size: int
-) -> tuple[list[float], list[int]]:
-    """Per word id, ``(sum + later) - earlier`` over its entries in order, and their count.
+    key: np.ndarray, later: np.ndarray, earlier: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per key below ``size``, ``(sum + later) - earlier`` over its entries in order, and their count.
 
     ``bincount`` adds its weights in input order, so feeding it
-    ``later, -earlier`` per entry, with the word id twice, adds left to
+    ``later, -earlier`` per entry, with the key twice, adds left to
     right exactly as the loop ``sum = sum + later - earlier`` does
     (``x + (-y)`` is ``x - y``). ``sum += later - earlier`` rounds
     differently and would change the published tables.
     """
     weights = np.column_stack((later, -earlier)).ravel()
-    sums = np.bincount(np.repeat(word, 2), weights=weights, minlength=size)
-    return sums.tolist(), np.bincount(word, minlength=size).tolist()
+    sums = np.bincount(np.repeat(key, 2), weights=weights, minlength=size)
+    return sums, np.bincount(key, minlength=size)
 
 
 def write_stats_csv(

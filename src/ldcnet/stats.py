@@ -33,6 +33,8 @@ from .corpus import (
     DistanceFunctionParams,
     EncodedCorpus,
     build_graph,
+    collapse_draws,
+    draw_graphs,
     encode,
     shuffle_records,
 )
@@ -44,7 +46,7 @@ from .errors import (
     ZeroVariance,
 )
 from .graph import WeightedDigraph
-from .metrics import covariates, retrieval_times
+from .metrics import covariates, gap_means
 from .textio import PathOrFile, format_number, write_csv
 
 #: Correlated variables per grid cell: the seven measures plus covariates.
@@ -559,7 +561,9 @@ def ldc_dt_correlation(
     the retrieval statistic come from one encoding of the records.
     """
     corpus = encode(records)
-    graph = _nonempty_graph(corpus, DistanceFunctionParams(ws, ms))
+    graph = build_graph(corpus, DistanceFunctionParams(ws, ms))
+    if graph.vertex_count == 0:
+        raise InsufficientData(f"graph at ws={ws} ms={ms} is empty")
     word_stats = covariates(corpus)
     scores = ldc_vector(graph).scores
     times = [getattr(word_stats[word], target) for word in graph.vertices]
@@ -567,46 +571,42 @@ def ldc_dt_correlation(
     return rho, len(times) - times.count(None)
 
 
-def _nonempty_graph(corpus: Corpus, params: DistanceFunctionParams) -> WeightedDigraph:
-    graph = build_graph(corpus, params)
-    if graph.vertex_count == 0:
-        raise InsufficientData(f"graph at ws={params.ws} ms={params.ms} is empty")
-    return graph
-
-
 def _permutation_batch(args: tuple) -> list[Optional[float]]:
     """Null correlations of a run of repetitions, None where every attempt failed.
 
-    Each round draws every pending repetition at its next attempt, scores the
-    round's graphs in one :func:`ldc_vectors` call, and correlates them in
-    one stacked :func:`spearman` pass: a row per draw over its vertices,
-    padded to the widest, with the words that have no retrieval time masked
-    out. A draw whose graph is empty, or whose row is nan, is pending in the
-    next round, up to :data:`MAX_RETRIES` redraws.
+    Each round shuffles every pending repetition at its next attempt, one
+    :func:`shuffle_records` call each, and handles the round's draws
+    together: one :func:`collapse_draws` pass, one pair table and one arc
+    sort for every draw's graph (:func:`draw_graphs`), one retrieval-time
+    pass (:func:`gap_means`), one :func:`ldc_vectors` call and one stacked
+    :func:`spearman` pass: a row per draw over its vertices, padded to the
+    widest, with the words that have no retrieval time masked out. A draw
+    whose graph is empty, or whose row is nan, is pending in the next round,
+    up to :data:`MAX_RETRIES` redraws; the batch stops once none is pending.
     """
     corpus, params, target, master_seed, reps = args
     null: dict[int, Optional[float]] = dict.fromkeys(reps)
     pending = list(reps)
     for attempt in range(MAX_RETRIES + 1):
-        draws = []  # (rep, graph, the retrieval time of each vertex)
-        for rep in pending:
-            shuffled = shuffle_records(corpus, derive_seed(master_seed, rep, attempt))
-            try:
-                graph = _nonempty_graph(shuffled, params)
-            except LdcnetError:
-                continue
-            # a round keeps its draws' graphs and retrieval times, not their corpora
-            times = retrieval_times(shuffled, target)
-            draws.append((rep, graph, [times[word] for word in graph.vertices]))
-        graphs = [graph for _, graph, _ in draws]
+        if not pending:
+            break
+        seeds = [derive_seed(master_seed, rep, attempt) for rep in pending]
+        stack = collapse_draws(corpus, [shuffle_records(corpus, seed) for seed in seeds])
+        means, counts = gap_means(stack, target)
+        built = draw_graphs(stack, params)  # (vertex ids, graph) of each draw
+        kept = [d for d, (_, graph) in enumerate(built) if graph.vertex_count]
+        graphs = [built[d][1] for d in kept]
         scores = [[vector.scores[word] for word in graph.vertices]
                   for graph, vector in zip(graphs, ldc_vectors(graphs))]
-        width = max((graph.vertex_count for graph in graphs), default=0)
-        x, _ = _masked(scores, width)
-        y, timed = _masked([times for _, _, times in draws], width)
-        for (rep, _, _), rho in zip(draws, spearman(x, y, timed).tolist()):
+        x, _ = _masked(scores, max((graph.vertex_count for graph in graphs), default=0))
+        y, timed = np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
+        for row, d in enumerate(kept):
+            ids = built[d][0]
+            y[row, : ids.size] = means[d, ids]
+            timed[row, : ids.size] = counts[d, ids] > 0
+        for d, rho in zip(kept, spearman(x, y, timed).tolist()):
             if not math.isnan(rho):
-                null[rep] = rho
+                null[pending[d]] = rho
         pending = [rep for rep in pending if null[rep] is None]
     return [null[rep] for rep in reps]
 

@@ -49,7 +49,7 @@ def graph_state(graph):
 
 def per_record(corpus, flat):
     """A flat collapse array of ``corpus`` split into one tuple per non-empty record."""
-    cuts = np.flatnonzero(np.diff(corpus.record)) + 1
+    cuts = np.flatnonzero(np.diff(corpus.collapse.record)) + 1
     return [tuple(part.tolist()) for part in np.split(flat, cuts)] if flat.size else []
 
 
@@ -60,8 +60,8 @@ def encoding_state(corpus):
 
     return (
         corpus.subjects, spell(corpus.raw_ids), corpus.raw_onsets,
-        per_record(corpus, corpus.record), spell(per_record(corpus, corpus.ids)),
-        per_record(corpus, corpus.onsets), per_record(corpus, corpus.normalized),
+        per_record(corpus, corpus.collapse.record), spell(per_record(corpus, corpus.collapse.ids)),
+        per_record(corpus, corpus.collapse.onsets), per_record(corpus, corpus.collapse.normalized),
     )
 
 
@@ -425,20 +425,20 @@ class TestEncodedCorpus:
         assert encode(corpus) is corpus
         assert len(corpus) == 2
         assert corpus.words == ("a", "b")
-        assert corpus.ids.tolist() == [0, 1]
-        assert corpus.record.tolist() == [0, 0]
-        assert corpus.onsets.tolist() == [1.0, 2.0]
-        assert corpus.normalized.tolist() == [1.0 / 3, 2.0 / 3]
+        assert corpus.collapse.ids.tolist() == [0, 1]
+        assert corpus.collapse.record.tolist() == [0, 0]
+        assert corpus.collapse.onsets.tolist() == [1.0, 2.0]
+        assert corpus.collapse.normalized.tolist() == [1.0 / 3, 2.0 / 3]
 
     def test_flat_collapse_equals_collapsing_each_normalized_record(self):
         def check(corpus):
             kept = [k for k in range(len(corpus)) if corpus.raw_ids[k]]
-            assert per_record(corpus, corpus.record) == [
+            assert per_record(corpus, corpus.collapse.record) == [
                 (k,) * len(set(corpus.raw_ids[k])) for k in kept
             ]
-            ids = per_record(corpus, corpus.ids)
-            onsets = per_record(corpus, corpus.onsets)
-            normalized = per_record(corpus, corpus.normalized)
+            ids = per_record(corpus, corpus.collapse.ids)
+            onsets = per_record(corpus, corpus.collapse.onsets)
+            normalized = per_record(corpus, corpus.collapse.normalized)
             for i, k in enumerate(kept):
                 record = corpus[k]
                 expected = collapse_first_occurrence(normalize_record(record))

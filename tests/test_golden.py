@@ -26,6 +26,7 @@ GOLDEN = {
     "stats-json-ldc": "f425fbeed69d7631fcf84f3072bc4a23ffb6a25b98982f574a66dce6747bfb1e",
     "sweep": "3138cdf6c9daa02e5318d5ee4e3364c8b1c16443b15e1a2e9d519efcb2e43d5b",
     "permtest": "55fe8ccd53a9045c91c773451e0811c5f646be50a654531a69ec865e9c45b8f5",
+    "permtest-batches": "25a345d998616d9457adaa8c09270a85e8e277b9a18fce036d6b44f3f60e0d84",
 }
 
 
@@ -37,7 +38,9 @@ def cli_digests(tmp_path) -> dict[str, str]:
     """Run each command once and return the sha256 of what it wrote.
 
     A sweep is summarized by the digest of its manifest's ``outputs`` map,
-    which covers every cell file and the grid summary.
+    which covers every cell file and the grid summary. ``permtest-batches``
+    runs on a second corpus of short records, where its 120 repetitions
+    span three batches and 13 of them fail every attempt.
     """
     corpus = tmp_path / "corpus.csv"
     write_corpus_csv(
@@ -45,6 +48,10 @@ def cli_digests(tmp_path) -> dict[str, str]:
         corpus,
     )
     corpus = str(corpus)
+    short = tmp_path / "short.csv"
+    write_corpus_csv(
+        random_records(random.Random(5), n_subjects=8, list_len=4, vocab_size=6), short
+    )
     graph = str(tmp_path / "graph.csv")
     runs = {
         "build": ["build", corpus, "--ws", "2", "--ms", "3"],
@@ -52,6 +59,8 @@ def cli_digests(tmp_path) -> dict[str, str]:
         "stats-json-ldc": ["stats", corpus, "--format", "json", "--ws", "2", "--ms", "3"],
         "permtest": ["permtest", corpus, "--ws", "2", "--ms", "3", "--n", "20",
                      "--seed", "5"],
+        "permtest-batches": ["permtest", str(short), "--ws", "1", "--ms", "1", "--target",
+                             "dt_to", "--n", "120", "--seed", "5"],
     }
     for selection, measure in (("all", "all"), ("subset", "ldc,betweenness")):
         base = ["centrality", graph, "--measure", measure]

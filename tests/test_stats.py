@@ -21,20 +21,31 @@ from ldcnet import (
 from ldcnet.centrality import fan_out, ldc_vector
 import ldcnet.corpus as corpus_module
 import ldcnet.stats as stats_module
-from ldcnet.corpus import FluencyRecord, encode, shuffle_records
+from ldcnet.corpus import (
+    DistanceFunctionParams,
+    FluencyRecord,
+    build_graph,
+    collapse_draws,
+    draw_graphs,
+    encode,
+    shuffle_records,
+)
 from ldcnet.errors import (
     InsufficientData,
     LdcnetError,
     UndefinedActualCorrelation,
     ZeroVariance,
 )
+from ldcnet.metrics import gap_means
 from ldcnet.stats import (
     FULL_GRID_MS_VALUES,
     FULL_GRID_WS_VALUES,
     MEASURES,
+    MAX_RETRIES,
     PERMUTATION_BATCH,
     SpearmanEntry,
     average_ranks,
+    derive_seed,
     evaluate_cell,
     ldc_dt_correlation,
     population_sd,
@@ -48,7 +59,7 @@ from ldcnet.stats import (
 )
 
 import oracles
-from corpora import complete_graph, make_record, random_graph, random_records
+from corpora import complete_graph, make_record, ragged_records, random_graph, random_records
 
 
 @pytest.fixture
@@ -601,6 +612,120 @@ class TestPermutationTest:
             PermutationConfig(ws=1, ms=1, repetitions=0)
         with pytest.raises(ValueError):
             PermutationConfig(ws=1, ms=1, alternative="both")
+
+
+def round_draws(corpus, seeds, params, target):
+    """Each draw's graph and the retrieval time of each vertex, from one round over ``seeds``."""
+    stack = collapse_draws(corpus, [shuffle_records(corpus, seed) for seed in seeds])
+    means, counts = gap_means(stack, target)
+    return [(graph, [means[d, i] if counts[d, i] else None for i in ids.tolist()])
+            for d, (ids, graph) in enumerate(draw_graphs(stack, params))]
+
+
+def per_draw(corpus, seed, params, target):
+    """The same pair, from the one shuffled corpus alone."""
+    shuffled = shuffle_records(corpus, seed)
+    graph = build_graph(shuffled, params)
+    stats = covariates(shuffled)
+    return graph, [getattr(stats[word], target) for word in graph.vertices]
+
+
+def assert_same_draw(got, expected):
+    (graph, times), (other, other_times) = got, expected
+    assert graph.vertices == other.vertices
+    for name in ("_tails", "_heads", "_weights"):
+        a, b = getattr(graph, name), getattr(other, name)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    assert graph._tails.dtype == np.int32
+    assert times == other_times
+
+
+class TestPermutationRound:
+    """A round's draws, collapsed and built together, equal each draw built alone."""
+
+    @staticmethod
+    def corpora():
+        yield random_records(random.Random(61), n_subjects=14, list_len=7, vocab_size=7)
+        for seed in range(8):
+            # empty records, repeated words, records shorter than the window
+            rng = random.Random(seed)
+            records = ragged_records(rng, rng.randint(3, 12), rng.randint(1, 5),
+                                     rng.randint(2, 5))
+            yield records + [FluencyRecord("empty", ())]
+
+    @pytest.mark.parametrize("ws, ms", [(1, 1), (2, 2), (3, 1), (3, 3)])
+    def test_round_equals_the_draws_built_one_by_one(self, ws, ms):
+        params = DistanceFunctionParams(ws=ws, ms=ms)
+        empty = 0
+        for records in self.corpora():
+            corpus = encode(records)
+            for target in ("dt_to", "dt_from"):
+                for seeds in ([17], list(range(9))):
+                    got = round_draws(corpus, seeds, params, target)
+                    assert len(got) == len(seeds)
+                    for seed, draw in zip(seeds, got):
+                        assert_same_draw(draw, per_draw(corpus, seed, params, target))
+                        empty += draw[0].vertex_count == 0
+        assert empty > 0
+
+    def test_no_round_pair_spans_two_draws(self):
+        # every draw starts with "y" and ends with "x"; a pair read across the
+        # boundary of two draws would add one (x, y) contribution to a draw
+        records = [make_record("first", ["y"]), make_record("s1", ["x", "y"]),
+                   make_record("s2", ["y", "x"]), make_record("last", ["x"])]
+        corpus = encode(records)
+        params = DistanceFunctionParams(ws=1, ms=1)
+        seeds = list(range(12))
+        leaked = 0
+        for seed, draw in zip(seeds, round_draws(corpus, seeds, params, "dt_to")):
+            assert_same_draw(draw, per_draw(corpus, seed, params, "dt_to"))
+            shuffled = list(shuffle_records(records, seed))
+            boundary = shuffled + [make_record("boundary", ["x", "y"])]
+            leaked += list(build_graph(boundary, params).arcs()) != list(draw[0].arcs())
+        # the leak would have shown in some draw
+        assert leaked > 0
+
+    def test_round_never_collapses_a_draw(self, monkeypatch):
+        shuffled = []
+
+        def shuffle(corpus, seed):
+            shuffled.append(shuffle_records(corpus, seed))
+            return shuffled[-1]
+
+        monkeypatch.setattr("ldcnet.stats.shuffle_records", shuffle)
+        make, config = TestPermutationTest.NULL_CASES["failing"]
+        permutation_test(make(), config)
+        assert len(shuffled) > config.repetitions
+        assert not any("collapse" in vars(draw) for draw in shuffled)
+
+    def test_a_batch_runs_no_round_once_nothing_is_pending(self, monkeypatch):
+        records = monotone_chain_records()
+        config = PermutationConfig(ws=1, ms=3, target="dt_to",
+                                   repetitions=2 * PERMUTATION_BATCH + 1, seed=4)
+        attempt = {derive_seed(config.seed, rep, a): (rep, a)
+                   for rep in range(config.repetitions) for a in range(MAX_RETRIES + 1)}
+        tried, calls = [], []
+
+        def shuffle(corpus, seed):
+            tried.append(attempt[seed])
+            return shuffle_records(corpus, seed)
+
+        def stacked(x, y, kept=None):
+            calls.append(kept is not None)
+            return spearman(x, y, kept)
+
+        monkeypatch.setattr("ldcnet.stats.shuffle_records", shuffle)
+        monkeypatch.setattr("ldcnet.stats.spearman", stacked)
+        permutation_test(records, config)
+        rounds = {}
+        for rep, a in tried:
+            batch = rep // PERMUTATION_BATCH
+            rounds[batch] = max(rounds.get(batch, 0), a + 1)
+        # one call for the actual order, then one per round with a pending draw
+        assert calls == [False] + [True] * sum(rounds.values())
+        assert len(rounds) == 3
+        assert min(rounds.values()) < MAX_RETRIES + 1
 
 
 @pytest.fixture
