@@ -227,57 +227,61 @@ def ldc_vector(
 
 
 def ldc_vectors(graphs: Sequence[WeightedDigraph]) -> list[CentralityVector]:
-    """``[ldc_vector(g) for g in graphs]``, with runs of small graphs scored together.
+    """``[ldc_vector(g) for g in graphs]``, with runs of graphs scored together.
 
-    Consecutive graphs form a chunk while its detour copies, ``M * M``
-    vertices per graph once each is padded to the chunk's largest vertex
-    count ``M``, number at most :data:`~ldcnet.graph.DETOUR_VERTICES`. A
-    chunk is one union of graphs: one kernel call gives their all-pairs
-    tables and at most one their detour rows, all centres in one stack (see
-    :meth:`ldcnet.graph._Union.detours`), and each score totals only the rows
-    that ran. A graph too large for a chunk, or one ``ldc_vector`` rejects,
-    goes through ``ldc_vector``.
+    Consecutive graphs form a chunk while its padded union, ``M`` vertices
+    per graph once each is padded to the chunk's largest vertex count ``M``,
+    holds at most :data:`~ldcnet.graph.DETOUR_VERTICES` vertices; a graph
+    above the bound is a chunk of one. A chunk is one union of graphs: one
+    kernel call gives their all-pairs tables, and it is scored stack by
+    stack, as one graph is (see :func:`_score_chunk`), so a chunk of one
+    makes the kernel calls of ``ldc_vector``. A graph of fewer than two
+    vertices goes to ``ldc_vector``, which rejects it.
     """
     vectors: list[CentralityVector] = []
     chunk: list[WeightedDigraph] = []
     largest = 0
     for graph in graphs:
         n = graph.vertex_count
-        batched = 2 <= n and n * n <= DETOUR_VERTICES
-        if chunk and (not batched or (len(chunk) + 1) * max(largest, n) ** 2 > DETOUR_VERTICES):
+        if n < 2:
+            ldc_vector(graph)  # raises EmptyGraph
+        if chunk and (len(chunk) + 1) * max(largest, n) > DETOUR_VERTICES:
             vectors += _score_chunk(chunk)
             chunk, largest = [], 0
-        if batched:
-            chunk.append(graph)
-            largest = max(largest, n)
-        else:
-            vectors.append(ldc_vector(graph))
+        chunk.append(graph)
+        largest = max(largest, n)
     if chunk:
         vectors += _score_chunk(chunk)
     return vectors
 
 
 def _score_chunk(chunk: list[WeightedDigraph]) -> Iterator[CentralityVector]:
-    """Every graph's detour scores from one stack over their union, at its mean distance.
+    """Every graph's detour scores from the stacks over their union, at its mean distance.
 
-    Each row that ran adds its excesses over its centre's members to the
-    centre's slot, one ``size * size`` table of rows per centre, and the
-    slots total left to right: the total :func:`ldc_from_context` takes, as
-    every other excess is 0.0.
+    The stacks are those of one graph (see :meth:`ldcnet.graph._Union.detours`),
+    each with its centre of every graph, at most one kernel call each. Each
+    row that ran adds its excesses over its centre's members to the centre's
+    slot, one ``size * size`` table of rows per centre, and the slots total
+    left to right: the total :func:`ldc_from_context` takes, as every other
+    excess is 0.0.
     """
     union = _Union(chunk)
     plain = union.distances()
     r = row_major_totals(finite_or_zero(plain)) / [g.vertex_count for g in chunk]
-    near, runs, rows = union.detours(plain, r[:, None, None], 0)
-    owner, centre, source = np.nonzero(runs)
-    ran = np.arange(owner.size)
-    before = plain[owner, source]
-    counted = near[owner, centre] & (before != _INF)
-    counted[ran, source] = False
-    excess = np.zeros(runs.shape + runs.shape[-1:])
-    excess[owner, centre, source] = _excess_rows(rows[ran, centre, owner], before, counted)
-    totals = row_major_totals(excess)
-    members = np.count_nonzero(near, axis=-1)
+    totals = np.zeros((union.count, union.size))
+    members = np.zeros((union.count, union.size), dtype=np.intp)
+    for first in range(0, union.size, union.copies):
+        near, runs, rows = union.detours(plain, r[:, None, None], first)
+        owner, centre, source = np.nonzero(runs)
+        ran = np.arange(owner.size)
+        before = plain[owner, source]
+        counted = near[owner, centre] & (before != _INF)
+        counted[ran, source] = False
+        excess = np.zeros(runs.shape + runs.shape[-1:])
+        excess[owner, centre, source] = _excess_rows(rows[ran, centre, owner], before, counted)
+        stop = first + near.shape[1]
+        totals[:, first:stop] = row_major_totals(excess)
+        members[:, first:stop] = np.count_nonzero(near, axis=-1)
     scores = np.divide(totals, members, out=np.zeros_like(totals), where=members > 0).tolist()
     for graph, row in zip(chunk, scores):
         yield CentralityVector("ldc", dict(zip(graph.vertices, row)))

@@ -19,15 +19,18 @@ runs ``scipy.sparse.csgraph.dijkstra`` over disjoint copies of arcs in one
 block-diagonal CSR matrix. The layout is a :class:`_Union` of graphs, vertex
 ``v`` of graph ``g`` at ``g * size + v``, each graph padded with isolated
 vertices to the largest, ``size``: a graph is a union of one, built once and
-cached, and a chunk of small graphs, such as the draws of a permutation
-test, a union of many. A union builds its CSR index arrays once; each kernel
-call wraps its own weights around them, so nothing a call reads is written
-after it is built. One call over copy 0 gives every graph's all-pairs table.
-One engine, :meth:`_Union.detours`, gives the detour rows of a stack of
-consecutive centres in at most one call over copies of the union, copy ``k``
-with centre ``first + k`` of every graph inflated; :data:`DETOUR_VERTICES`
-bounds the vertices of every call. A source never leaves its copy, so its
-row equals a call on that copy alone.
+cached, and a chunk of graphs, such as the draws of a permutation test, a
+union of many, at most :data:`DETOUR_VERTICES` vertices in all. A union
+builds its CSR index arrays once; each kernel call wraps its own weights
+around them, so nothing a call reads is written after it is built. One call
+over copy 0 gives every graph's all-pairs table. One engine,
+:meth:`_Union.detours`, gives the detour rows of a stack of consecutive
+centre indices in at most one call over copies of the union, copy ``k`` with
+centre ``first + k`` of every graph inflated; its out-arcs are every graph's
+arcs out of those centres. A union of one graph and a chunk are scored alike,
+stack by stack, and :data:`DETOUR_VERTICES` bounds the vertices of every
+call. A source never leaves its copy, so its row equals a call on that copy
+alone.
 A detour row from ``i`` runs only when some arc ``(c, v)`` out of its centre
 is tight from ``i``, ``D[i, c] + w == D[i, v]`` on the all-pairs table ``D``;
 every other detour row is ``D``'s row, bit for bit (see :func:`_rows_to_run`),
@@ -69,8 +72,10 @@ _INF = math.inf
 
 #: Most vertices one detour kernel call holds, the one bound: a union of ``n``
 #: vertices, ``size`` per graph, stacks ``min(size, max(1, DETOUR_VERTICES // n))``
-#: centres per call, all of a graph of up to 22 vertices and one above 256. A
-#: call returns a row as wide as itself for every row it runs.
+#: centre indices per call, all of a graph of up to 22 vertices and one of a
+#: union above 256, such as a round of 50 ten-vertex draws. A chunk of graphs
+#: holds at most this many vertices in its padded union. A call returns a row
+#: as wide as itself for every row it runs.
 DETOUR_VERTICES = 512
 
 #: One centre's detour: its members' vertex indices, the positions of the
@@ -107,9 +112,9 @@ def _rows_to_run(d: np.ndarray, near: np.ndarray, first: int, graph: np.ndarray,
 
     ``near[g, k]`` holds the neighbourhood of centre ``first + k`` of graph
     ``g``; the arcs given, with their graphs, are every arc out of those
-    centres. A member row runs Dijkstra only when some arc ``(c, v)`` out of
-    its centre ``c`` is tight from it: ``D[i, c] + w == D[i, v]`` with
-    ``D[i, v]`` finite. Every other row is ``D``'s row, bit for bit. Raising
+    centres, sorted by (graph, tail). A member row runs Dijkstra only when
+    some arc ``(c, v)`` out of its centre ``c`` is tight from it:
+    ``D[i, c] + w == D[i, v]`` with ``D[i, v]`` finite. Every other row is ``D``'s row, bit for bit. Raising
     weights never lowers a path's left-to-right float sum, since rounding is
     monotone, so a detour length is at least ``D[i, j]``. csgraph sets each
     final distance from an already-settled vertex, so the Dijkstra tree path
@@ -120,10 +125,15 @@ def _rows_to_run(d: np.ndarray, near: np.ndarray, first: int, graph: np.ndarray,
     """
     reached = d[graph, :, heads]
     tight = (d[graph, :, tails] + weights[:, None] == reached) & (reached != _INF)
-    # a boolean product: a row runs when any arc out of its graph's centre is tight from it
-    centres = near.shape[0] * near.shape[1]
-    owns = np.arange(centres)[:, None] == graph * near.shape[1] + tails - first
-    return (owns @ tight).reshape(near.shape) & near
+    runs = np.zeros(near.shape, dtype=bool)
+    if graph.size:
+        # the arcs are sorted by (graph, tail), so each centre's arcs are one run:
+        # a row runs when any arc of its centre's run is tight from it
+        centre = graph * near.shape[1] + tails - first
+        starts = np.flatnonzero(np.diff(centre, prepend=-1))
+        runs.reshape(-1, near.shape[-1])[centre[starts]] = np.logical_or.reduceat(
+            tight, starts, axis=0)
+    return runs & near
 
 
 class _Union:
@@ -142,8 +152,8 @@ class _Union:
         self.count = len(graphs)
         self.size = max(g.vertex_count for g in graphs)
         n = self.count * self.size
-        # centres per detour call; ldc_vectors keeps a union of several graphs
-        # to one stack, so the out-arcs of its one stack are every arc
+        # centre indices per detour stack, a copy of the union each: every centre
+        # of a union of up to DETOUR_VERTICES / size vertices, one above half the bound
         self.copies = min(self.size, max(1, DETOUR_VERTICES // n))
         arcs = [g.arc_count for g in graphs]
         self.graph = np.repeat(np.arange(self.count, dtype=np.int32), arcs)
@@ -152,12 +162,11 @@ class _Union:
         self.weights = np.concatenate([g._weights for g in graphs])
         self.tops = np.repeat([g.max_arc_weight for g in graphs], arcs)
         offset = self.graph * np.int32(self.size)
-        self.starts = self.tails + offset  # each arc's union tail, ascending
         # vertex v of copy i is i * n + v: copy after copy, so the tails stay ascending
         shift = np.arange(0, self.copies * n, n, dtype=np.int32)[:, None]
         self.indices = (self.heads + offset + shift).ravel()
         self.indptr = np.zeros(self.copies * n + 1, dtype=np.int32)
-        tails = (self.starts + shift).ravel()
+        tails = (self.tails + offset + shift).ravel()
         np.cumsum(np.bincount(tails, minlength=self.copies * n), out=self.indptr[1:])
 
     def _run(self, weights: np.ndarray, sources: Sequence[int]) -> np.ndarray:
@@ -200,8 +209,8 @@ class _Union:
         """
         stop = min(self.size, first + self.copies)
         near = _within(d, first, stop, r)
-        # the stack's out-arcs are one slice, since the arcs are sorted by union tail
-        arcs = slice(*np.searchsorted(self.starts, (first, (self.count - 1) * self.size + stop)))
+        # every graph's arcs out of the stack's centres, still sorted by (graph, tail)
+        arcs = (first <= self.tails) & (self.tails < stop)
         runs = _rows_to_run(d, near, first, self.graph[arcs], self.tails[arcs],
                             self.heads[arcs], self.weights[arcs])
         graph, copy, source = np.nonzero(runs)

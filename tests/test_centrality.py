@@ -26,6 +26,7 @@ from ldcnet.centrality import ldc_from_context, ldc_vectors, write_centrality_cs
 from ldcnet.corpus import DistanceFunctionParams, build_graph, encode, shuffle_records
 from ldcnet.errors import EmptyGraph, NoConvergence, UnknownVertex
 from ldcnet.graph import DETOUR_VERTICES
+from ldcnet.stats import PERMUTATION_BATCH
 
 import oracles
 from corpora import (
@@ -382,6 +383,17 @@ class TestOneBound:
         # the all-pairs table, then every centre's rows that ran in one call
         assert calls[0][1] == [22 * 22] * 2
 
+    def test_a_graph_of_any_size_is_scored_as_a_chunk_of_one(self, kernel_calls):
+        rng = random.Random(23)
+        for n in list(range(2, 30)) + list(range(30, 81, 5)):
+            g = random_graph(rng, n, p=rng.uniform(0.1, 0.5))
+            calls = []
+            for score in (lambda h: [ldc_vector(h)], lambda h: ldc_vectors([h])):
+                del kernel_calls[:]
+                calls.append((score(fresh(g)), vertices_per_call(kernel_calls),
+                              [sources.tolist() for _, sources in kernel_calls]))
+            assert calls[0] == calls[1], n
+
     def test_every_detour_call_holds_at_most_the_bound(self, kernel_calls):
         rng = random.Random(37)
         graphs = [random_graph(rng, n, p=rng.uniform(0.1, 0.5)) for n in range(2, 81, 3)]
@@ -573,6 +585,38 @@ class TestLdcVectors:
         scored = ldc_vectors([complete_dag(8), complete_dag(5)])
         assert sources_per_call(kernel_calls) == [16]
         assert scored == [ldc_vector(complete_dag(8)), ldc_vector(complete_dag(5))]
+
+    @pytest.mark.parametrize("count, copies", [(20, 1), (10, 2)])
+    def test_a_chunk_of_several_stacks(self, count, copies, kernel_calls):
+        rng = random.Random(97 + count)
+        graphs = [tie_heavy_graph(rng, 24, p=0.3)]
+        graphs += [tie_heavy_graph(rng, rng.randint(12, 23), p=0.3) for _ in range(count - 3)]
+        # a zero-weight arc and an isolated vertex among the middle graphs
+        graphs[count // 2 : count // 2] = kernel_edge_graphs(rng)[12:14]
+        assert len(graphs) == count and count * 24 <= DETOUR_VERTICES
+        # the middle graphs hold arcs out of centres past the first stack
+        assert all((g._tails >= copies).any() for g in graphs[1:-1])
+        self.assert_batch_equals_one_by_one(graphs)
+        runs = sum(len(rows) for g in graphs
+                   for rows in oracles.rows_to_run(g, g.mean_pairwise_distance()).values())
+        del kernel_calls[:]
+        ldc_vectors([fresh(g) for g in graphs])
+        # one union: its all-pairs table, then at most one call per stack of centres,
+        # which runs only the rows that can differ from the all-pairs rows
+        assert sources_per_call(kernel_calls)[0] == count * 24
+        assert 2 < len(kernel_calls) <= 1 + math.ceil(24 / copies)
+        assert vertices_per_call(kernel_calls) == [copies * count * 24] * len(kernel_calls)
+        assert sum(sources_per_call(kernel_calls)[1:]) == runs
+
+    def test_a_round_of_ten_vertex_draws_is_one_union(self, kernel_calls):
+        graphs = [g for g in draw_graphs(6, 2 * PERMUTATION_BATCH) if g.vertex_count == 10]
+        graphs = graphs[:PERMUTATION_BATCH]
+        assert len(graphs) == PERMUTATION_BATCH
+        ldc_vectors(graphs)
+        # the all-pairs tables of all draws, then at most one call per centre index
+        assert sources_per_call(kernel_calls)[0] == PERMUTATION_BATCH * 10
+        assert len(kernel_calls) <= 1 + 10
+        assert max(vertices_per_call(kernel_calls)) <= DETOUR_VERTICES
 
     def test_empty_input_and_rejected_graphs(self):
         assert ldc_vectors([]) == []
