@@ -28,11 +28,8 @@ from .corpus import (
     EncodedCorpus,
     FluencyRecord,
     build_graph,
-    collapse_first_occurrence,
-    emit_corpus,
     encode,
     load_corpus,
-    normalize_record,
     parse_corpus,
     shuffle_records,
 )
@@ -76,21 +73,18 @@ __all__ = [
     "build_context",
     "build_graph",
     "closeness",
-    "collapse_first_occurrence",
     "compute_all",
     "correlation_distance_matrix",
     "covariates",
     "degree",
     "dt_from",
     "dt_to",
-    "emit_corpus",
     "encode",
     "exclude_outliers",
     "grid_sweep",
     "ldc",
     "ldc_vector",
     "load_corpus",
-    "normalize_record",
     "pagerank",
     "parse_corpus",
     "permutation_test",

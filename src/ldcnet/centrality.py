@@ -82,10 +82,6 @@ class NeighborhoodContext:
     that ran. Lengths are ``float64``, ``inf`` when the target is
     unreachable, from the one shortest-path kernel (csgraph Dijkstra), whose
     lengths are exact minima of left-to-right float sums.
-    ``with_distances[i, j]`` (on the original graph) and ``without_distances``
-    (on the reweighted graph) are the member-to-member tables, and
-    ``with_matrix``/``without_matrix`` the same tables as tuples of rows, None
-    for unreachable; all four are built only when read, the arrays read-only.
     """
 
     center: str
@@ -96,28 +92,6 @@ class NeighborhoodContext:
     ran_rows: np.ndarray
     max_weight: float
     apsp: np.ndarray = field(repr=False)
-
-    @property
-    def with_distances(self) -> np.ndarray:
-        return _read_only(self.apsp[np.ix_(self.indices, self.indices)])
-
-    @property
-    def without_distances(self) -> np.ndarray:
-        table = self.apsp[np.ix_(self.indices, self.indices)]
-        table[self.ran] = self.ran_rows
-        return _read_only(table)
-
-    with_matrix = property(lambda self: _rows_or_none(self.with_distances))
-    without_matrix = property(lambda self: _rows_or_none(self.without_distances))
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
-    return table
-
-
-def _rows_or_none(table: np.ndarray) -> tuple[tuple[Optional[float], ...], ...]:
-    return tuple(tuple(None if d == _INF else d for d in row) for row in table.tolist())
 
 
 def build_context(graph: WeightedDigraph, vertex: str, r: float) -> NeighborhoodContext:
@@ -132,7 +106,7 @@ def build_context(graph: WeightedDigraph, vertex: str, r: float) -> Neighborhood
     centre's arcs can change, so walking the centres in index order computes
     each stack once; the stack comes from the engine that also scores
     :func:`ldc_vectors`' chunks (see :meth:`ldcnet.graph._Union.detours`).
-    The context keeps only those rows; its member tables are built when read.
+    The context keeps only those rows. A negative or nan ``r`` raises ValueError.
     """
     indices, ran, rows = graph._detour(graph._vertex_index(vertex), r)
     return NeighborhoodContext(

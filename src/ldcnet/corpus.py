@@ -36,14 +36,9 @@ from typing import IO, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyRecord,
-    MalformedLine,
-    NonMonotoneTimestamp,
-    NoRecords,
-)
+from .errors import MalformedLine, NonMonotoneTimestamp, NoRecords
 from .graph import WeightedDigraph
-from .textio import PathOrFile, open_text, write_csv
+from .textio import PathOrFile, open_text
 
 CORPUS_CSV_HEADER = ("subject", "word", "onset_seconds")
 
@@ -203,13 +198,6 @@ def parse_corpus(source: PathOrFile) -> list[FluencyRecord]:
     return list(load_corpus(source, "csv"))
 
 
-def emit_corpus(records: Sequence[FluencyRecord], dest: PathOrFile) -> None:
-    """Write records back to transcript CSV; onsets keep full precision."""
-    rows = ((record.subject_id, word, repr(onset))
-            for record in records for word, onset in record.entries)
-    write_csv(dest, CORPUS_CSV_HEADER, rows)
-
-
 def parse_corpus_osf(source: PathOrFile) -> list[FluencyRecord]:
     """Load the released-data layout: {subject: {"words": [...], "timestamps": [...]}}."""
     return list(load_corpus(source, "osf-json"))
@@ -231,31 +219,6 @@ def load_corpus(path: PathOrFile, input_format: str = "csv") -> EncodedCorpus:
     with open_text(path, "r") as fh:
         rows = reader(fh)
     return EncodedCorpus(*_intern(rows))
-
-
-def normalize_record(record: FluencyRecord) -> FluencyRecord:
-    """Divide every onset by the record's word count.
-
-    The raw record stays useful on its own: the retrieval-time statistics
-    must be computed from un-normalized onsets.
-    """
-    if len(record) == 0:
-        raise EmptyRecord(f"subject {record.subject_id!r} has no entries")
-    count = len(record)
-    return FluencyRecord(
-        record.subject_id, tuple((w, t / count) for w, t in record.entries)
-    )
-
-
-def collapse_first_occurrence(record: FluencyRecord) -> FluencyRecord:
-    """Drop repeated words, keeping each word's first occurrence."""
-    seen: set[str] = set()
-    kept = []
-    for word, onset in record.entries:
-        if word not in seen:
-            seen.add(word)
-            kept.append((word, onset))
-    return FluencyRecord(record.subject_id, tuple(kept))
 
 
 def _intern(

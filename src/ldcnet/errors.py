@@ -34,10 +34,6 @@ class NonMonotoneTimestamp(LdcnetError):
         self.subject_id = subject_id
 
 
-class EmptyRecord(LdcnetError):
-    """A fluency record with no entries was given to an operation that needs one."""
-
-
 class NoRecords(LdcnetError):
     """An empty record list was given to an operation that needs at least one."""
 

@@ -28,9 +28,10 @@ over copy 0 gives every graph's all-pairs table. One engine,
 centre indices in at most one call over copies of the union, copy ``k`` with
 centre ``first + k`` of every graph inflated; its out-arcs are every graph's
 arcs out of those centres. A union of one graph and a chunk are scored alike,
-stack by stack, and :data:`DETOUR_VERTICES` bounds the vertices of every
-call. A source never leaves its copy, so its row equals a call on that copy
-alone.
+stack by stack. Every call holds the same copies of the union: at most
+:data:`DETOUR_VERTICES` vertices when the union holds at most that many, and
+one copy, all of its vertices, when a single graph holds more. A source never
+leaves its copy, so its row equals a call on that copy alone.
 A detour row from ``i`` runs only when some arc ``(c, v)`` out of its centre
 is tight from ``i``, ``D[i, c] + w == D[i, v]`` on the all-pairs table ``D``;
 every other detour row is ``D``'s row, bit for bit (see :func:`_rows_to_run`),
@@ -70,12 +71,14 @@ GRAPH_CSV_HEADER = ("source", "target", "weight")
 
 _INF = math.inf
 
-#: Most vertices one detour kernel call holds, the one bound: a union of ``n``
-#: vertices, ``size`` per graph, stacks ``min(size, max(1, DETOUR_VERTICES // n))``
-#: centre indices per call, all of a graph of up to 22 vertices and one of a
-#: union above 256, such as a round of 50 ten-vertex draws. A chunk of graphs
-#: holds at most this many vertices in its padded union. A call returns a row
-#: as wide as itself for every row it runs.
+#: The one bound on a detour kernel call: a union of ``n`` vertices, ``size``
+#: per graph, stacks ``min(size, max(1, DETOUR_VERTICES // n))`` centre indices
+#: per call, a copy of the union each: all of a graph of up to 22 vertices, and
+#: one of a union above 256, such as a round of 50 ten-vertex draws. A call so
+#: holds at most this many vertices while ``n`` does; a graph above it is a
+#: chunk of one and runs one centre per call over all of its ``n`` vertices. A
+#: chunk of graphs holds at most this many vertices in its padded union. A call
+#: returns a row as wide as itself for every row it runs.
 DETOUR_VERTICES = 512
 
 #: One centre's detour: its members' vertex indices, the positions of the
@@ -226,13 +229,6 @@ class _Union:
         return near, runs, rows
 
 
-def _threshold(r: float) -> float:
-    """``r`` if it is a valid neighbourhood threshold; raises ValueError otherwise."""
-    if not r >= 0.0:  # also true for nan
-        raise ValueError(f"threshold must be >= 0, got {r!r}")
-    return r
-
-
 def row_major_totals(tables: np.ndarray) -> np.ndarray:
     """The total of each table over the last two axes, added strictly left to right, row-major."""
     return np.cumsum(tables.reshape(*tables.shape[:-2], -1), axis=-1)[..., -1]
@@ -264,6 +260,7 @@ class DistanceMatrix:
         return None if d == _INF else d
 
     def row(self, source: str) -> dict[str, Optional[float]]:
+        """Shortest-path lengths from ``source``, None where unreachable."""
         if source not in self._index:
             raise UnknownVertex(source)
         raw = self._table[self._index[source]].tolist()
@@ -396,10 +393,6 @@ class WeightedDigraph:
 
     # -- shortest paths -----------------------------------------------------
 
-    def sssp(self, source: str) -> dict[str, Optional[float]]:
-        """Shortest-path lengths from ``source``, None if unreachable: its :meth:`apsp` row."""
-        return self.apsp().row(source)
-
     def apsp(self) -> DistanceMatrix:
         """All-pairs shortest paths; computed once and cached."""
         return DistanceMatrix(self._names, self._apsp_table())
@@ -445,7 +438,9 @@ class WeightedDigraph:
         No centre gets a table of all its members: each keeps only its rows
         that ran, over its members' columns.
         """
-        near, runs, rows = self._layout().detours(self._apsp_table()[None], _threshold(r), first)
+        if not r >= 0.0:  # also true for nan
+            raise ValueError(f"threshold must be >= 0, got {r!r}")
+        near, runs, rows = self._layout().detours(self._apsp_table()[None], r, first)
         counts = np.count_nonzero(runs[0], axis=1).tolist()
         stack, start = {}, 0
         for k, mask in enumerate(near[0]):
@@ -466,15 +461,6 @@ class WeightedDigraph:
         if self.vertex_count < 2:
             raise EmptyGraph("mean pairwise distance needs at least 2 vertices")
         return float(row_major_totals(finite_or_zero(self._apsp_table()))) / self.vertex_count
-
-    def local_neighborhood(self, vertex: str, r: float) -> set[str]:
-        """Vertices within distance ``r`` of ``vertex`` in either direction.
-
-        The vertex itself is excluded.
-        """
-        centre = self._vertex_index(vertex)
-        near = _within(self._apsp_table()[None], centre, centre + 1, _threshold(r))[0, 0]
-        return {self._names[i] for i in np.flatnonzero(near).tolist()}
 
     # -- serialization ------------------------------------------------------
 

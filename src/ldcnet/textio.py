@@ -6,8 +6,8 @@ the one CSV dialect every table is written in (header first, minimal
 quoting, ``\\n`` line ends), the one format of a published number (12
 significant digits, blank for a missing value), and the one JSON layout
 (indent 2, sorted keys, trailing newline).
-Graph weights and corpus onsets are not published numbers: their writers
-print them with ``repr`` so that they round-trip bit-exactly.
+Graph weights are not published numbers: their writer prints them with
+``repr`` so that they round-trip bit-exactly.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Random graph and synthetic corpus generators shared by the test modules."""
 
 from ldcnet import FluencyRecord, WeightedDigraph
+from ldcnet.corpus import CORPUS_CSV_HEADER
+from ldcnet.textio import write_csv
 
 
 def random_graph(rng, n, p=0.4, weights="uniform", max_weight=5.0):
@@ -142,10 +144,12 @@ def boundary_records():
     ]
 
 
-def write_corpus_csv(records, path):
-    lines = ["subject,word,onset_seconds"]
-    for record in records:
-        for word, onset in record.entries:
-            lines.append(f"{record.subject_id},{word},{onset!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def emit_corpus(records, dest):
+    """Write records as transcript CSV, a path or an open handle; onsets keep full precision.
+
+    Onsets are written with ``repr``, so parsing the output gives back the
+    records bit for bit. A record with no entries writes no row.
+    """
+    rows = ((record.subject_id, word, repr(onset))
+            for record in records for word, onset in record.entries)
+    write_csv(dest, CORPUS_CSV_HEADER, rows)

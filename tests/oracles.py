@@ -7,7 +7,9 @@ from an O(n^2) scan, and the population variance from exact fractions.
 Graphs, covariates and shuffles are rebuilt record by record from
 ``FluencyRecord`` objects, without the encoded corpus. The permutation null
 is redrawn one repetition and one attempt at a time through the public
-per-draw functions, without the batched engine.
+per-draw functions, without the batched engine. :func:`context_distances`
+and :func:`context_rows` only lay out a library detour context's own fields
+as the tables :func:`reference_context` gives.
 """
 
 import math
@@ -16,13 +18,13 @@ import statistics
 from fractions import Fraction
 from heapq import heappop, heappush
 
+import numpy as np
+
 from ldcnet import (
     FluencyRecord,
     LdcnetError,
     RetrievalStats,
     WeightedDigraph,
-    collapse_first_occurrence,
-    normalize_record,
     shuffle_records,
 )
 from ldcnet.stats import MAX_RETRIES, derive_seed, ldc_dt_correlation
@@ -121,6 +123,28 @@ def reference_context(graph, center, r):
         with_rows.append(tuple(None if plain[i][j] == INF else plain[i][j] for j in members))
         without_rows.append(tuple(None if detour[j] == INF else detour[j] for j in members))
     return tuple(members), tuple(with_rows), tuple(without_rows)
+
+
+def context_distances(ctx):
+    """The member-to-member tables of a detour context, ``(with, without)``, as arrays.
+
+    ``with`` is the all-pairs table over the members. ``without`` is that
+    table with each row that ran replaced by its detour row, since every
+    other detour row equals its all-pairs row.
+    """
+    with_table = ctx.apsp[np.ix_(ctx.indices, ctx.indices)]
+    without_table = with_table.copy()
+    without_table[ctx.ran] = ctx.ran_rows
+    return with_table, without_table
+
+
+def context_rows(ctx):
+    """A detour context as :func:`reference_context` gives one: tables as row tuples, None for inf."""
+    with_table, without_table = context_distances(ctx)
+    return (ctx.members,) + tuple(
+        tuple(tuple(None if d == INF else d for d in row) for row in table.tolist())
+        for table in (with_table, without_table)
+    )
 
 
 def rows_to_run(graph, r):
@@ -423,6 +447,23 @@ def naive_spearman(xs, ys):
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(vx * vy)
+
+
+def normalize_record(record):
+    """The record with every onset divided by its word count."""
+    count = len(record)
+    return FluencyRecord(record.subject_id, tuple((w, t / count) for w, t in record.entries))
+
+
+def collapse_first_occurrence(record):
+    """The record without repeated words, each kept at its first occurrence."""
+    seen = set()
+    kept = []
+    for word, onset in record.entries:
+        if word not in seen:
+            seen.add(word)
+            kept.append((word, onset))
+    return FluencyRecord(record.subject_id, tuple(kept))
 
 
 def reference_build_graph(records, params):

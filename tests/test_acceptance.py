@@ -32,11 +32,11 @@ from ldcnet.stats import derive_seed, grid_sweep, table_entry
 import oracles
 from corpora import (
     complete_graph,
+    emit_corpus,
     make_record,
     random_graph,
     random_records,
     scale_weights,
-    write_corpus_csv,
 )
 
 
@@ -186,7 +186,7 @@ def test_criterion_07_grid_shape(tmp_path):
     rng = random.Random(7007)
     records = random_records(rng, n_subjects=25, list_len=10, vocab_size=10)
     corpus = tmp_path / "corpus.csv"
-    write_corpus_csv(records, corpus)
+    emit_corpus(records, corpus)
     out = tmp_path / "grid"
     code = main(["sweep", str(corpus), "--grid", "paper", "-o", str(out)])
     with open(out / "grid_summary.csv", encoding="utf-8") as fh:
@@ -305,7 +305,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     rng = random.Random(1111)
     records = random_records(rng, n_subjects=25, list_len=10, vocab_size=10)
     corpus = tmp_path / "corpus.csv"
-    write_corpus_csv(records, corpus)
+    emit_corpus(records, corpus)
     ok = True
     details = []
 

@@ -57,28 +57,26 @@ class TestBuildContext:
         # D has no arc to or from A, so only B and C are A's neighbors.
         g = detour_toy(3.0)
         ctx = build_context(g, "A", r=10.0)
-        assert ctx.members == ("B", "C")
+        members, with_rows, without_rows = oracles.context_rows(ctx)
+        assert members == ("B", "C")
         assert ctx.max_weight == 3.0
         b, c = 0, 1
-        assert ctx.with_matrix[b][c] == 2.0
+        assert with_rows[b][c] == 2.0
         # inflating A's arcs to 3 makes B->A->C cost 6, same as the detour
-        assert ctx.without_matrix[b][c] == 6.0
-        assert ctx.with_matrix[c][b] is None
-        assert ctx.without_matrix[c][b] is None
+        assert without_rows[b][c] == 6.0
+        assert with_rows[c][b] is None
+        assert without_rows[c][b] is None
 
     def test_member_distances_may_route_outside_the_neighborhood(self):
         # B->D->C stays available when computing distances among {B, C}.
         g = detour_toy(1.5)
-        ctx = build_context(g, "A", r=10.0)
-        assert ctx.members == ("B", "C")
-        assert ctx.without_matrix[0][1] == 3.0  # detour beats the inflated route
+        members, _, without_rows = oracles.context_rows(build_context(g, "A", r=10.0))
+        assert members == ("B", "C")
+        assert without_rows[0][1] == 3.0  # detour beats the inflated route
 
     def test_empty_neighborhood_gives_empty_matrices(self):
         g = WeightedDigraph([("a", "b", 5.0)], vertices=["lone"])
-        ctx = build_context(g, "lone", r=0.5)
-        assert ctx.members == ()
-        assert ctx.with_matrix == ()
-        assert ctx.without_matrix == ()
+        assert oracles.context_rows(build_context(g, "lone", r=0.5)) == ((), (), ())
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
@@ -93,15 +91,15 @@ class TestBuildContext:
             r = rng.uniform(0.5, 4.0)
             max_w = g.max_arc_weight
             for v in g.vertices:
-                ctx = build_context(g, v, r)
+                members, _, without_rows = oracles.context_rows(build_context(g, v, r))
                 reweighted = [
                     (a, b, max_w if v in (a, b) else w) for a, b, w in g.arcs()
                 ]
                 fw = oracles.fw_distances_from_arcs(g.vertices, reweighted)
-                for i, u in enumerate(ctx.members):
-                    for j, t in enumerate(ctx.members):
+                for i, u in enumerate(members):
+                    for j, t in enumerate(members):
                         expected = fw[(u, t)]
-                        got = ctx.without_matrix[i][j]
+                        got = without_rows[i][j]
                         if expected == math.inf:
                             assert got is None
                         else:
@@ -118,11 +116,11 @@ class TestBuildContext:
                 thresholds.append(g.mean_pairwise_distance())
             for r in thresholds:
                 for v in g.vertices:
-                    ctx = build_context(g, v, r)
+                    got = oracles.context_rows(build_context(g, v, r))
                     members, with_rows, without_rows = oracles.reference_context(g, v, r)
-                    assert ctx.members == members
-                    assert ctx.with_matrix == with_rows
-                    assert ctx.without_matrix == without_rows
+                    assert got[0] == members
+                    assert got[1] == with_rows
+                    assert got[2] == without_rows
 
     def test_with_never_exceeds_without(self):
         rng = random.Random(23)
@@ -132,8 +130,8 @@ class TestBuildContext:
                 continue
             r = g.mean_pairwise_distance()
             for v in g.vertices:
-                ctx = build_context(g, v, r)
-                for wr, wor in zip(ctx.with_matrix, ctx.without_matrix):
+                _, with_rows, without_rows = oracles.context_rows(build_context(g, v, r))
+                for wr, wor in zip(with_rows, without_rows):
                     for a, b in zip(wr, wor):
                         if a is not None and b is not None:
                             assert a <= b + 1e-12
@@ -141,8 +139,7 @@ class TestBuildContext:
 
 def assert_contexts_match_reference(g, r, order):
     for v in order:
-        ctx = build_context(g, v, r)
-        got = (ctx.members, ctx.with_matrix, ctx.without_matrix)
+        got = oracles.context_rows(build_context(g, v, r))
         assert got == oracles.reference_context(g, v, r), v
 
 
@@ -227,11 +224,11 @@ class TestStackedKernel:
                 for v in order:
                     ctx = build_context(g, v, r)
                     reference = oracles.reference_context(g, v, r)
-                    assert (ctx.members, ctx.with_matrix, ctx.without_matrix) == reference, v
+                    assert oracles.context_rows(ctx) == reference, v
                     assert scores[v] == oracles.left_to_right_detour(reference), v
+                    members += len(ctx.members)
                 runs = oracles.rows_to_run(g, r)
                 ran += sum(len(runs[v]) for v in order)
-                members += sum(len(g.local_neighborhood(v, r)) for v in order)
         assert 0 < ran < members / 2
 
     @pytest.mark.parametrize("n, copies", SHAPES)
@@ -239,7 +236,7 @@ class TestStackedKernel:
         rng = random.Random(n)
         g = random_graph(rng, n, p=0.2)
         ldc_vector(g, g.mean_pairwise_distance())
-        g.sssp(g.vertices[-1])
+        g.apsp().row(g.vertices[-1])
         assert index_structures(kernel_calls) == 1
         assert max(vertices_per_call(kernel_calls)) == copies * n
         # a chunk as large as the bound allows, of graphs of up to n vertices, builds one too
@@ -270,12 +267,13 @@ class TestStackedKernel:
         rng = random.Random(n)
         g = tie_heavy_graph(rng, n, p=0.2)
         r = g.mean_pairwise_distance()
-        expected = {v: build_context(g, v, r).without_matrix for v in g.vertices}
+        expected = {v: oracles.context_rows(build_context(g, v, r))[2] for v in g.vertices}
         shuffled = list(g.vertices)
         rng.shuffle(shuffled)
         for order in (g.vertices[::-1], shuffled):
             fresh = WeightedDigraph(g.arcs(), vertices=g.vertices)
-            assert {v: build_context(fresh, v, r).without_matrix for v in order} == expected
+            assert {v: oracles.context_rows(build_context(fresh, v, r))[2]
+                    for v in order} == expected
         assert_contexts_match_reference(g, r, shuffled[:5])
 
     def test_a_second_threshold_recomputes_the_stack(self, kernel_calls):
@@ -286,7 +284,7 @@ class TestStackedKernel:
             del kernel_calls[:]
             ctx = build_context(g, first, r)
             assert vertices_per_call(kernel_calls) == [12 * 12]
-            assert (ctx.members, ctx.without_matrix) == oracles.reference_context(g, first, r)[::2]
+            assert oracles.context_rows(ctx)[::2] == oracles.reference_context(g, first, r)[::2]
         assert len(build_context(g, first, large).members) > len(
             build_context(g, first, small).members)
 
@@ -369,7 +367,11 @@ class TestStackedKernel:
 
 
 class TestOneBound:
-    """``DETOUR_VERTICES`` alone bounds the skeleton of every detour call, graph or chunk."""
+    """``DETOUR_VERTICES`` alone sets the skeleton of every detour call, graph or chunk.
+
+    A call holds at most the bound while the union does; a graph above it is
+    a chunk of one and runs one centre per call over all of its vertices.
+    """
 
     def test_a_22_vertex_graph_is_laid_out_as_a_chunk_of_one(self, kernel_calls):
         g = random_graph(random.Random(22), 22, p=0.3)
@@ -409,15 +411,29 @@ class TestOneBound:
         ldc_vectors(graphs)
         assert max(vertices_per_call(kernel_calls)) <= DETOUR_VERTICES
 
+    def test_a_graph_above_the_bound_runs_one_centre_per_call_over_all_of_it(self, kernel_calls):
+        component = random_graph(random.Random(520), 12, p=0.4)
+        isolated = [f"x{i:03d}" for i in range(508)]
+        g = WeightedDigraph(component.arcs(), vertices=component.vertices + tuple(isolated))
+        assert g.vertex_count == 520 > DETOUR_VERTICES
+        # a finite threshold: at r = inf an unreachable vertex is a member too, as inf <= inf
+        scores = ldc_vector(g, 1e9).scores
+        assert len(kernel_calls) > 2
+        assert vertices_per_call(kernel_calls) == [520] * len(kernel_calls)
+        alone = ldc_vector(component, 1e9).scores
+        assert any(alone.values())
+        assert scores == {**dict.fromkeys(isolated, 0.0), **alone}
+
 
 def whole_table_score(ctx):
     """The detour score totalled over the whole member tables, every row counted."""
     k = len(ctx.members)
     if k == 0:
         return 0.0
-    counted = ctx.with_distances != math.inf
+    with_table, without_table = oracles.context_distances(ctx)
+    counted = with_table != math.inf
     np.fill_diagonal(counted, False)
-    totals = centrality_module._excess_totals(ctx.without_distances, ctx.with_distances, counted)
+    totals = centrality_module._excess_totals(without_table, with_table, counted)
     return float(totals) / k
 
 
@@ -433,8 +449,8 @@ class TestRowsThatRan:
 
     A row that did not run is the all-pairs row, so each of its excesses is
     0.0 and leaving it out changes no bit: every score must equal the total
-    over the whole member tables and the pair-by-pair reference. The member
-    tables are built when read, read-only.
+    over the whole member tables and the pair-by-pair reference. The rows
+    that ran, and the all-pairs table the others are read from, are read-only.
     """
 
     def assert_rows_that_ran(self, g, r):
@@ -442,13 +458,13 @@ class TestRowsThatRan:
         for v in g.vertices:
             ctx = build_context(g, v, r)
             reference = oracles.reference_context(g, v, r)
-            assert (ctx.members, ctx.with_matrix, ctx.without_matrix) == reference, v
+            assert oracles.context_rows(ctx) == reference, v
             assert [ctx.members[i] for i in ctx.ran.tolist()] == runs[v], v
             assert ctx.ran_rows.shape == (len(runs[v]), len(ctx.members))
-            for table in (ctx.with_distances, ctx.without_distances, ctx.ran_rows):
+            for table in (ctx.apsp, ctx.ran_rows):
                 assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                ctx.without_distances[...] = 0.0
+                with pytest.raises(ValueError):
+                    table[...] = 0.0
             score = ldc_from_context(ctx)
             assert score == whole_table_score(ctx) == oracles.left_to_right_detour(reference), v
         return runs
@@ -457,7 +473,7 @@ class TestRowsThatRan:
         g = WeightedDigraph([("a", "b", 5.0)], vertices=["lone"])
         ctx = build_context(g, "lone", 0.5)
         assert ctx.members == () and ctx.ran.size == 0
-        assert ctx.ran_rows.shape == ctx.with_distances.shape == (0, 0)
+        assert ctx.ran_rows.shape == oracles.context_distances(ctx)[0].shape == (0, 0)
         assert ldc_from_context(ctx) == 0.0
         assert ldc_vector(g).scores["lone"] == 0.0
         # an infinite threshold takes in even the vertices it cannot reach
@@ -499,7 +515,7 @@ class TestRowsThatRan:
             assert scores == {v: ldc_from_context(build_context(g, v, math.inf))
                               for v in g.vertices}
             ran += sum(map(len, runs.values()))
-            members += sum(len(g.local_neighborhood(v, math.inf)) for v in g.vertices)
+            members += sum(len(build_context(g, v, math.inf).members) for v in g.vertices)
         assert 0 < ran < members
 
 
@@ -548,7 +564,7 @@ class TestLdcVectors:
         rng = random.Random(79)
         graphs = kernel_edge_graphs(rng) + exact_sum_graphs(rng)
         # centres with no members and pairs reachable one way only are among them
-        assert any(not g.local_neighborhood(v, g.mean_pairwise_distance())
+        assert any(not build_context(g, v, g.mean_pairwise_distance()).members
                    for g in graphs for v in g.vertices)
         assert any(math.inf in g._apsp_table() for g in graphs)
         self.assert_batch_equals_one_by_one(graphs)
@@ -707,7 +723,7 @@ class TestLeftToRightTotals:
                     for v in g.vertices
                 }
                 assert ldc_vector(g, threshold).scores == expected
-            largest = max(largest, max(len(g.local_neighborhood(v, r)) for v in g.vertices))
+            largest = max(largest, max(len(build_context(g, v, r).members) for v in g.vertices))
         assert largest >= 8
 
     def test_closeness_equals_left_to_right_oracle(self):

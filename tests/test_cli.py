@@ -24,13 +24,13 @@ from ldcnet.errors import (
 )
 from ldcnet.manifest import load_manifest
 
-from corpora import boundary_records, random_graph, random_records, write_corpus_csv
+from corpora import boundary_records, emit_corpus, random_graph, random_records
 
 
 @pytest.fixture
 def boundary_corpus(tmp_path):
     path = tmp_path / "corpus.csv"
-    write_corpus_csv(boundary_records(), path)
+    emit_corpus(boundary_records(), path)
     return str(path)
 
 
@@ -39,7 +39,7 @@ def rich_corpus(tmp_path):
     rng = random.Random(7)
     records = random_records(rng, n_subjects=25, list_len=10, vocab_size=10)
     path = tmp_path / "rich.csv"
-    write_corpus_csv(records, path)
+    emit_corpus(records, path)
     return str(path)
 
 
@@ -377,7 +377,7 @@ class TestSweep:
     @pytest.mark.parametrize("change", ["corpus", "alpha"])
     def test_resume_recomputes_cells_of_another_key(self, rich_corpus, tmp_path, change):
         other = str(tmp_path / "other.csv")
-        write_corpus_csv(random_records(random.Random(8), 25, 10, 10), other)
+        emit_corpus(random_records(random.Random(8), 25, 10, 10), other)
         grid = ["--grid", "ws=1..2,ms=3"]
         second = [other] if change == "corpus" else [rich_corpus, "--alpha", "0.5"]
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"

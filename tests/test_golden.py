@@ -12,7 +12,7 @@ import random
 from ldcnet.cli import main
 from ldcnet.manifest import load_manifest
 
-from corpora import random_records, write_corpus_csv
+from corpora import emit_corpus, random_records
 
 GOLDEN = {
     "build": "fb672d7a9bae86875ddd16445e2252864bf985604252b4d56321804b94c18ece",
@@ -43,13 +43,13 @@ def cli_digests(tmp_path) -> dict[str, str]:
     span three batches and 13 of them fail every attempt.
     """
     corpus = tmp_path / "corpus.csv"
-    write_corpus_csv(
+    emit_corpus(
         random_records(random.Random(2208), n_subjects=30, list_len=10, vocab_size=12),
         corpus,
     )
     corpus = str(corpus)
     short = tmp_path / "short.csv"
-    write_corpus_csv(
+    emit_corpus(
         random_records(random.Random(5), n_subjects=8, list_len=4, vocab_size=6), short
     )
     graph = str(tmp_path / "graph.csv")

@@ -7,7 +7,7 @@ import pytest
 
 import ldcnet
 from ldcnet import WeightedDigraph
-from ldcnet.centrality import closeness
+from ldcnet.centrality import build_context, closeness
 from ldcnet.errors import EmptyGraph, MalformedLine, UnknownVertex
 
 import oracles
@@ -78,15 +78,17 @@ def test_the_package_holds_one_shortest_path_kernel_call():
 
 
 class TestSssp:
+    """Single-source rows of the all-pairs table, ``apsp().row``."""
+
     def test_chain_forward(self):
-        assert chain_graph().sssp("a") == {"a": 0.0, "b": 1.0, "c": 3.0}
+        assert chain_graph().apsp().row("a") == {"a": 0.0, "b": 1.0, "c": 3.0}
 
     def test_chain_no_incoming_reachability(self):
-        assert chain_graph().sssp("c") == {"a": None, "b": None, "c": 0.0}
+        assert chain_graph().apsp().row("c") == {"a": None, "b": None, "c": 0.0}
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
-            chain_graph().sssp("nope")
+            chain_graph().apsp().row("nope")
 
     def test_matches_floyd_warshall_on_random_graphs(self):
         for seed in range(50):
@@ -94,7 +96,7 @@ class TestSssp:
             g = random_graph(rng, 10, p=0.3)
             fw = oracles.fw_distances(g)
             for u in g.vertices:
-                row = g.sssp(u)
+                row = g.apsp().row(u)
                 for v in g.vertices:
                     expected = fw[(u, v)]
                     if expected == math.inf:
@@ -117,7 +119,6 @@ class TestSssp:
             for u in g.vertices:
                 ref = oracles.heap_dijkstra(g.vertices, arcs, u)
                 expected = {v: (None if d == math.inf else d) for v, d in ref.items()}
-                assert g.sssp(u) == expected
                 assert apsp.row(u) == expected
 
     def test_insertion_order_does_not_matter(self):
@@ -125,7 +126,7 @@ class TestSssp:
         g1 = WeightedDigraph(arcs)
         g2 = WeightedDigraph(list(reversed(arcs)))
         for v in g1.vertices:
-            assert g1.sssp(v) == g2.sssp(v)
+            assert g1.apsp().row(v) == g2.apsp().row(v)
 
     def test_removing_an_arc_never_shortens_distances(self):
         rng = random.Random(99)
@@ -139,8 +140,8 @@ class TestSssp:
                 [a for a in arcs if a != dropped], vertices=g.vertices
             )
             for u in g.vertices:
-                full = g.sssp(u)
-                partial = reduced.sssp(u)
+                full = g.apsp().row(u)
+                partial = reduced.apsp().row(u)
                 for v in g.vertices:
                     if partial[v] is None:
                         continue
@@ -152,7 +153,7 @@ class TestSssp:
         for _ in range(10):
             g = random_graph(rng, 7, p=0.35, weights="dyadic")
             for u in g.vertices:
-                row = g.sssp(u)
+                row = g.apsp().row(u)
                 for v in g.vertices:
                     if u == v or row[v] is None:
                         continue
@@ -228,15 +229,20 @@ class TestMeanPairwiseDistance:
             assert g.mean_pairwise_distance() == expected
 
 
+def neighborhood(graph, vertex, r):
+    """The vertices within ``r`` of ``vertex`` either way, bar itself: its detour context's members."""
+    return set(build_context(graph, vertex, r).members)
+
+
 class TestLocalNeighborhood:
     def test_star_center(self):
         arcs = [("c", f"x{i}", 1.0) for i in range(4)]
         g = WeightedDigraph(arcs)
-        assert g.local_neighborhood("c", 1.0) == {"x0", "x1", "x2", "x3"}
+        assert neighborhood(g, "c", 1.0) == {"x0", "x1", "x2", "x3"}
 
     def test_isolated_vertex_has_empty_neighborhood(self):
         g = WeightedDigraph([("a", "b", 1.0)], vertices=["lone"])
-        assert g.local_neighborhood("lone", 100.0) == set()
+        assert neighborhood(g, "lone", 100.0) == set()
 
     def test_matches_brute_force_both_directions(self):
         rng = random.Random(3)
@@ -244,20 +250,20 @@ class TestLocalNeighborhood:
             g = random_graph(rng, 9, p=0.3)
             r = rng.uniform(0.5, 6.0)
             for v in g.vertices:
-                assert g.local_neighborhood(v, r) == oracles.brute_neighborhood(g, v, r)
+                assert neighborhood(g, v, r) == oracles.brute_neighborhood(g, v, r)
 
     def test_nested_in_threshold(self):
         rng = random.Random(4)
         g = random_graph(rng, 9, p=0.4)
         for v in g.vertices:
-            small = g.local_neighborhood(v, 1.0)
-            large = g.local_neighborhood(v, 2.5)
+            small = neighborhood(g, v, 1.0)
+            large = neighborhood(g, v, 2.5)
             assert small <= large
 
     def test_rejects_negative_threshold(self):
         for r in (-1.0, math.nan):
             with pytest.raises(ValueError, match="threshold must be >= 0"):
-                chain_graph().local_neighborhood("a", r)
+                neighborhood(chain_graph(), "a", r)
 
 
 class TestCsvRoundTrip:

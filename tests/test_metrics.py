@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ldcnet import covariates, dt_from, dt_to, encode, normalize_record
+from ldcnet import covariates, dt_from, dt_to, encode
 from ldcnet.errors import NoEligibleOccurrence, NoRecords
 from ldcnet.metrics import write_stats_csv
 
@@ -86,8 +86,8 @@ class TestDtFrom:
         raw = dt_from(records, "cat")
         assert raw == 2.0
         # applying the normalization step first would shrink the gap
-        assert dt_from([normalize_record(records[0])], "cat") == pytest.approx(2.0 / 3)
-        assert raw != dt_from([normalize_record(records[0])], "cat")
+        assert dt_from([oracles.normalize_record(records[0])], "cat") == pytest.approx(2.0 / 3)
+        assert raw != dt_from([oracles.normalize_record(records[0])], "cat")
 
 
 class TestCovariates:
