@@ -366,12 +366,165 @@ def betweenness(graph: WeightedDigraph) -> CentralityVector:
     """Shortest-path betweenness over weighted directed paths.
 
     Accumulates, for every ordered pair (i, j) with i != v != j, the
-    fraction of shortest i->j paths passing through v, via Brandes-style
-    dependency accumulation on a Dijkstra traversal per source.
+    fraction of shortest i->j paths passing through v, by Brandes's
+    dependency accumulation (J. Math. Sociol. 2001). It reads the graph's
+    cached all-pairs table (see :func:`_betweenness_levels`), and its scores
+    equal those of a heap Dijkstra per source (:func:`_betweenness_heap`)
+    float for float. That heap loop runs instead only where the table cannot
+    give its order: when an arc on a shortest path adds nothing to a finite
+    distance (a zero-effect arc, where the heap's tie order decides), or
+    when a path count reaches 2**53.
     """
-    n = graph.vertex_count
-    if n < 3:
+    if graph.vertex_count < 3:
         raise EmptyGraph("betweenness needs at least 3 vertices")
+    scores = _betweenness_levels(graph)
+    if scores is None:
+        scores = _betweenness_heap(graph)
+    return CentralityVector("betweenness", dict(zip(graph.vertices, scores)))
+
+
+#: Path counts are integer-valued floats: below this they add exactly in any order.
+_EXACT_COUNTS = 2.0 ** 53
+
+#: The bound on betweenness's tables: a block of sources holds at most this many
+#: (source, vertex) nodes, and each step of its tight-arc test at most this many
+#: (source, arc) entries, so each float table of either takes at most 512 KiB.
+_BLOCK = 1 << 16
+
+
+def _betweenness_levels(graph: WeightedDigraph) -> Optional[list[float]]:
+    """:func:`_betweenness_heap`'s scores from the all-pairs table, or None.
+
+    The sources run in blocks of :data:`_BLOCK` nodes (see
+    :func:`_dependencies`). ``bc`` is a ``np.cumsum`` over sources of their
+    dependencies, which adds them source by source as the heap loop does:
+    it adds a settled vertex's dependency and skips the source, and a
+    vertex it never settles, like the source, adds 0.0 here. Returns None,
+    for the heap loop to decide, when a block has a zero-effect tight arc or
+    a path count of 2**53 or more.
+    """
+    d = graph._apsp_table()
+    n = d.shape[0]
+    step = max(1, _BLOCK // n)
+    bc = np.zeros((1, n))
+    for first in range(0, n, step):
+        rows = d[first : first + step]
+        arcs = _tight_arcs(rows, graph._tails, graph._heads, graph._weights)
+        delta = None if arcs is None else _dependencies(rows, first, *arcs)
+        if delta is None:
+            return None
+        bc = np.cumsum(np.vstack([bc, delta]), axis=0)[-1:]
+    return bc[0].tolist()
+
+
+def _tight_arcs(rows: np.ndarray, tails: np.ndarray, heads: np.ndarray,
+                weights: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Every arc tight from a source of ``rows``, as nodes ``i * V + u`` -> ``i * V + v``, or None.
+
+    ``rows`` are the all-pairs rows of a block of sources, ``i`` the
+    position of a source in the block. An arc ``(u, v)`` is tight from it
+    when ``D[i, u]`` is finite and ``D[i, u] + w == D[i, v]``. The arcs come
+    sorted by (source, tail, head), so each node's tight out-arcs are one
+    run. Returns None when a tight arc leaves its distance unchanged,
+    ``D[i, u] == D[i, v]``: a zero-effect arc. The test takes at most
+    :data:`_BLOCK` (source, arc) entries at a time.
+    """
+    n = rows.shape[1]
+    step = max(1, _BLOCK // max(1, tails.size))
+    ends: list[tuple[np.ndarray, np.ndarray]] = []
+    for first in range(0, rows.shape[0], step):
+        block = rows[first : first + step]
+        before = np.take(block, tails, axis=1)  # faster than fancy indexing here
+        after = np.take(block, heads, axis=1)
+        reached = before != _INF
+        still = before == after
+        before += weights
+        tight = (before == after) & reached
+        if (tight & still).any():
+            return None
+        source, arc = np.divmod(np.flatnonzero(tight), tails.size)  # faster than np.nonzero
+        source = (source + first) * n
+        ends.append((source + tails[arc], source + heads[arc]))
+    return np.concatenate([t for t, _ in ends]), np.concatenate([h for _, h in ends])
+
+
+def _dependencies(rows: np.ndarray, first: int, tail: np.ndarray,
+                  head: np.ndarray) -> Optional[np.ndarray]:
+    """The heap loop's dependencies ``delta`` of a block of sources, or None past 2**53.
+
+    ``rows`` are the all-pairs rows ``D`` of sources ``first`` onward, and
+    ``tail -> head`` their tight arcs (see :func:`_tight_arcs`). When every
+    tight arc raises a finite distance, the heap loop's predecessor lists
+    are exactly the tight arcs, and it settles vertices in ``(D[s, v], v)``
+    order, since every entry it pushes then exceeds the one it popped. So:
+
+    - ``sigma``, the path counts, is one ``np.bincount`` over the tight
+      arcs, repeated to a fixpoint. The counts are integer-valued floats, so
+      below 2**53 they are exact in any order of addition;
+    - ``delta`` comes one pass per height of the tight DAG, sinks first.
+      Each node folds its successors' terms ``sigma[u] / sigma[w] * (1.0 +
+      delta[w])`` in decreasing settle position of ``w``, as the heap loop
+      does. A row-major ``np.cumsum`` over its terms, zero-padded to the
+      least power of two at or above their count, does that fold, since a
+      trailing 0.0 leaves a total unchanged; a pass takes the nodes of one
+      height and one padded width at once.
+
+    Returns ``delta`` as ``(sources, V)``, each source's own entry 0.0.
+    """
+    count, n = rows.shape
+    size = count * n
+    sources = np.arange(count) * n + np.arange(first, first + count)
+    sigma = np.zeros(size)
+    sigma[sources] = 1.0
+    while True:
+        paths = np.bincount(head, weights=sigma[tail], minlength=size)
+        paths[sources] = 1.0  # a tight arc into a source would be a zero-effect arc
+        if np.array_equal(paths, sigma):
+            break
+        sigma = paths
+    if sigma.max() >= _EXACT_COUNTS:
+        return None
+
+    # the nodes with successors, each with its run of tight out-arcs, and their heights
+    starts = np.flatnonzero(np.diff(tail, prepend=-1))
+    node = tail[starts]
+    height = np.zeros(size, dtype=np.intp)
+    while True:
+        above = np.maximum.reduceat(height[head], starts) + 1
+        if np.array_equal(above, height[node]):
+            break
+        height[node] = above
+    fan = np.diff(np.append(starts, tail.size))
+    width = 2 ** np.frexp(fan - 1)[1]  # the least power of two >= the fan-out
+    # the nodes by (height, width, node), and each node's terms by decreasing settle position
+    order = np.lexsort((node, width, height[node]))
+    place = np.empty(order.size, dtype=np.intp)
+    place[order] = np.arange(order.size)
+    settle = np.empty(rows.shape, dtype=np.intp)
+    np.put_along_axis(settle, np.argsort(rows, axis=1, kind="stable"), np.arange(n)[None], axis=1)
+    terms = np.argsort(np.repeat(place, fan) * n + (n - 1 - settle.ravel()[head]))
+    tail, head = tail[terms], head[terms]
+    node, fan, width = node[order], fan[order], width[order]
+    starts = np.append(0, np.cumsum(fan))
+    slot = np.arange(tail.size) - np.repeat(starts[:-1], fan)
+    level = height[node] * (2 * n) + width  # width < 2 * n
+    bounds = np.flatnonzero(np.diff(level, prepend=-1)).tolist() + [node.size]
+
+    delta = np.zeros(size)
+    share = sigma[tail] / sigma[head]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        begin, end = starts[lo], starts[hi]
+        pad = np.zeros((hi - lo, width[lo]))
+        pad[np.repeat(np.arange(hi - lo), fan[lo:hi]), slot[begin:end]] = (
+            share[begin:end] * (1.0 + delta[head[begin:end]]))
+        delta[node[lo:hi]] = np.cumsum(pad, axis=1)[:, -1]
+    delta[sources] = 0.0
+    return delta.reshape(count, n)
+
+
+def _betweenness_heap(graph: WeightedDigraph) -> list[float]:
+    """Betweenness by a heap Dijkstra from every source, with Brandes's dependency pass."""
+    n = graph.vertex_count
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for u, v, w in zip(graph._tails.tolist(), graph._heads.tolist(), graph._weights.tolist()):
         adj[u].append((v, w))
@@ -407,7 +560,7 @@ def betweenness(graph: WeightedDigraph) -> CentralityVector:
                 delta[u] += sigma[u] / sigma[w_idx] * (1.0 + delta[w_idx])
             if w_idx != s:
                 bc[w_idx] += delta[w_idx]
-    return CentralityVector("betweenness", dict(zip(graph.vertices, bc)))
+    return bc
 
 
 def compute_all(

@@ -41,9 +41,11 @@ the left-to-right float sum of the arc weights: rounding is monotone, so
 extending the shortest prefix never loses to extending a longer one. That
 minimum does not depend on the order in which the priority queue settles
 ties, so every result is exact, reproducible and independent of arc
-insertion order. Betweenness alone runs its own Dijkstra, for path counts:
-it needs its heap's settle order, which zero-weight arcs can make differ
-from an order read off the table.
+insertion order. Betweenness reads its path counts and settle order off the
+all-pairs table too, through the arcs tight from each source; it runs its own
+heap Dijkstra only for a graph where an arc on a shortest path adds nothing
+to a finite distance (a zero-effect arc, such as a zero-weight one, where the
+heap's tie order decides), or where a path count reaches 2**53.
 
 The all-pairs table is one cached, read-only ``float64`` array from a single
 kernel call, ``inf`` where unreachable; every reader works on it. Totals over

@@ -352,6 +352,22 @@ def brute_betweenness(graph):
     return scores
 
 
+def has_zero_effect_arc(graph):
+    """Whether an arc on a shortest path leaves a finite distance unchanged.
+
+    That is an arc ``(u, v, w)`` and a source ``s`` with ``D[s, u]`` finite
+    and ``D[s, u] + w == D[s, v] == D[s, u]``, on left-to-right distances
+    from :func:`heap_dijkstra`: there the heap's tie order decides
+    betweenness's settle order.
+    """
+    arcs = list(graph.arcs())
+    for s in graph.vertices:
+        dist = heap_dijkstra(graph.vertices, arcs, s)
+        if any(dist[u] != INF and dist[u] + w == dist[u] == dist[v] for u, v, w in arcs):
+            return True
+    return False
+
+
 def brute_triangles(graph):
     names = list(graph.vertices)
     adjacent = set()

@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -878,6 +879,122 @@ class TestBetweenness:
         scaled = betweenness(scale_weights(g, 4.0)).scores
         for v in g.vertices:
             assert scaled[v] == pytest.approx(base[v], abs=1e-9)
+
+
+def diamond_chain(links):
+    """``links`` unit-weight diamonds in a row: 2 ** links shortest paths end to end."""
+    arcs = []
+    for i in range(links):
+        for side in ("a", "b"):
+            arcs += [(f"x{i:02d}", f"{side}{i:02d}", 1.0), (f"{side}{i:02d}", f"x{i + 1:02d}", 1.0)]
+    return WeightedDigraph(arcs)
+
+
+def golden_and_bench_graphs():
+    """Every graph ``build_graph`` makes from the golden corpora and a sweep-ldc-shaped one.
+
+    The golden corpora are those of ``tests/test_golden.py``, at every ``ws``
+    in 1..9 and ``ms`` in 1..21; the sweep-ldc shape is 400 subjects of 25
+    draws from an 80-word Zipf vocabulary, at the paper grid. Graphs of
+    fewer than three vertices are left out.
+    """
+    golden = [
+        encode(random_records(random.Random(2208), n_subjects=30, list_len=10, vocab_size=12)),
+        encode(random_records(random.Random(5), n_subjects=8, list_len=4, vocab_size=6)),
+    ]
+    bench = encode(random_records(random.Random(1), n_subjects=400, list_len=25,
+                                  vocab_size=80, zipf=True))
+    cells = [(corpus, ws, ms) for corpus in golden for ws in range(1, 10) for ms in range(1, 22)]
+    cells += [(bench, ws, ms) for ws in range(1, 10) for ms in range(3, 22, 2)]
+    graphs = (build_graph(corpus, DistanceFunctionParams(ws, ms)) for corpus, ws, ms in cells)
+    return [g for g in graphs if g.vertex_count >= 3]
+
+
+class TestBetweennessLevels:
+    """The level path, ``_betweenness_levels``, gives the heap loop's scores float for float.
+
+    The path-enumeration oracle allows 1e-9, so these tests compare with
+    ``==`` against the heap loop, ``_betweenness_heap``.
+    """
+
+    def test_equals_heap_loop_on_random_graphs_without_fallback(self):
+        rng = random.Random(107)
+        for weights in ("dyadic", "uniform"):
+            for _ in range(150):
+                g = random_graph(rng, rng.randint(3, 30), p=rng.uniform(0.1, 0.6),
+                                 weights=weights)
+                levels = centrality_module._betweenness_levels(g)
+                assert levels is not None
+                assert levels == centrality_module._betweenness_heap(g)
+
+    @pytest.mark.parametrize("block", [1, 100, 1 << 10])
+    def test_blocks_of_sources_leave_every_score_unchanged(self, monkeypatch, block):
+        # at 1, one source per block and per step of the tight-arc test; at 100,
+        # blocks of 2 to 5 sources and steps of one source
+        monkeypatch.setattr(centrality_module, "_BLOCK", block)
+        rng = random.Random(113)
+        for weights in ("dyadic", "uniform"):
+            for _ in range(10):
+                g = random_graph(rng, rng.randint(20, 40), p=0.3, weights=weights)
+                assert centrality_module._betweenness_levels(g) == (
+                    centrality_module._betweenness_heap(g))
+
+    @pytest.mark.parametrize("make, seed", [
+        (lambda rng: [tie_heavy_graph(rng, rng.randint(4, 16)) for _ in range(150)], 101),
+        (lambda rng: [g for _ in range(10) for g in kernel_edge_graphs(rng)], 103),
+    ], ids=["tie_heavy", "kernel_edge"])
+    def test_falls_back_exactly_on_zero_effect_arcs(self, make, seed):
+        fallbacks = 0
+        for g in make(random.Random(seed)):
+            heap = centrality_module._betweenness_heap(g)
+            levels = centrality_module._betweenness_levels(g)
+            assert (levels is None) == oracles.has_zero_effect_arc(g)
+            assert levels is None or levels == heap
+            assert list(betweenness(g).scores.values()) == heap
+            fallbacks += levels is None
+        assert fallbacks > 0  # 125 of 150 tie-heavy graphs, 20 of 160 kernel-edge graphs
+
+    def test_level_path_taken_on_every_built_graph(self):
+        graphs = golden_and_bench_graphs()
+        assert len(graphs) > 150
+        for g in graphs:
+            assert centrality_module._betweenness_levels(g) is not None
+
+    def test_counts_of_2_to_53_take_the_heap_loop(self, monkeypatch):
+        heap_calls = []
+        heap = centrality_module._betweenness_heap
+
+        def counted(graph):
+            heap_calls.append(graph)
+            return heap(graph)
+
+        monkeypatch.setattr(centrality_module, "_betweenness_heap", counted)
+        # 2**52 paths end to end stay exact: the level path takes them
+        below = diamond_chain(52)
+        assert list(betweenness(below).scores.values()) == heap(below)
+        assert heap_calls == []
+        # 2**54 paths end to end: a count reaches 2**53
+        g = diamond_chain(54)
+        assert centrality_module._betweenness_levels(g) is None
+        scores = betweenness(g).scores
+        assert heap_calls == [g]
+        assert list(scores.values()) == heap(g)
+
+    def test_memory_stays_within_a_quarter_of_one_sources_by_arcs_table(self):
+        rng = random.Random(109)
+        g = random_graph(rng, 300, p=0.4)
+        g._apsp_table()
+        table = 8 * g.vertex_count * g.arc_count
+        tracemalloc.start()
+        try:
+            levels = centrality_module._betweenness_levels(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert levels is not None
+        # measured: a peak of 8.4 MiB against a bound of 20.5 MiB, a quarter of one
+        # (V, arcs) float64 table for its 35,750 arcs; the heap loop peaks at 4.1 MiB here
+        assert peak < table / 4
 
 
 class TestComputeAll:
