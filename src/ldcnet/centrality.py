@@ -368,12 +368,14 @@ def betweenness(graph: WeightedDigraph) -> CentralityVector:
     Accumulates, for every ordered pair (i, j) with i != v != j, the
     fraction of shortest i->j paths passing through v, by Brandes's
     dependency accumulation (J. Math. Sociol. 2001). It reads the graph's
-    cached all-pairs table (see :func:`_betweenness_levels`), and its scores
-    equal those of a heap Dijkstra per source (:func:`_betweenness_heap`)
-    float for float. That heap loop runs instead only where the table cannot
-    give its order: when an arc on a shortest path adds nothing to a finite
-    distance (a zero-effect arc, where the heap's tie order decides), or
-    when a path count reaches 2**53.
+    cached all-pairs table (see :func:`_betweenness_levels`): the arcs tight
+    from each source give its path counts, and the dependencies come one
+    settle position at a time, last to first, as in the backward pass of a
+    heap Dijkstra per source (:func:`_betweenness_heap`), whose scores it
+    equals float for float. That heap loop runs instead only where the table
+    cannot give its order: when an arc on a shortest path adds nothing to a
+    finite distance (a zero-effect arc, where the heap's tie order decides),
+    or when a path count reaches 2**53.
     """
     if graph.vertex_count < 3:
         raise EmptyGraph("betweenness needs at least 3 vertices")
@@ -423,11 +425,10 @@ def _tight_arcs(rows: np.ndarray, tails: np.ndarray, heads: np.ndarray,
 
     ``rows`` are the all-pairs rows of a block of sources, ``i`` the
     position of a source in the block. An arc ``(u, v)`` is tight from it
-    when ``D[i, u]`` is finite and ``D[i, u] + w == D[i, v]``. The arcs come
-    sorted by (source, tail, head), so each node's tight out-arcs are one
-    run. Returns None when a tight arc leaves its distance unchanged,
-    ``D[i, u] == D[i, v]``: a zero-effect arc. The test takes at most
-    :data:`_BLOCK` (source, arc) entries at a time.
+    when ``D[i, u]`` is finite and ``D[i, u] + w == D[i, v]``. Returns None
+    when a tight arc leaves its distance unchanged, ``D[i, u] == D[i, v]``:
+    a zero-effect arc. The test takes at most :data:`_BLOCK` (source, arc)
+    entries at a time.
     """
     n = rows.shape[1]
     step = max(1, _BLOCK // max(1, tails.size))
@@ -461,13 +462,13 @@ def _dependencies(rows: np.ndarray, first: int, tail: np.ndarray,
     - ``sigma``, the path counts, is one ``np.bincount`` over the tight
       arcs, repeated to a fixpoint. The counts are integer-valued floats, so
       below 2**53 they are exact in any order of addition;
-    - ``delta`` comes one pass per height of the tight DAG, sinks first.
-      Each node folds its successors' terms ``sigma[u] / sigma[w] * (1.0 +
-      delta[w])`` in decreasing settle position of ``w``, as the heap loop
-      does. A row-major ``np.cumsum`` over its terms, zero-padded to the
-      least power of two at or above their count, does that fold, since a
-      trailing 0.0 leaves a total unchanged; a pass takes the nodes of one
-      height and one padded width at once.
+    - ``delta`` comes as in the heap loop's backward pass: the arcs, sorted
+      by their head's settle position, are taken one position at a time,
+      last to first, each adding ``sigma[u] / sigma[w] * (1.0 + delta[w])``
+      to its tail ``u``. So each node folds its terms in decreasing settle
+      position, as the heap loop does. A position holds one head per
+      source, and the arcs into a head have distinct tails, so one
+      fancy-index update per position is exact.
 
     Returns ``delta`` as ``(sources, V)``, each source's own entry 0.0.
     """
@@ -485,39 +486,17 @@ def _dependencies(rows: np.ndarray, first: int, tail: np.ndarray,
     if sigma.max() >= _EXACT_COUNTS:
         return None
 
-    # the nodes with successors, each with its run of tight out-arcs, and their heights
-    starts = np.flatnonzero(np.diff(tail, prepend=-1))
-    node = tail[starts]
-    height = np.zeros(size, dtype=np.intp)
-    while True:
-        above = np.maximum.reduceat(height[head], starts) + 1
-        if np.array_equal(above, height[node]):
-            break
-        height[node] = above
-    fan = np.diff(np.append(starts, tail.size))
-    width = 2 ** np.frexp(fan - 1)[1]  # the least power of two >= the fan-out
-    # the nodes by (height, width, node), and each node's terms by decreasing settle position
-    order = np.lexsort((node, width, height[node]))
-    place = np.empty(order.size, dtype=np.intp)
-    place[order] = np.arange(order.size)
     settle = np.empty(rows.shape, dtype=np.intp)
     np.put_along_axis(settle, np.argsort(rows, axis=1, kind="stable"), np.arange(n)[None], axis=1)
-    terms = np.argsort(np.repeat(place, fan) * n + (n - 1 - settle.ravel()[head]))
-    tail, head = tail[terms], head[terms]
-    node, fan, width = node[order], fan[order], width[order]
-    starts = np.append(0, np.cumsum(fan))
-    slot = np.arange(tail.size) - np.repeat(starts[:-1], fan)
-    level = height[node] * (2 * n) + width  # width < 2 * n
-    bounds = np.flatnonzero(np.diff(level, prepend=-1)).tolist() + [node.size]
-
-    delta = np.zeros(size)
+    position = settle.ravel()[head]
+    order = np.argsort(position)  # the order within a position changes no sum
+    tail, head = tail[order], head[order]
+    bounds = np.searchsorted(position[order], np.arange(n + 1)).tolist()
     share = sigma[tail] / sigma[head]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        begin, end = starts[lo], starts[hi]
-        pad = np.zeros((hi - lo, width[lo]))
-        pad[np.repeat(np.arange(hi - lo), fan[lo:hi]), slot[begin:end]] = (
-            share[begin:end] * (1.0 + delta[head[begin:end]]))
-        delta[node[lo:hi]] = np.cumsum(pad, axis=1)[:, -1]
+    delta = np.zeros(size)
+    for lo, hi in reversed(list(zip(bounds[:-1], bounds[1:]))):
+        u, w = tail[lo:hi], head[lo:hi]
+        delta[u] = delta[u] + share[lo:hi] * (1.0 + delta[w])
     delta[sources] = 0.0
     return delta.reshape(count, n)
 

@@ -42,10 +42,12 @@ extending the shortest prefix never loses to extending a longer one. That
 minimum does not depend on the order in which the priority queue settles
 ties, so every result is exact, reproducible and independent of arc
 insertion order. Betweenness reads its path counts and settle order off the
-all-pairs table too, through the arcs tight from each source; it runs its own
-heap Dijkstra only for a graph where an arc on a shortest path adds nothing
-to a finite distance (a zero-effect arc, such as a zero-weight one, where the
-heap's tie order decides), or where a path count reaches 2**53.
+all-pairs table too, through the arcs tight from each source, and folds its
+dependencies one settle position at a time, last to first, as the backward
+pass of a heap Dijkstra does. It runs its own heap Dijkstra only for a graph
+where an arc on a shortest path adds nothing to a finite distance (a
+zero-effect arc, such as a zero-weight one, where the heap's tie order
+decides), or where a path count reaches 2**53.
 
 The all-pairs table is one cached, read-only ``float64`` array from a single
 kernel call, ``inf`` where unreachable; every reader works on it. Totals over
@@ -375,17 +377,6 @@ class WeightedDigraph:
         names = self._names
         for u, v, w in zip(self._tails.tolist(), self._heads.tolist(), self._weights.tolist()):
             yield (names[u], names[v], w)
-
-    def weight(self, source: str, target: str) -> Optional[float]:
-        tail, head = self._vertex_index(source), self._vertex_index(target)
-        arc = np.flatnonzero((self._tails == tail) & (self._heads == head))
-        return float(self._weights[arc[0]]) if arc.size else None
-
-    def out_degree(self, vertex: str) -> int:
-        return int(np.count_nonzero(self._tails == self._vertex_index(vertex)))
-
-    def in_degree(self, vertex: str) -> int:
-        return int(np.count_nonzero(self._heads == self._vertex_index(vertex)))
 
     def _vertex_index(self, vertex: str) -> int:
         try:

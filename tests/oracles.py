@@ -9,7 +9,8 @@ Graphs, covariates and shuffles are rebuilt record by record from
 is redrawn one repetition and one attempt at a time through the public
 per-draw functions, without the batched engine. :func:`context_distances`
 and :func:`context_rows` only lay out a library detour context's own fields
-as the tables :func:`reference_context` gives.
+as the tables :func:`reference_context` gives. Arc weights and degrees are
+read off ``graph.arcs()``.
 """
 
 import math
@@ -30,6 +31,19 @@ from ldcnet import (
 from ldcnet.stats import MAX_RETRIES, derive_seed, ldc_dt_correlation
 
 INF = math.inf
+
+
+def arc_weight(graph, source, target):
+    """The weight of the arc ``source -> target``, or None when there is none."""
+    return next((w for u, v, w in graph.arcs() if (u, v) == (source, target)), None)
+
+
+def out_degree(graph, vertex):
+    return sum(1 for u, _, _ in graph.arcs() if u == vertex)
+
+
+def in_degree(graph, vertex):
+    return sum(1 for _, v, _ in graph.arcs() if v == vertex)
 
 
 def fw_distances(graph):
@@ -350,6 +364,39 @@ def brute_betweenness(graph):
                 through = sum(1 for p in paths if v in p[1:-1])
                 scores[v] += through / sigma
     return scores
+
+
+def brandes_betweenness(graph, increasing=False):
+    """Brandes's betweenness from :func:`heap_dijkstra` distances, one source at a time.
+
+    Vertices settle in ``(distance, index)`` order and each vertex's
+    predecessors are its tight in-arcs. A vertex's dependency adds its
+    terms in decreasing settle position of their heads, the heap loop's
+    order, or in increasing position with ``increasing``.
+    """
+    names = graph.vertices
+    arcs = list(graph.arcs())
+    index = {v: i for i, v in enumerate(names)}
+    bc = dict.fromkeys(names, 0.0)
+    for s in names:
+        dist = heap_dijkstra(names, arcs, s)
+        settled = sorted((v for v in names if dist[v] != INF), key=lambda v: (dist[v], index[v]))
+        preds = {v: [u for u, h, w in arcs if h == v and dist[u] + w == dist[v]] for v in settled}
+        sigma = dict.fromkeys(names, 0.0)
+        sigma[s] = 1.0
+        for v in settled:
+            for u in preds[v]:
+                sigma[v] += sigma[u]
+        terms = {v: [] for v in names}  # each in decreasing settle position
+        for w in reversed(settled):
+            delta = 0.0
+            for term in (reversed(terms[w]) if increasing else terms[w]):
+                delta += term
+            for u in preds[w]:
+                terms[u].append(sigma[u] / sigma[w] * (1.0 + delta))
+            if w != s:
+                bc[w] += delta
+    return [bc[v] for v in names]
 
 
 def has_zero_effect_arc(graph):

@@ -56,6 +56,9 @@ REMOVED = [
     ("ldcnet.errors", "EmptyRecord"),
     ("ldcnet.graph", "WeightedDigraph.sssp"),
     ("ldcnet.graph", "WeightedDigraph.local_neighborhood"),
+    ("ldcnet.graph", "WeightedDigraph.weight"),
+    ("ldcnet.graph", "WeightedDigraph.out_degree"),
+    ("ldcnet.graph", "WeightedDigraph.in_degree"),
     ("ldcnet.centrality", "NeighborhoodContext.with_distances"),
     ("ldcnet.centrality", "NeighborhoodContext.without_distances"),
     ("ldcnet.centrality", "NeighborhoodContext.with_matrix"),

@@ -919,13 +919,35 @@ class TestBetweennessLevels:
 
     def test_equals_heap_loop_on_random_graphs_without_fallback(self):
         rng = random.Random(107)
-        for weights in ("dyadic", "uniform"):
-            for _ in range(150):
-                g = random_graph(rng, rng.randint(3, 30), p=rng.uniform(0.1, 0.6),
-                                 weights=weights)
-                levels = centrality_module._betweenness_levels(g)
-                assert levels is not None
-                assert levels == centrality_module._betweenness_heap(g)
+        graphs = [random_graph(rng, rng.randint(3, 30), p=rng.uniform(0.1, 0.6), weights=weights)
+                  for weights in ("dyadic", "uniform") for _ in range(150)]
+        # no tight arc at all, and a single one
+        sparse = [WeightedDigraph(vertices=["a", "b", "c", "d"]),
+                  WeightedDigraph([("a", "b", 1.0)], vertices=["c"])]
+        for g in graphs + sparse:
+            levels = centrality_module._betweenness_levels(g)
+            assert levels is not None
+            assert levels == centrality_module._betweenness_heap(g)
+        for g in sparse:
+            assert centrality_module._betweenness_levels(g) == [0.0] * g.vertex_count
+
+    def test_equals_heap_loop_where_the_fold_order_shows(self):
+        # with uniform weights shortest paths are unique, every dependency is an
+        # integer and any fold order gives the same floats; dyadic weights tie paths
+        g = random_graph(random.Random(38), 16, p=0.4, weights="dyadic")
+        heap = centrality_module._betweenness_heap(g)
+        assert oracles.brandes_betweenness(g) == heap
+        assert oracles.brandes_betweenness(g, increasing=True) != heap
+        assert centrality_module._betweenness_levels(g) == heap
+
+    def test_equals_heap_loop_on_a_built_graph_of_hundreds_of_vertices(self):
+        records = random_records(random.Random(1), n_subjects=500, list_len=25,
+                                 vocab_size=500, zipf=True)
+        g = build_graph(encode(records), DistanceFunctionParams(ws=4, ms=1))
+        n = g.vertex_count
+        assert n >= 300
+        assert -(-n // (centrality_module._BLOCK // n)) >= 3  # blocks of sources
+        assert centrality_module._betweenness_levels(g) == centrality_module._betweenness_heap(g)
 
     @pytest.mark.parametrize("block", [1, 100, 1 << 10])
     def test_blocks_of_sources_leave_every_score_unchanged(self, monkeypatch, block):
