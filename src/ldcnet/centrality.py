@@ -368,14 +368,13 @@ def betweenness(graph: WeightedDigraph) -> CentralityVector:
     Accumulates, for every ordered pair (i, j) with i != v != j, the
     fraction of shortest i->j paths passing through v, by Brandes's
     dependency accumulation (J. Math. Sociol. 2001). It reads the graph's
-    cached all-pairs table (see :func:`_betweenness_levels`): the arcs tight
-    from each source give its path counts, and the dependencies come one
-    settle position at a time, last to first, as in the backward pass of a
-    heap Dijkstra per source (:func:`_betweenness_heap`), whose scores it
-    equals float for float. That heap loop runs instead only where the table
-    cannot give its order: when an arc on a shortest path adds nothing to a
-    finite distance (a zero-effect arc, where the heap's tie order decides),
-    or when a path count reaches 2**53.
+    cached all-pairs table (see :func:`_betweenness_levels`): over the arcs
+    tight from each source, the path counts come one settle position at a
+    time, first to last, and the dependencies last to first, as in the two
+    passes of a heap Dijkstra per source (:func:`_betweenness_heap`), whose
+    scores it equals float for float. That heap loop runs instead only where
+    an arc on a shortest path adds nothing to a finite distance (a
+    zero-effect arc), since the heap's tie order then decides.
     """
     if graph.vertex_count < 3:
         raise EmptyGraph("betweenness needs at least 3 vertices")
@@ -384,9 +383,6 @@ def betweenness(graph: WeightedDigraph) -> CentralityVector:
         scores = _betweenness_heap(graph)
     return CentralityVector("betweenness", dict(zip(graph.vertices, scores)))
 
-
-#: Path counts are integer-valued floats: below this they add exactly in any order.
-_EXACT_COUNTS = 2.0 ** 53
 
 #: The bound on betweenness's tables: a block of sources holds at most this many
 #: (source, vertex) nodes, and each step of its tight-arc test at most this many
@@ -402,8 +398,7 @@ def _betweenness_levels(graph: WeightedDigraph) -> Optional[list[float]]:
     dependencies, which adds them source by source as the heap loop does:
     it adds a settled vertex's dependency and skips the source, and a
     vertex it never settles, like the source, adds 0.0 here. Returns None,
-    for the heap loop to decide, when a block has a zero-effect tight arc or
-    a path count of 2**53 or more.
+    for the heap loop to decide, when a block has a zero-effect tight arc.
     """
     d = graph._apsp_table()
     n = d.shape[0]
@@ -412,10 +407,9 @@ def _betweenness_levels(graph: WeightedDigraph) -> Optional[list[float]]:
     for first in range(0, n, step):
         rows = d[first : first + step]
         arcs = _tight_arcs(rows, graph._tails, graph._heads, graph._weights)
-        delta = None if arcs is None else _dependencies(rows, first, *arcs)
-        if delta is None:
+        if arcs is None:
             return None
-        bc = np.cumsum(np.vstack([bc, delta]), axis=0)[-1:]
+        bc = np.cumsum(np.vstack([bc, _dependencies(rows, first, *arcs)]), axis=0)[-1:]
     return bc[0].tolist()
 
 
@@ -450,55 +444,57 @@ def _tight_arcs(rows: np.ndarray, tails: np.ndarray, heads: np.ndarray,
 
 
 def _dependencies(rows: np.ndarray, first: int, tail: np.ndarray,
-                  head: np.ndarray) -> Optional[np.ndarray]:
-    """The heap loop's dependencies ``delta`` of a block of sources, or None past 2**53.
+                  head: np.ndarray) -> np.ndarray:
+    """The heap loop's dependencies ``delta`` of a block of sources.
 
     ``rows`` are the all-pairs rows ``D`` of sources ``first`` onward, and
     ``tail -> head`` their tight arcs (see :func:`_tight_arcs`). When every
     tight arc raises a finite distance, the heap loop's predecessor lists
     are exactly the tight arcs, and it settles vertices in ``(D[s, v], v)``
-    order, since every entry it pushes then exceeds the one it popped. So:
-
-    - ``sigma``, the path counts, is one ``np.bincount`` over the tight
-      arcs, repeated to a fixpoint. The counts are integer-valued floats, so
-      below 2**53 they are exact in any order of addition;
-    - ``delta`` comes as in the heap loop's backward pass: the arcs, sorted
-      by their head's settle position, are taken one position at a time,
-      last to first, each adding ``sigma[u] / sigma[w] * (1.0 + delta[w])``
-      to its tail ``u``. So each node folds its terms in decreasing settle
-      position, as the heap loop does. A position holds one head per
-      source, and the arcs into a head have distinct tails, so one
-      fancy-index update per position is exact.
+    order, since every entry it pushes then exceeds the one it popped. So
+    both its passes go one settle position at a time: the forward pass
+    takes the arcs by their tail's position, first to last, each adding
+    ``sigma[u]`` to its head's path count ``sigma[w]``; the backward pass
+    by their head's position, last to first, each adding
+    ``sigma[u] / sigma[w] * (1.0 + delta[w])`` to its tail. A position
+    holds one vertex per source, a tail's arcs have distinct heads and a
+    head's distinct tails, so one fancy-index update per position is exact,
+    and every node adds its terms in the heap loop's order, at any size.
+    A count is at most 2**(V - 2); past float range, at 1,026 or more
+    vertices, it is inf in both loops, with equal shares (0.0 or nan) and
+    numpy's warning.
 
     Returns ``delta`` as ``(sources, V)``, each source's own entry 0.0.
     """
     count, n = rows.shape
-    size = count * n
     sources = np.arange(count) * n + np.arange(first, first + count)
-    sigma = np.zeros(size)
-    sigma[sources] = 1.0
-    while True:
-        paths = np.bincount(head, weights=sigma[tail], minlength=size)
-        paths[sources] = 1.0  # a tight arc into a source would be a zero-effect arc
-        if np.array_equal(paths, sigma):
-            break
-        sigma = paths
-    if sigma.max() >= _EXACT_COUNTS:
-        return None
-
-    settle = np.empty(rows.shape, dtype=np.intp)
+    # up to 65,536 vertices a settle position fits 16 bits, which _by_position sorts fastest
+    settle = np.empty(rows.shape, dtype=np.min_scalar_type(n - 1))
     np.put_along_axis(settle, np.argsort(rows, axis=1, kind="stable"), np.arange(n)[None], axis=1)
-    position = settle.ravel()[head]
-    order = np.argsort(position)  # the order within a position changes no sum
-    tail, head = tail[order], head[order]
-    bounds = np.searchsorted(position[order], np.arange(n + 1)).tolist()
+    sigma = np.zeros(count * n)
+    sigma[sources] = 1.0
+    tail, head, runs = _by_position(settle.ravel()[tail], tail, head)
+    for lo, hi in runs:
+        u, w = tail[lo:hi], head[lo:hi]
+        sigma[w] = sigma[w] + sigma[u]
+    tail, head, runs = _by_position(settle.ravel()[head], tail, head)
     share = sigma[tail] / sigma[head]
-    delta = np.zeros(size)
-    for lo, hi in reversed(list(zip(bounds[:-1], bounds[1:]))):
+    delta = np.zeros(count * n)
+    for lo, hi in reversed(runs):
         u, w = tail[lo:hi], head[lo:hi]
         delta[u] = delta[u] + share[lo:hi] * (1.0 + delta[w])
     delta[sources] = 0.0
     return delta.reshape(count, n)
+
+
+def _by_position(position: np.ndarray, tail: np.ndarray,
+                 head: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """The arcs ``tail -> head`` sorted by ``position``, and each position's ``(start, stop)``."""
+    # numpy's stable sort radix-sorts 16-bit ints; the order within a position changes no sum
+    order = np.argsort(position, kind="stable")
+    # a run starts where the sorted positions change; -1 on either side marks both ends
+    bounds = np.flatnonzero(np.diff(position[order], prepend=-1, append=-1)).tolist()
+    return tail[order], head[order], list(zip(bounds[:-1], bounds[1:]))
 
 
 def _betweenness_heap(graph: WeightedDigraph) -> list[float]:

@@ -41,13 +41,12 @@ the left-to-right float sum of the arc weights: rounding is monotone, so
 extending the shortest prefix never loses to extending a longer one. That
 minimum does not depend on the order in which the priority queue settles
 ties, so every result is exact, reproducible and independent of arc
-insertion order. Betweenness reads its path counts and settle order off the
-all-pairs table too, through the arcs tight from each source, and folds its
-dependencies one settle position at a time, last to first, as the backward
-pass of a heap Dijkstra does. It runs its own heap Dijkstra only for a graph
-where an arc on a shortest path adds nothing to a finite distance (a
-zero-effect arc, such as a zero-weight one, where the heap's tie order
-decides), or where a path count reaches 2**53.
+insertion order. Betweenness reads its settle order off the all-pairs table
+too and walks the arcs tight from each source one settle position at a time,
+first to last for its path counts and last to first for its dependencies, as
+the two passes of a heap Dijkstra do. It runs its own heap Dijkstra only for
+a graph where an arc on a shortest path adds nothing to a finite distance (a
+zero-effect arc, such as a zero-weight one, where the heap's tie order decides).
 
 The all-pairs table is one cached, read-only ``float64`` array from a single
 kernel call, ``inf`` where unreachable; every reader works on it. Totals over
@@ -119,9 +118,9 @@ def _rows_to_run(d: np.ndarray, near: np.ndarray, first: int, graph: np.ndarray,
 
     ``near[g, k]`` holds the neighbourhood of centre ``first + k`` of graph
     ``g``; the arcs given, with their graphs, are every arc out of those
-    centres, sorted by (graph, tail). A member row runs Dijkstra only when
-    some arc ``(c, v)`` out of its centre ``c`` is tight from it:
-    ``D[i, c] + w == D[i, v]`` with ``D[i, v]`` finite. Every other row is ``D``'s row, bit for bit. Raising
+    centres. A member row runs Dijkstra only when some arc ``(c, v)`` out
+    of its centre ``c`` is tight from it: ``D[i, c] + w == D[i, v]`` with
+    ``D[i, v]`` finite. Every other row is ``D``'s row, bit for bit. Raising
     weights never lowers a path's left-to-right float sum, since rounding is
     monotone, so a detour length is at least ``D[i, j]``. csgraph sets each
     final distance from an already-settled vertex, so the Dijkstra tree path
@@ -133,13 +132,8 @@ def _rows_to_run(d: np.ndarray, near: np.ndarray, first: int, graph: np.ndarray,
     reached = d[graph, :, heads]
     tight = (d[graph, :, tails] + weights[:, None] == reached) & (reached != _INF)
     runs = np.zeros(near.shape, dtype=bool)
-    if graph.size:
-        # the arcs are sorted by (graph, tail), so each centre's arcs are one run:
-        # a row runs when any arc of its centre's run is tight from it
-        centre = graph * near.shape[1] + tails - first
-        starts = np.flatnonzero(np.diff(centre, prepend=-1))
-        runs.reshape(-1, near.shape[-1])[centre[starts]] = np.logical_or.reduceat(
-            tight, starts, axis=0)
+    arc, source = np.nonzero(tight)
+    runs[graph[arc], tails[arc] - first, source] = True
     return runs & near
 
 
@@ -216,7 +210,7 @@ class _Union:
         """
         stop = min(self.size, first + self.copies)
         near = _within(d, first, stop, r)
-        # every graph's arcs out of the stack's centres, still sorted by (graph, tail)
+        # every graph's arcs out of the stack's centres
         arcs = (first <= self.tails) & (self.tails < stop)
         runs = _rows_to_run(d, near, first, self.graph[arcs], self.tails[arcs],
                             self.heads[arcs], self.weights[arcs])

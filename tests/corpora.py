@@ -75,6 +75,30 @@ def exact_sum_graphs(rng):
     return kernel_edge_graphs(rng) + [tie_heavy_graph(rng, rng.randint(9, 14)) for _ in range(12)]
 
 
+def layered_graph(rng):
+    """25-60 layers of 3-6 vertices; each arc between consecutive layers, drawn at 0.7, is tight.
+
+    Each vertex has an offset ``k / 4``, ``k`` in 0..7, and an arc from ``a``
+    to ``b`` in the next layer weighs ``2 + off(b) - off(a)``, so every path
+    between two vertices has the same exact (dyadic) length: every arc is
+    tight from every source that reaches its tail, and the path counts
+    multiply layer by layer, in most graphs past 2**53. The labels are a
+    shuffle of the indices, so the settle order is not the index order.
+    """
+    widths = [rng.randint(3, 6) for _ in range(rng.randint(25, 60))]
+    labels = list(range(sum(widths)))
+    rng.shuffle(labels)
+    names = [f"v{i:03d}" for i in labels]
+    offsets = [rng.randrange(8) / 4 for _ in names]
+    layers, first = [], 0
+    for width in widths:
+        layers.append(range(first, first + width))
+        first += width
+    arcs = [(names[a], names[b], 2 + offsets[b] - offsets[a])
+            for low, high in zip(layers, layers[1:]) for a in low for b in high if rng.random() < 0.7]
+    return WeightedDigraph(arcs)
+
+
 def complete_graph(n, weight=1.0):
     names = [f"w{i:02d}" for i in range(n)]
     return WeightedDigraph(

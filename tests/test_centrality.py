@@ -34,6 +34,7 @@ from corpora import (
     complete_graph,
     exact_sum_graphs,
     kernel_edge_graphs,
+    layered_graph,
     random_graph,
     random_records,
     scale_weights,
@@ -917,6 +918,19 @@ class TestBetweennessLevels:
     ``==`` against the heap loop, ``_betweenness_heap``.
     """
 
+    @pytest.fixture
+    def counted_heap(self, monkeypatch):
+        """The graphs ``betweenness`` hands the heap loop, and the heap loop itself."""
+        calls = []
+        heap = centrality_module._betweenness_heap
+
+        def counted(graph):
+            calls.append(graph)
+            return heap(graph)
+
+        monkeypatch.setattr(centrality_module, "_betweenness_heap", counted)
+        return calls, heap
+
     def test_equals_heap_loop_on_random_graphs_without_fallback(self):
         rng = random.Random(107)
         graphs = [random_graph(rng, rng.randint(3, 30), p=rng.uniform(0.1, 0.6), weights=weights)
@@ -965,14 +979,18 @@ class TestBetweennessLevels:
         (lambda rng: [tie_heavy_graph(rng, rng.randint(4, 16)) for _ in range(150)], 101),
         (lambda rng: [g for _ in range(10) for g in kernel_edge_graphs(rng)], 103),
     ], ids=["tie_heavy", "kernel_edge"])
-    def test_falls_back_exactly_on_zero_effect_arcs(self, make, seed):
+    def test_falls_back_exactly_on_zero_effect_arcs(self, counted_heap, make, seed):
+        heap_calls, loop = counted_heap
         fallbacks = 0
         for g in make(random.Random(seed)):
-            heap = centrality_module._betweenness_heap(g)
+            heap = loop(g)
             levels = centrality_module._betweenness_levels(g)
-            assert (levels is None) == oracles.has_zero_effect_arc(g)
+            zero_effect = oracles.has_zero_effect_arc(g)
+            assert (levels is None) == zero_effect
             assert levels is None or levels == heap
             assert list(betweenness(g).scores.values()) == heap
+            assert heap_calls == ([g] if zero_effect else [])
+            heap_calls.clear()
             fallbacks += levels is None
         assert fallbacks > 0  # 125 of 150 tie-heavy graphs, 20 of 160 kernel-edge graphs
 
@@ -982,25 +1000,19 @@ class TestBetweennessLevels:
         for g in graphs:
             assert centrality_module._betweenness_levels(g) is not None
 
-    def test_counts_of_2_to_53_take_the_heap_loop(self, monkeypatch):
-        heap_calls = []
-        heap = centrality_module._betweenness_heap
-
-        def counted(graph):
-            heap_calls.append(graph)
-            return heap(graph)
-
-        monkeypatch.setattr(centrality_module, "_betweenness_heap", counted)
-        # 2**52 paths end to end stay exact: the level path takes them
-        below = diamond_chain(52)
-        assert list(betweenness(below).scores.values()) == heap(below)
-        assert heap_calls == []
-        # 2**54 paths end to end: a count reaches 2**53
+    def test_counts_of_2_to_53_take_the_level_path(self, counted_heap):
+        heap_calls, heap = counted_heap
+        # 2**54 paths end to end, every count a power of two
         g = diamond_chain(54)
-        assert centrality_module._betweenness_levels(g) is None
-        scores = betweenness(g).scores
-        assert heap_calls == [g]
-        assert list(scores.values()) == heap(g)
+        assert list(betweenness(g).scores.values()) == heap(g)
+        assert heap_calls == []
+        # counts past 2**53 that differ within a layer, so their sums round by order
+        rng = random.Random(1)
+        for _ in range(40):
+            g = layered_graph(rng)
+            levels = centrality_module._betweenness_levels(g)
+            assert levels is not None
+            assert levels == heap(g)
 
     def test_memory_stays_within_a_quarter_of_one_sources_by_arcs_table(self):
         rng = random.Random(109)
@@ -1014,7 +1026,7 @@ class TestBetweennessLevels:
         finally:
             tracemalloc.stop()
         assert levels is not None
-        # measured: a peak of 8.4 MiB against a bound of 20.5 MiB, a quarter of one
+        # measured: a peak of 4.6 MiB against a bound of 20.5 MiB, a quarter of one
         # (V, arcs) float64 table for its 35,750 arcs; the heap loop peaks at 4.1 MiB here
         assert peak < table / 4
 
