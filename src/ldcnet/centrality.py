@@ -19,7 +19,9 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyGraph, NoConvergence
-from .graph import DETOUR_VERTICES, WeightedDigraph, _Union, finite_or_zero, row_major_totals
+from .graph import (
+    DETOUR_VERTICES, WeightedDigraph, _radix_order, _Union, finite_or_zero, row_major_totals,
+)
 from .textio import PathOrFile, format_number, write_csv
 
 _INF = math.inf
@@ -241,11 +243,12 @@ def _score_chunk(chunk: list[WeightedDigraph]) -> Iterator[CentralityVector]:
     """
     union = _Union(chunk)
     plain = union.distances()
+    tight = union.tight(plain)
     r = row_major_totals(finite_or_zero(plain)) / [g.vertex_count for g in chunk]
     totals = np.zeros((union.count, union.size))
     members = np.zeros((union.count, union.size), dtype=np.intp)
     for first in range(0, union.size, union.copies):
-        near, runs, rows = union.detours(plain, r[:, None, None], first)
+        near, runs, rows = union.detours(plain, tight, r[:, None, None], first)
         owner, centre, source = np.nonzero(runs)
         ran = np.arange(owner.size)
         before = plain[owner, source]
@@ -368,11 +371,12 @@ def betweenness(graph: WeightedDigraph) -> CentralityVector:
     Accumulates, for every ordered pair (i, j) with i != v != j, the
     fraction of shortest i->j paths passing through v, by Brandes's
     dependency accumulation (J. Math. Sociol. 2001). It reads the graph's
-    cached all-pairs table (see :func:`_betweenness_levels`): over the arcs
-    tight from each source, the path counts come one settle position at a
-    time, first to last, and the dependencies last to first, as in the two
-    passes of a heap Dijkstra per source (:func:`_betweenness_heap`), whose
-    scores it equals float for float. That heap loop runs instead only where
+    cached all-pairs table and the tight-arc table the detour stacks read
+    (see :func:`_betweenness_levels`): over the arcs tight from each source,
+    the path counts come one settle position at a time, first to last, and
+    the dependencies last to first, as in the two passes of a heap Dijkstra
+    per source (:func:`_betweenness_heap`), whose scores it equals float for
+    float. That heap loop runs instead only where
     an arc on a shortest path adds nothing to a finite distance (a
     zero-effect arc), since the heap's tie order then decides.
     """
@@ -385,8 +389,7 @@ def betweenness(graph: WeightedDigraph) -> CentralityVector:
 
 
 #: The bound on betweenness's tables: a block of sources holds at most this many
-#: (source, vertex) nodes, and each step of its tight-arc test at most this many
-#: (source, arc) entries, so each float table of either takes at most 512 KiB.
+#: (source, vertex) nodes, so each float table of one takes at most 512 KiB.
 _BLOCK = 1 << 16
 
 
@@ -400,47 +403,36 @@ def _betweenness_levels(graph: WeightedDigraph) -> Optional[list[float]]:
     vertex it never settles, like the source, adds 0.0 here. Returns None,
     for the heap loop to decide, when a block has a zero-effect tight arc.
     """
-    d = graph._apsp_table()
+    d, tight = graph._apsp_table(), graph._tight_table()
     n = d.shape[0]
     step = max(1, _BLOCK // n)
     bc = np.zeros((1, n))
     for first in range(0, n, step):
         rows = d[first : first + step]
-        arcs = _tight_arcs(rows, graph._tails, graph._heads, graph._weights)
+        arcs = _tight_arcs(rows, tight[first : first + step], graph._tails, graph._heads)
         if arcs is None:
             return None
         bc = np.cumsum(np.vstack([bc, _dependencies(rows, first, *arcs)]), axis=0)[-1:]
     return bc[0].tolist()
 
 
-def _tight_arcs(rows: np.ndarray, tails: np.ndarray, heads: np.ndarray,
-                weights: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _tight_arcs(rows: np.ndarray, tight: np.ndarray, tails: np.ndarray,
+                heads: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Every arc tight from a source of ``rows``, as nodes ``i * V + u`` -> ``i * V + v``, or None.
 
     ``rows`` are the all-pairs rows of a block of sources, ``i`` the
-    position of a source in the block. An arc ``(u, v)`` is tight from it
-    when ``D[i, u]`` is finite and ``D[i, u] + w == D[i, v]``. Returns None
-    when a tight arc leaves its distance unchanged, ``D[i, u] == D[i, v]``:
-    a zero-effect arc. The test takes at most :data:`_BLOCK` (source, arc)
-    entries at a time.
+    position of a source in the block, and ``tight`` the graph's tight-arc
+    table over those sources (see :meth:`WeightedDigraph._tight_table`):
+    ``D[i, u]`` is finite and ``D[i, u] + w == D[i, v]``. Returns None when
+    a tight arc leaves its distance unchanged, ``D[i, u] == D[i, v]``: a
+    zero-effect arc.
     """
-    n = rows.shape[1]
-    step = max(1, _BLOCK // max(1, tails.size))
-    ends: list[tuple[np.ndarray, np.ndarray]] = []
-    for first in range(0, rows.shape[0], step):
-        block = rows[first : first + step]
-        before = np.take(block, tails, axis=1)  # faster than fancy indexing here
-        after = np.take(block, heads, axis=1)
-        reached = before != _INF
-        still = before == after
-        before += weights
-        tight = (before == after) & reached
-        if (tight & still).any():
-            return None
-        source, arc = np.divmod(np.flatnonzero(tight), tails.size)  # faster than np.nonzero
-        source = (source + first) * n
-        ends.append((source + tails[arc], source + heads[arc]))
-    return np.concatenate([t for t, _ in ends]), np.concatenate([h for _, h in ends])
+    source, arc = np.divmod(np.flatnonzero(tight), tails.size)  # faster than np.nonzero
+    tail, head = tails[arc], heads[arc]
+    if (rows[source, tail] == rows[source, head]).any():
+        return None
+    source *= rows.shape[1]
+    return source + tail, source + head
 
 
 def _dependencies(rows: np.ndarray, first: int, tail: np.ndarray,
@@ -468,16 +460,15 @@ def _dependencies(rows: np.ndarray, first: int, tail: np.ndarray,
     """
     count, n = rows.shape
     sources = np.arange(count) * n + np.arange(first, first + count)
-    # up to 65,536 vertices a settle position fits 16 bits, which _by_position sorts fastest
-    settle = np.empty(rows.shape, dtype=np.min_scalar_type(n - 1))
+    settle = np.empty(rows.shape, dtype=np.intp)
     np.put_along_axis(settle, np.argsort(rows, axis=1, kind="stable"), np.arange(n)[None], axis=1)
     sigma = np.zeros(count * n)
     sigma[sources] = 1.0
-    tail, head, runs = _by_position(settle.ravel()[tail], tail, head)
+    tail, head, runs = _by_position(settle.ravel()[tail], n, tail, head)
     for lo, hi in runs:
         u, w = tail[lo:hi], head[lo:hi]
         sigma[w] = sigma[w] + sigma[u]
-    tail, head, runs = _by_position(settle.ravel()[head], tail, head)
+    tail, head, runs = _by_position(settle.ravel()[head], n, tail, head)
     share = sigma[tail] / sigma[head]
     delta = np.zeros(count * n)
     for lo, hi in reversed(runs):
@@ -487,11 +478,14 @@ def _dependencies(rows: np.ndarray, first: int, tail: np.ndarray,
     return delta.reshape(count, n)
 
 
-def _by_position(position: np.ndarray, tail: np.ndarray,
+def _by_position(position: np.ndarray, n: int, tail: np.ndarray,
                  head: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """The arcs ``tail -> head`` sorted by ``position``, and each position's ``(start, stop)``."""
-    # numpy's stable sort radix-sorts 16-bit ints; the order within a position changes no sum
-    order = np.argsort(position, kind="stable")
+    """The arcs ``tail -> head`` sorted by ``position``, each below ``n``, and each position's run.
+
+    A run is the ``(start, stop)`` of the sorted arcs at one position.
+    """
+    # radix-sorted; the order within a position changes no sum
+    order = _radix_order(position, n)
     # a run starts where the sorted positions change; -1 on either side marks both ends
     bounds = np.flatnonzero(np.diff(position[order], prepend=-1, append=-1)).tolist()
     return tail[order], head[order], list(zip(bounds[:-1], bounds[1:]))

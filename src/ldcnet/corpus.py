@@ -37,7 +37,7 @@ from typing import IO, Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import MalformedLine, NonMonotoneTimestamp, NoRecords
-from .graph import WeightedDigraph
+from .graph import WeightedDigraph, _radix_order
 from .textio import PathOrFile, open_text
 
 CORPUS_CSV_HEADER = ("subject", "word", "onset_seconds")
@@ -310,7 +310,8 @@ class EncodedCorpus(Sequence[FluencyRecord]):
         if self._window is None or self._window[0] != ws:
             self._window = None
             counts, _, sources, targets, medians = pair_table(self.collapse, ws)
-            rank = np.argsort(-counts, kind="stable")
+            top = int(counts.max(initial=0))
+            rank = _radix_order(top - counts, top + 1)
             self._window = (ws, (counts[rank], sources[rank], targets[rank], medians[rank]))
         return self._window[1]
 
@@ -346,9 +347,9 @@ def collapse_draws(corpus: EncodedCorpus, draws: Sequence[EncodedCorpus]) -> Col
     and onsets; only the order of each record's ids may differ, as in a
     :func:`shuffle_records` draw. Only the draws' ids are read, so no draw
     collapses by itself. A stable sort on (draw, record, id), the key
-    ``record * len(words) + id`` over the stack, puts each record's first
-    occurrence of an id first in its run; sorting the kept positions
-    restores their order.
+    ``record * len(words) + id`` over the stack, radix-sorted, puts each
+    record's first occurrence of an id first in its run; a mask of the kept
+    positions restores their order.
     """
     lengths = np.fromiter(map(len, corpus.raw_ids), dtype=np.intp, count=len(corpus))
     total = int(lengths.sum())
@@ -358,8 +359,10 @@ def collapse_draws(corpus: EncodedCorpus, draws: Sequence[EncodedCorpus]) -> Col
     lengths = np.tile(lengths, len(draws))
     record = np.repeat(np.arange(lengths.size), lengths)
     key = record * len(corpus.words) + ids
-    order = np.argsort(key, kind="stable")
-    first = np.sort(order[np.diff(key[order], prepend=-1) != 0])
+    order = _radix_order(key, lengths.size * len(corpus.words))
+    keep = np.zeros(key.size, dtype=bool)
+    keep[order[np.diff(key[order], prepend=-1) != 0]] = True
+    first = np.flatnonzero(keep)
     record = record[first]
     onsets = np.tile(onsets, len(draws))[first]
     return Collapse(
@@ -383,9 +386,11 @@ def pair_table(
 
     Each gap takes one slice of the flat arrays, keeping the positions whose
     two ends lie in the same record, so no pair spans two records or two
-    draws. One sort on (draw, pair, difference) groups each pair's
-    differences in order, and the median is the middle one, or
-    ``(a + b) / 2`` of the middle two as in ``statistics.median``.
+    draws. The differences are sorted, then radix-sorted stably on (draw,
+    pair), which groups each pair's differences in order; every difference
+    is > 0 and equal ones are interchangeable, so their order within a group
+    changes no median. The median is the middle one, or ``(a + b) / 2`` of
+    the middle two as in ``statistics.median``.
     """
     size = len(stack.words)
     ids, onsets, record = stack.ids, stack.normalized, stack.record
@@ -397,13 +402,11 @@ def pair_table(
         deltas.append(onsets[gap:][same] - onsets[:-gap][same])
     key, delta = np.concatenate(keys), np.concatenate(deltas)
     del keys, deltas
-    # one distinct integer per entry in (key, difference) order: the rank of
-    # its key among the distinct ones, then the rank of its difference
-    pairs, group, counts = np.unique(key, return_inverse=True, return_counts=True)
-    group *= key.size
-    group[np.argsort(delta)] += np.arange(key.size)
-    delta = delta[np.argsort(group)]
-    starts = np.cumsum(counts) - counts
+    order = _radix_order(key, stack.draws * size * size, np.argsort(delta))
+    key, delta = key[order], delta[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    counts = np.diff(starts, append=key.size)
+    pairs = key[starts]
     shared = counts > 1
     starts, counts = starts[shared], counts[shared]
     upper = starts + counts // 2
@@ -430,8 +433,9 @@ def _assemble(
 
     A draw's vertices are the ids its arcs touch, ranked in ``labels``
     order: one mask over the word table per draw, read in that order, so
-    no set order reaches a graph. One lexsort on (draw, tail, head) orders
-    every arc, and each draw's graph takes its slice of the sorted arrays.
+    no set order reaches a graph. One radix sort on (draw, tail, head)
+    orders every arc, and each draw's graph takes its slice of the sorted
+    arrays.
     """
     present = np.zeros((stack.draws, len(stack.words)), dtype=bool)
     present[draw, sources] = True
@@ -440,7 +444,8 @@ def _assemble(
     rank = np.empty(present.shape, dtype=np.int32)
     rank[:, stack.labels] = np.cumsum(present, axis=1) - 1
     tails, heads = rank[draw, sources], rank[draw, targets]
-    arcs = np.lexsort((heads, tails, draw))
+    size = len(stack.words)
+    arcs = _radix_order((draw * size + tails) * size + heads, stack.draws * size * size)
     tails, heads, weights = tails[arcs], heads[arcs], weights[arcs]
     bounds = np.searchsorted(draw[arcs], np.arange(stack.draws + 1)).tolist()
     graphs = []

@@ -2,10 +2,10 @@
 
 The graph is immutable after construction: every operation below is a pure
 read, so a single instance can be shared freely across threads and worker
-processes. What it caches (the all-pairs table, its kernel layout, and each
-thread's current stack of detour rows) is derived from the arcs, never written
-once built, and never changes an answer; two threads that fill a cache at
-once build equal values.
+processes. What it caches (the all-pairs table, the table of the arcs tight
+from each source, its kernel layout, and each thread's current stack of
+detour rows) is derived from the arcs, never written once built, and never
+changes an answer; two threads that fill a cache at once build equal values.
 Vertex labels are interned strings; each vertex receives a stable integer
 index (its lexicographic rank at construction time) and all internal tables
 are indexed by that integer. The arcs are kept once, as three arrays sorted
@@ -34,19 +34,23 @@ one copy, all of its vertices, when a single graph holds more. A source never
 leaves its copy, so its row equals a call on that copy alone.
 A detour row from ``i`` runs only when some arc ``(c, v)`` out of its centre
 is tight from ``i``, ``D[i, c] + w == D[i, v]`` on the all-pairs table ``D``;
-every other detour row is ``D``'s row, bit for bit (see :func:`_rows_to_run`),
+every other detour row is ``D``'s row, bit for bit (see :meth:`_Union.detours`),
 so a centre keeps only the rows that ran, over its members' columns, and never
-a table of all its members. A Dijkstra distance is the minimum, over paths, of
-the left-to-right float sum of the arc weights: rounding is monotone, so
-extending the shortest prefix never loses to extending a longer one. That
-minimum does not depend on the order in which the priority queue settles
-ties, so every result is exact, reproducible and independent of arc
-insertion order. Betweenness reads its settle order off the all-pairs table
-too and walks the arcs tight from each source one settle position at a time,
-first to last for its path counts and last to first for its dependencies, as
-the two passes of a heap Dijkstra do. It runs its own heap Dijkstra only for
-a graph where an arc on a shortest path adds nothing to a finite distance (a
-zero-effect arc, such as a zero-weight one, where the heap's tie order decides).
+a table of all its members. The tightness test runs once per layout, for
+every arc and source (:meth:`_Union.tight`): a graph caches its table beside
+the all-pairs table, and a chunk builds one for its union, which every stack
+reads. A Dijkstra distance is the minimum, over paths, of the left-to-right
+float sum of the arc weights: rounding is monotone, so extending the
+shortest prefix never loses to extending a longer one. That minimum does not
+depend on the order in which the priority queue settles ties, so every
+result is exact, reproducible and independent of arc insertion order.
+Betweenness reads its settle order off the all-pairs table, and its tight
+arcs off the graph's cached table, and walks the arcs tight from each source
+one settle position at a time, first to last for its path counts and last
+to first for its dependencies, as the two passes of a heap Dijkstra do. It
+runs its own heap Dijkstra only for a graph where an arc on a shortest path
+adds nothing to a finite distance (a zero-effect arc, such as a zero-weight
+one, where the heap's tie order decides).
 
 The all-pairs table is one cached, read-only ``float64`` array from a single
 kernel call, ``inf`` where unreachable; every reader works on it. Totals over
@@ -84,6 +88,10 @@ _INF = math.inf
 #: returns a row as wide as itself for every row it runs.
 DETOUR_VERTICES = 512
 
+#: The bound on one step of a tight-arc test (see :meth:`_Union.tight`): at most
+#: this many (source, arc) entries, so each float table of a step takes 512 KiB.
+_BLOCK = 1 << 16
+
 #: One centre's detour: its members' vertex indices, the positions of the
 #: members whose rows ran, and those rows (see :meth:`WeightedDigraph._detour`).
 _Detour = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -110,31 +118,6 @@ def _within(d: np.ndarray, first: int, stop: int, r: float | np.ndarray) -> np.n
     near = (d[:, first:stop] <= r) | (d[:, :, first:stop].transpose(0, 2, 1) <= r)
     near[:, np.arange(stop - first), np.arange(first, stop)] = False
     return near
-
-
-def _rows_to_run(d: np.ndarray, near: np.ndarray, first: int, graph: np.ndarray,
-                 tails: np.ndarray, heads: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Mask of the detour rows that can differ from the all-pairs rows of ``d``.
-
-    ``near[g, k]`` holds the neighbourhood of centre ``first + k`` of graph
-    ``g``; the arcs given, with their graphs, are every arc out of those
-    centres. A member row runs Dijkstra only when some arc ``(c, v)`` out
-    of its centre ``c`` is tight from it: ``D[i, c] + w == D[i, v]`` with
-    ``D[i, v]`` finite. Every other row is ``D``'s row, bit for bit. Raising
-    weights never lowers a path's left-to-right float sum, since rounding is
-    monotone, so a detour length is at least ``D[i, j]``. csgraph sets each
-    final distance from an already-settled vertex, so the Dijkstra tree path
-    from ``i`` to any ``j != c`` is made of tight arcs and its sum is
-    ``D[i, j]``. With no tight arc out of ``c``, that path never passes
-    through ``c`` (``i`` is a member, never ``c``), keeps its sum on the
-    reweighted graph, and so the detour length is also at most ``D[i, j]``.
-    """
-    reached = d[graph, :, heads]
-    tight = (d[graph, :, tails] + weights[:, None] == reached) & (reached != _INF)
-    runs = np.zeros(near.shape, dtype=bool)
-    arc, source = np.nonzero(tight)
-    runs[graph[arc], tails[arc] - first, source] = True
-    return runs & near
 
 
 class _Union:
@@ -193,27 +176,65 @@ class _Union:
         graphs = np.arange(self.count)
         return table.reshape(self.count, self.size, self.count, self.size)[graphs, :, graphs]
 
-    def detours(self, d: np.ndarray, r: float | np.ndarray,
+    def tight(self, d: np.ndarray) -> np.ndarray:
+        """Which arcs are tight from which sources: a read-only ``(size, arcs)`` table.
+
+        The arcs are in union order, and ``d`` holds the graphs' all-pairs
+        tables (see :meth:`distances`). Arc ``(u, v)`` of weight ``w`` in
+        graph ``g`` is tight from ``i`` when ``D[i, u] + w == D[i, v]`` with
+        ``D[i, v]`` finite, ``D`` being ``d[g]``: only then can a shortest
+        path from ``i`` take it. The test runs in steps of at most
+        :data:`_BLOCK` (source, arc) entries, each step a block of sources.
+        """
+        rows = d.transpose(1, 0, 2).reshape(self.size, -1)  # rows[i, g * size + v] is d[g, i, v]
+        offset = self.graph * self.size
+        tails, heads = offset + self.tails, offset + self.heads
+        tight = np.empty((self.size, tails.size), dtype=bool)
+        step = max(1, _BLOCK // max(1, tails.size))
+        for lo in range(0, self.size, step):
+            block = rows[lo : lo + step]
+            reached = np.take(block, heads, axis=1)  # faster than fancy indexing here
+            before = np.take(block, tails, axis=1)
+            before += self.weights
+            tight[lo : lo + step] = (before == reached) & (reached != _INF)
+        tight.flags.writeable = False
+        return tight
+
+    def detours(self, d: np.ndarray, tight: np.ndarray, r: float | np.ndarray,
                 first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The detour engine: the stack of centres from ``first``, in at most one kernel call.
 
-        ``d`` holds the graphs' all-pairs tables (see :meth:`distances`) and
-        ``r`` their threshold (see :func:`_within`). The stack takes up to
-        :attr:`copies` centres, copy ``k`` of the union with centre
-        ``first + k`` of every graph inflated to its graph's maximum weight,
-        and runs only the rows :func:`_rows_to_run` picks; a stack with none
-        makes no call. Returns ``(near, runs, rows)``: ``near[g, k]`` is the
-        neighbourhood mask of centre ``first + k`` of graph ``g``, ``runs``
-        the mask of its members whose rows ran, and ``rows[t, k, g]`` the
-        ``t``-th row that ran, in the order of ``np.nonzero(runs)``, over
-        the columns of graph ``g`` in copy ``k``.
+        ``d`` holds the graphs' all-pairs tables (see :meth:`distances`),
+        ``tight`` the union's tight arcs read off them (see :meth:`tight`)
+        and ``r`` the graphs' threshold (see :func:`_within`). The stack
+        takes up to :attr:`copies` centres, copy ``k`` of the union with
+        centre ``first + k`` of every graph inflated to its graph's maximum
+        weight. A member row runs Dijkstra only when some arc out of its
+        centre is tight from it, and a stack with no such row makes no call.
+        Every other row is ``d``'s row, bit for bit. Raising weights never
+        lowers a path's left-to-right float sum, since rounding is monotone,
+        so a detour length is at least ``D[i, j]``. csgraph sets each final
+        distance from an already-settled vertex, so the Dijkstra tree path
+        from ``i`` to any ``j != c`` is made of tight arcs and its sum is
+        ``D[i, j]``. With no tight arc out of ``c``, that path never passes
+        through ``c`` (``i`` is a member, never ``c``), keeps its sum on the
+        reweighted graph, and so the detour length is also at most ``D[i, j]``.
+
+        Returns ``(near, runs, rows)``: ``near[g, k]`` is the neighbourhood
+        mask of centre ``first + k`` of graph ``g``, ``runs`` the mask of
+        its members whose rows ran, and ``rows[t, k, g]`` the ``t``-th row
+        that ran, in the order of ``np.nonzero(runs)``, over the columns of
+        graph ``g`` in copy ``k``.
         """
         stop = min(self.size, first + self.copies)
         near = _within(d, first, stop, r)
-        # every graph's arcs out of the stack's centres
-        arcs = (first <= self.tails) & (self.tails < stop)
-        runs = _rows_to_run(d, near, first, self.graph[arcs], self.tails[arcs],
-                            self.heads[arcs], self.weights[arcs])
+        # every graph's arcs out of the stack's centres, and the sources each is tight from
+        arcs = np.flatnonzero((first <= self.tails) & (self.tails < stop))
+        source, arc = np.nonzero(tight[:, arcs])
+        arc = arcs[arc]
+        runs = np.zeros(near.shape, dtype=bool)
+        runs[self.graph[arc], self.tails[arc] - first, source] = True
+        runs &= near
         graph, copy, source = np.nonzero(runs)
         rows = np.empty((0, self.copies, self.count, self.size))
         if graph.size:
@@ -225,6 +246,27 @@ class _Union:
             rows = self._run(weights, sources).reshape(
                 -1, self.copies, self.count, self.size)
         return near, runs, rows
+
+
+def _radix_order(key: np.ndarray, bound: int, order: Optional[np.ndarray] = None) -> np.ndarray:
+    """The stable order of ``key``, non-negative integers each below ``bound``.
+
+    ``order``, when given, is a starting permutation of the keys; ties keep
+    their places in it, so the result is ``order[np.argsort(key[order],
+    kind="stable")]``. It sorts by LSD passes over 16-bit digits, lowest
+    first (Knuth, TAOCP Vol. 3, §5.2.5): numpy radix-sorts integers of at
+    most 16 bits under ``kind="stable"``, in time linear in the count, where
+    a wider type takes a comparison sort. Each further 16 bits of ``bound``
+    cost one more pass, and a key below 1 takes none.
+    """
+    shift = 0
+    while bound > 1 << shift:
+        # the cast keeps the low 16 bits: one digit
+        digit = (key if order is None else key[order]) >> shift
+        step = np.argsort(digit.astype(np.uint16), kind="stable")
+        order = step if order is None else order[step]
+        shift += 16
+    return np.arange(len(key)) if order is None else order
 
 
 def row_major_totals(tables: np.ndarray) -> np.ndarray:
@@ -330,6 +372,7 @@ class WeightedDigraph:
         self._weights = weights
         self._max_weight: float = float(weights.max()) if weights.size else 0.0
         self._apsp: Optional[np.ndarray] = None
+        self._tight: Optional[np.ndarray] = None
         self._union: Optional[_Union] = None
         # each thread's current detour stack, as ``.current``: (r, stack)
         self._stacks = threading.local()
@@ -393,6 +436,17 @@ class WeightedDigraph:
             self._apsp = table
         return self._apsp
 
+    def _tight_table(self) -> np.ndarray:
+        """Which arcs are tight from which sources, ``(V, arcs)``, cached read-only.
+
+        It is :meth:`_Union.tight` of the all-pairs table, derived from that
+        alone, so the detour stacks and betweenness read one table; two
+        threads that fill it at once build equal ones.
+        """
+        if self._tight is None:
+            self._tight = self._layout().tight(self._apsp_table()[None])
+        return self._tight
+
     def _layout(self) -> _Union:
         """The graph as a union of one, its kernel layout; built once and cached."""
         if self._union is None:
@@ -407,7 +461,7 @@ class WeightedDigraph:
         ``rows[t]``, the lengths from ``members[ran[t]]`` to every member on
         the graph in which every arc into or out of ``center`` costs the
         maximum arc weight, read-only. Every other member's detour row is its
-        all-pairs row, bit for bit (see :func:`_rows_to_run`). The rows are
+        all-pairs row, bit for bit (see :meth:`_Union.detours`). The rows are
         computed for a stack of consecutive centres at once (see
         :meth:`_stacked_detours`). The graph keeps one current stack per
         thread, keyed on ``r`` and its centres, so threads at different
@@ -427,7 +481,8 @@ class WeightedDigraph:
         """
         if not r >= 0.0:  # also true for nan
             raise ValueError(f"threshold must be >= 0, got {r!r}")
-        near, runs, rows = self._layout().detours(self._apsp_table()[None], r, first)
+        near, runs, rows = self._layout().detours(
+            self._apsp_table()[None], self._tight_table(), r, first)
         counts = np.count_nonzero(runs[0], axis=1).tolist()
         stack, start = {}, 0
         for k, mask in enumerate(near[0]):

@@ -7,9 +7,13 @@ from an O(n^2) scan, and the population variance from exact fractions.
 Graphs, covariates and shuffles are rebuilt record by record from
 ``FluencyRecord`` objects, without the encoded corpus. The permutation null
 is redrawn one repetition and one attempt at a time through the public
-per-draw functions, without the batched engine. :func:`context_distances`
-and :func:`context_rows` only lay out a library detour context's own fields
-as the tables :func:`reference_context` gives. Arc weights and degrees are
+per-draw functions, without the batched engine.
+:func:`reference_collapse_draws`, :func:`reference_pair_table` and
+:func:`reference_pair_medians` are the library's array collapse and pair
+table done with comparison sorts (``np.unique`` and stable ``argsort``), in
+place of its radix passes. :func:`context_distances` and
+:func:`context_rows` only lay out a library detour context's own fields as
+the tables :func:`reference_context` gives. Arc weights and degrees are
 read off ``graph.arcs()``.
 """
 
@@ -18,6 +22,7 @@ import random
 import statistics
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from ldcnet import (
     WeightedDigraph,
     shuffle_records,
 )
+from ldcnet.corpus import Collapse
 from ldcnet.stats import MAX_RETRIES, derive_seed, ldc_dt_correlation
 
 INF = math.inf
@@ -547,6 +553,70 @@ def reference_build_graph(records, params):
         for (u, v), times in traversals.items()
         if len(times) > params.ms
     ])
+
+
+def reference_collapse_draws(corpus, draws):
+    """:func:`ldcnet.corpus.collapse_draws` by comparison sorts: a stable ``argsort`` of the key.
+
+    A stable sort on (draw, record, id), the key ``record * len(words) + id``
+    over the stack, puts each record's first occurrence of an id first in
+    its run, and ``np.sort`` of the kept positions restores their order.
+    """
+    lengths = np.fromiter(map(len, corpus.raw_ids), dtype=np.intp, count=len(corpus))
+    total = int(lengths.sum())
+    onsets = np.fromiter(chain.from_iterable(corpus.raw_onsets), dtype=np.float64, count=total)
+    raw = chain.from_iterable(chain.from_iterable(draw.raw_ids for draw in draws))
+    ids = np.fromiter(raw, dtype=np.intp, count=total * len(draws))
+    lengths = np.tile(lengths, len(draws))
+    record = np.repeat(np.arange(lengths.size), lengths)
+    key = record * len(corpus.words) + ids
+    order = np.argsort(key, kind="stable")
+    first = np.sort(order[np.diff(key[order], prepend=-1) != 0])
+    record = record[first]
+    onsets = np.tile(onsets, len(draws))[first]
+    return Collapse(
+        corpus.words, corpus.labels, len(draws), ids[first], record,
+        record // max(len(corpus), 1), onsets, onsets / lengths[record],
+    )
+
+
+def reference_pair_table(stack, ws):
+    """:func:`ldcnet.corpus.pair_table` by ``np.unique`` and comparison sorts.
+
+    Each entry gets one distinct integer in (key, difference) order: the
+    rank of its (draw, pair) key among the distinct ones, then the rank of
+    its difference; one ``argsort`` of those groups each pair's differences
+    in order.
+    """
+    size = len(stack.words)
+    ids, onsets, record = stack.ids, stack.normalized, stack.record
+    keys, deltas = [], []
+    for gap in range(1, ws + 1):
+        same = record[gap:] == record[:-gap]
+        pair = ids[:-gap][same] * size + ids[gap:][same]
+        keys.append(stack.draw[gap:][same] * (size * size) + pair)
+        deltas.append(onsets[gap:][same] - onsets[:-gap][same])
+    key, delta = np.concatenate(keys), np.concatenate(deltas)
+    pairs, group, counts = np.unique(key, return_inverse=True, return_counts=True)
+    group *= key.size
+    group[np.argsort(delta)] += np.arange(key.size)
+    delta = delta[np.argsort(group)]
+    starts = np.cumsum(counts) - counts
+    shared = counts > 1
+    starts, counts = starts[shared], counts[shared]
+    upper = starts + counts // 2
+    medians = np.where(counts % 2 == 1, delta[upper], (delta[upper - 1] + delta[upper]) / 2)
+    draw, pair = np.divmod(pairs[shared], size * size)
+    sources, targets = np.divmod(pair, size)
+    return counts, draw, sources, targets, medians
+
+
+def reference_pair_medians(corpus, ws):
+    """:meth:`ldcnet.corpus.EncodedCorpus.pair_medians` by a stable sort on minus the counts."""
+    stack = reference_collapse_draws(corpus, [corpus])
+    counts, _, sources, targets, medians = reference_pair_table(stack, ws)
+    rank = np.argsort(-counts, kind="stable")
+    return counts[rank], sources[rank], targets[rank], medians[rank]
 
 
 def reference_covariates(records):

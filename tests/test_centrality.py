@@ -23,6 +23,7 @@ from ldcnet import (
     triangles,
 )
 import ldcnet.centrality as centrality_module
+import ldcnet.graph as graph_module
 from ldcnet.centrality import ldc_from_context, ldc_vectors, write_centrality_csv
 from ldcnet.corpus import DistanceFunctionParams, build_graph, encode, shuffle_records
 from ldcnet.errors import EmptyGraph, NoConvergence, UnknownVertex
@@ -644,6 +645,81 @@ class TestLdcVectors:
             ldc_vectors([complete_graph(4), WeightedDigraph(vertices=["lone"])])
 
 
+def stack_sources(graphs, r):
+    """The source list of each detour call over ``graphs``' union, from ``oracles.rows_to_run``.
+
+    Graph ``g``'s vertex ``i`` in copy ``k`` is source ``(k * count + g) * size + i``,
+    and a call lists its sources by graph, then copy, then vertex; a stack
+    whose centres have no row to run makes no call.
+    """
+    count, size = len(graphs), max(g.vertex_count for g in graphs)
+    copies = min(size, max(1, DETOUR_VERTICES // (count * size)))
+    runs = [oracles.rows_to_run(g, t) for g, t in zip(graphs, r)]
+    calls = []
+    for first in range(0, size, copies):
+        sources = [(k * count + n) * size + g.vertices.index(i)
+                   for n, g in enumerate(graphs)
+                   for k, centre in enumerate(g.vertices[first : first + copies])
+                   for i in runs[n][centre]]
+        if sources:
+            calls.append(sources)
+    return calls
+
+
+class TestSharedTightTable:
+    """Every detour stack and betweenness read one table of the arcs tight from each source.
+
+    A graph caches the table beside its all-pairs table; a chunk of graphs
+    builds one for its union. Each stack must still run exactly the rows the
+    heap-Dijkstra oracle picks, and betweenness must still take the heap
+    loop on a graph with a zero-effect arc.
+    """
+
+    def graphs(self):
+        rng = random.Random(29)
+        return kernel_edge_graphs(rng) + [tie_heavy_graph(rng, n, p=0.3) for n in (9, 14, 23, 30)]
+
+    def test_each_stack_runs_the_rows_the_oracle_picks(self, kernel_calls):
+        rng = random.Random(31)
+        for g in self.graphs():
+            for r in (rng.uniform(0.5, 4.0), math.inf):
+                h = fresh(g)
+                del kernel_calls[:]
+                ldc_vector(h, r)
+                # the first call is the all-pairs table
+                assert [s.tolist() for _, s in kernel_calls[1:]] == stack_sources([g], [r])
+                assert not h._tight_table().flags.writeable
+                assert h._tight_table() is h._tight_table()
+
+    def test_each_chunk_stack_runs_the_rows_the_oracle_picks(self, kernel_calls):
+        graphs = [g for g in self.graphs() if g.vertex_count >= 2]
+        for chunk in (graphs[:12], graphs[12:15], graphs[15:]):
+            r = [g.mean_pairwise_distance() for g in chunk]
+            del kernel_calls[:]
+            ldc_vectors([fresh(g) for g in chunk])
+            assert [s.tolist() for _, s in kernel_calls[1:]] == stack_sources(chunk, r)
+
+    def test_betweenness_on_the_shared_table_falls_back_on_zero_effect_arcs(self, monkeypatch):
+        heap_calls = []
+        heap = centrality_module._betweenness_heap
+        monkeypatch.setattr(centrality_module, "_betweenness_heap",
+                            lambda graph: heap_calls.append(graph) or heap(graph))
+        fallbacks = 0
+        for g in self.graphs():
+            if g.vertex_count < 3:
+                continue
+            h = fresh(g)
+            ldc_vector(h, math.inf)  # fills the table that betweenness then reads
+            table = h._tight
+            zero_effect = oracles.has_zero_effect_arc(g)
+            assert list(betweenness(h).scores.values()) == heap(g)
+            assert heap_calls == ([h] if zero_effect else [])
+            assert h._tight is table
+            heap_calls.clear()
+            fallbacks += zero_effect
+        assert fallbacks > 0
+
+
 class TestLdc:
     def test_complete_uniform_digraph_scores_zero(self):
         g = complete_graph(5)
@@ -968,6 +1044,7 @@ class TestBetweennessLevels:
         # at 1, one source per block and per step of the tight-arc test; at 100,
         # blocks of 2 to 5 sources and steps of one source
         monkeypatch.setattr(centrality_module, "_BLOCK", block)
+        monkeypatch.setattr(graph_module, "_BLOCK", block)
         rng = random.Random(113)
         for weights in ("dyadic", "uniform"):
             for _ in range(10):

@@ -17,7 +17,9 @@ from ldcnet import (
     WeightedDigraph,
 )
 from ldcnet.centrality import MEASURES, compute_all
-from ldcnet.corpus import EncodedCorpus, load_corpus, parse_corpus_osf
+from ldcnet.corpus import (
+    EncodedCorpus, collapse_draws, draw_graphs, load_corpus, pair_table, parse_corpus_osf,
+)
 from ldcnet.stats import ldc_dt_correlation
 from ldcnet.errors import LdcnetError, MalformedLine, NonMonotoneTimestamp, NoRecords
 
@@ -503,6 +505,82 @@ class TestEncodedCorpus:
         clone = pickle.loads(fresh)
         params = DistanceFunctionParams(ws=2, ms=2)
         assert graph_state(build_graph(clone, params)) == graph_state(build_graph(records, params))
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_same_collapse(got, expected):
+    assert (got.words, got.draws) == (expected.words, expected.draws)
+    assert got.labels.tolist() == expected.labels.tolist()
+    assert_same_arrays(got[3:], expected[3:])
+
+
+class TestRadixSortedKeys:
+    """The collapse, the pair table and the arc order equal their comparison-sort references.
+
+    Their integer keys are radix-sorted 16 bits at a time, so these cases
+    make keys of two digits: a corpus of 257 words or more (a pair key runs
+    to ``size**2 > 2**16``) and a 50-draw round over 40 words (``50 * 40**2
+    > 2**16``, and its collapse key ``records * 50 * 40 > 2**16``). One-word
+    records give empty pair tables.
+    """
+
+    def test_a_corpus_of_257_words_or_more(self):
+        records = random_records(random.Random(257), n_subjects=120, list_len=15, vocab_size=320)
+        corpus = encode(records)
+        assert len(corpus.words) >= 257
+        assert_same_collapse(corpus.collapse, oracles.reference_collapse_draws(corpus, [corpus]))
+        arcs = 0
+        for ws in (1, 2, 3):
+            table = pair_table(corpus.collapse, ws)
+            assert table[2].max() * len(corpus.words) + table[3].max() >= 2**16
+            assert_same_arrays(table, oracles.reference_pair_table(corpus.collapse, ws))
+            assert_same_arrays(corpus.pair_medians(ws), oracles.reference_pair_medians(corpus, ws))
+            for ms in (1, 2):
+                params = DistanceFunctionParams(ws=ws, ms=ms)
+                graph = build_graph(corpus, params)
+                reference = oracles.reference_build_graph(records, params)
+                assert graph_state(graph) == graph_state(reference)
+                arcs += graph.arc_count
+        assert arcs > 0
+
+    def test_a_round_of_50_draws_over_40_words(self):
+        records = random_records(random.Random(40), n_subjects=40, list_len=12, vocab_size=40)
+        corpus = encode(records)
+        assert len(corpus.words) == 40
+        draws = [shuffle_records(corpus, seed) for seed in range(50)]
+        stack = collapse_draws(corpus, draws)
+        assert_same_collapse(stack, oracles.reference_collapse_draws(corpus, draws))
+        for ws in (1, 2):
+            assert_same_arrays(pair_table(stack, ws), oracles.reference_pair_table(stack, ws))
+            params = DistanceFunctionParams(ws=ws, ms=2)
+            built = draw_graphs(stack, params)
+            assert sum(graph.arc_count for _, graph in built) > 0
+            for (_, graph), draw in zip(built, draws):
+                assert graph_state(graph) == graph_state(
+                    oracles.reference_build_graph(list(draw), params))
+
+    def test_one_word_records_give_empty_pair_tables(self):
+        records = [make_record(f"s{k}", [f"v{k % 3}"]) for k in range(6)]
+        corpus = encode(records + [FluencyRecord("empty", ())])
+        draws = [shuffle_records(corpus, seed) for seed in range(3)]
+        stacks = [(corpus.collapse, oracles.reference_collapse_draws(corpus, [corpus])),
+                  (collapse_draws(corpus, draws), oracles.reference_collapse_draws(corpus, draws))]
+        for stack, reference in stacks:
+            assert_same_collapse(stack, reference)
+            for ws in (1, 2):
+                table = pair_table(stack, ws)
+                assert table[0].size == 0
+                assert_same_arrays(table, oracles.reference_pair_table(reference, ws))
+                params = DistanceFunctionParams(ws=ws, ms=1)
+                assert [g.vertex_count for _, g in draw_graphs(stack, params)] == [0] * stack.draws
+        assert_same_arrays(corpus.pair_medians(1), oracles.reference_pair_medians(corpus, 1))
 
 
 class TestShuffleRecords:

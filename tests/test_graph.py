@@ -3,12 +3,14 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ldcnet
 from ldcnet import WeightedDigraph
 from ldcnet.centrality import build_context, closeness
 from ldcnet.errors import EmptyGraph, MalformedLine, UnknownVertex
+from ldcnet.graph import _radix_order
 
 import oracles
 from corpora import exact_sum_graphs, kernel_edge_graphs, random_graph
@@ -67,6 +69,21 @@ class TestConstruction:
                 assert oracles.in_degree(g, u) == sum(1 for _, h in weights if h == u)
                 for v in g.vertices:
                     assert oracles.arc_weight(g, u, v) == weights.get((u, v))
+
+
+@pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32 + 1])
+def test_radix_order_is_the_stable_argsort(bound):
+    rng = np.random.default_rng(bound)
+    # few distinct keys, so most keys tie, with the largest key allowed among them
+    values = np.append(rng.integers(0, bound, 12), bound - 1)
+    for size in (0, 1, 2000):
+        key = rng.choice(values, size)
+        got = _radix_order(key, bound)
+        assert got.dtype == np.intp
+        assert got.tolist() == np.argsort(key, kind="stable").tolist()
+        order = rng.permutation(size)
+        expected = order[np.argsort(key[order], kind="stable")]
+        assert _radix_order(key, bound, order).tolist() == expected.tolist()
 
 
 def test_the_package_holds_one_shortest_path_kernel_call():
